@@ -165,7 +165,9 @@ impl Retrier {
     }
 }
 
-/// Sender-side frame accounting for a socket transport, with an exact
+/// Sender-side frame accounting for the wall-clock host's transports
+/// (sockets; on the in-process mesh every accepted frame counts as
+/// enqueued and sent at once), with an exact
 /// identity mirroring [`NetStats::balances`](crate::NetStats::balances):
 ///
 /// ```text

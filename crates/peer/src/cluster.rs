@@ -1,577 +1,92 @@
-//! The real-thread driver: the same sans-IO [`PeerNode`]s the
-//! simulator runs, each on its own OS thread over the
-//! [`mqp_net::threaded`] transport, with an [`MqpClient`] front-end
-//! for submitting queries and collecting [`QueryOutcome`]s.
-//!
-//! Where the simulator driver is omniscient (free acks, global
-//! completion knowledge, a virtual clock), this driver is honest:
-//! acknowledgements travel as real `ack` frames, retry deadlines are
-//! enforced with receive timeouts against the wall clock, and
-//! completion effects are funneled to the front-end over a results
-//! channel (driver plumbing, not peer traffic — the simulator's
-//! `completed` vector, made concurrent). Both drivers execute the
-//! identical protocol core, which is what the sim-vs-threaded
-//! equivalence test (`tests/equivalence.rs`) pins down.
+//! The in-process transport: [`mqp_net::threaded`]'s mpsc mesh under
+//! the shared [`host`](crate::host). Delivery is free, lossless and
+//! unbounded, so nothing ever queues and `flush` has nothing to do; a
+//! kill is modeled by discarding, at restart, whatever the inbox
+//! collected meanwhile.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mqp_algebra::plan::Plan;
-use mqp_core::{Mqp, QueryId, QueryOutcome};
 use mqp_net::threaded::{mesh, Endpoint};
-use mqp_net::NodeId;
+use mqp_net::{NodeId, SocketStats};
 
-use crate::node::{Directory, Effect, PeerNode, RetryPolicy};
+use crate::host::{Client, Cluster, Counters, Transport};
+use crate::node::RetryPolicy;
 use crate::peer::Peer;
 use crate::wire::Frame;
 
-/// How long an idle worker blocks on its inbox before re-checking its
-/// timers.
-const IDLE_WAIT: Duration = Duration::from_millis(50);
-
-/// Driver control for a worker, delivered out-of-band of the frame
-/// transport (the same shape the TCP driver uses): crash the peer or
-/// bring it back through the recovery state machine.
-enum Ctl {
-    /// Crash: durable peers lose volatile state and their disk power-
-    /// fails; while down the worker discards every delivered frame.
-    Kill,
-    /// Restart: recover the catalog from the journal and re-announce
-    /// surviving bindings (`rereg`).
-    Restart,
-}
-
-/// Aggregate statistics for a cluster run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClusterStats {
-    /// Wire frames delivered to workers (acks and control included).
-    pub frames_delivered: u64,
-    /// Actual wire bytes delivered to workers.
-    pub bytes_delivered: u64,
-    /// Timeout-driven retries across all workers.
-    pub retries: u64,
-}
-
-struct SharedCounters {
-    frames: AtomicU64,
-    bytes: AtomicU64,
-    retries: AtomicU64,
-}
-
-/// Per-worker driver loop: block on the inbox (bounded by the node's
-/// next retry deadline), feed frames to the node, execute effects.
-fn worker_loop(
-    mut node: PeerNode,
+/// One node's end of the mpsc mesh. Every frame it accepts counts as
+/// enqueued and sent at once, so the [`SocketStats`] identity holds
+/// here as on sockets.
+pub struct Mesh {
     endpoint: Endpoint,
-    ctl: Receiver<Ctl>,
-    outcomes: Sender<QueryOutcome>,
-    counters: Arc<SharedCounters>,
-    epoch: Instant,
-    service_delay: Duration,
-) {
-    let now_us = || epoch.elapsed().as_micros() as u64;
-    let mut down = false;
-    loop {
-        // Driver control first: a pending kill must take effect before
-        // the next frame is processed.
-        while let Ok(c) = ctl.try_recv() {
-            match c {
-                Ctl::Kill => {
-                    down = true;
-                    node.crash();
-                }
-                Ctl::Restart => {
-                    if down {
-                        down = false;
-                        let effects = node.recover(now_us());
-                        apply(&endpoint, &outcomes, &counters, effects);
-                    }
-                }
-            }
+    stats: Arc<Counters>,
+}
+
+impl Transport for Mesh {
+    fn send(&mut self, to: NodeId, bytes: Vec<u8>) -> bool {
+        let len = bytes.len() as u64;
+        Counters::add(&self.stats.frames_enqueued, 1);
+        // A dropped endpoint is a worker that has exited.
+        if !self.endpoint.send(to, bytes) {
+            Counters::add(&self.stats.dropped_disconnected, 1);
+            return false;
         }
-        let wait = match node.next_deadline().filter(|_| !down) {
-            Some(d) => Duration::from_micros(d.saturating_sub(now_us())).min(IDLE_WAIT),
-            None => IDLE_WAIT,
-        };
-        let received = endpoint.recv_timeout(wait);
-        if down {
-            // A crashed peer receives nothing: discard deliveries
-            // uncounted (they are lost exactly as on a real network).
-            // Only the driver's stop still applies, so shutdown can
-            // never hang on a dead worker.
-            if let Some(env) = received {
-                if Frame::kind(&env.payload) == "stop" {
-                    return;
-                }
-            }
-            continue;
-        }
-        if let Some(env) = received {
-            counters.frames.fetch_add(1, Ordering::Relaxed);
-            counters
-                .bytes
-                .fetch_add(env.bytes() as u64, Ordering::Relaxed);
-            match Frame::kind(&env.payload) {
-                "stop" => {
-                    // Drain before dying: frames already queued behind
-                    // the stop (self-sends especially — a peer routing
-                    // to itself enqueues into its own inbox) carry
-                    // completions the front-end is still owed. Without
-                    // this, an immediate shutdown after a burst of
-                    // submissions loses outcomes at teardown.
-                    while let Some(env) = endpoint.try_recv() {
-                        counters.frames.fetch_add(1, Ordering::Relaxed);
-                        counters
-                            .bytes
-                            .fetch_add(env.bytes() as u64, Ordering::Relaxed);
-                        if Frame::kind(&env.payload) != "stop" {
-                            let effects = node.on_message(env.from, &env.payload, now_us());
-                            apply(&endpoint, &outcomes, &counters, effects);
-                        }
-                    }
-                    return;
-                }
-                kind => {
-                    // Model per-envelope service time (store access,
-                    // disk, remote fetch) for MQP processing — the knob
-                    // `exp_threaded_throughput` uses to show the
-                    // cluster overlapping service stalls across
-                    // workers.
-                    if kind == "mqp" && !service_delay.is_zero() {
-                        std::thread::sleep(service_delay);
-                    }
-                    let effects = node.on_message(env.from, &env.payload, now_us());
-                    apply(&endpoint, &outcomes, &counters, effects);
-                }
-            }
-        }
-        // Fire any expired retry watches.
-        if node.next_deadline().is_some_and(|d| d <= now_us()) {
-            let effects = node.on_tick(now_us());
-            apply(&endpoint, &outcomes, &counters, effects);
-        }
+        Counters::add(&self.stats.frames_sent, 1);
+        Counters::add(&self.stats.bytes_sent, len);
+        true
+    }
+
+    fn recv(&mut self, wait: Duration) -> Option<(NodeId, Vec<u8>)> {
+        let envelope = self.endpoint.recv_timeout(wait)?;
+        Counters::add(&self.stats.frames_received, 1);
+        Counters::add(&self.stats.bytes_received, envelope.bytes() as u64);
+        Some((envelope.from, envelope.payload))
+    }
+
+    fn flush(&mut self) -> bool {
+        true
+    }
+
+    fn go_down(&mut self) {}
+
+    fn come_up(&mut self) {
+        while self.endpoint.try_recv().is_some() {}
     }
 }
 
-/// Executes a node's effects against the real transport.
-fn apply(
-    endpoint: &Endpoint,
-    outcomes: &Sender<QueryOutcome>,
-    counters: &SharedCounters,
-    effects: Vec<Effect>,
-) {
-    for effect in effects {
-        match effect {
-            Effect::Send { to, bytes } => {
-                // A dropped endpoint is a crashed node: the message is
-                // lost, exactly as on a real network. Retry watches (if
-                // armed) take it from there.
-                let _ = endpoint.send(to, bytes);
-            }
-            Effect::Ack { to, qid } => {
-                let _ = endpoint.send(to, Frame::Ack { qid }.encode());
-            }
-            Effect::Complete(outcome) => {
-                let _ = outcomes.send(outcome);
-            }
-            Effect::Retried { .. } => {
-                counters.retries.fetch_add(1, Ordering::Relaxed);
-            }
-            // The node's internal watch list is the timer state; the
-            // worker loop polls `next_deadline` — nothing to do here.
-            Effect::SetTimer { .. } => {}
-            Effect::Register(_) | Effect::Recovered(_) => {}
-        }
-    }
-}
+/// Peers on real OS threads, fully connected over the mpsc mesh.
+pub type ThreadedCluster = Cluster<Mesh>;
 
-/// The front-end: submits plans into the cluster and collects
-/// outcomes. Obtained from [`ThreadedCluster::new`]; the cluster and
-/// its client are separable so submission can happen from any thread.
-pub struct MqpClient {
-    endpoint: Endpoint,
-    outcomes: Receiver<QueryOutcome>,
-    next_qid: u64,
-    /// Outcome dedup: under retries the same query can complete twice.
-    seen: std::collections::HashSet<QueryId>,
-}
+/// The front-end of a [`ThreadedCluster`].
+pub type MqpClient = Client<Mesh>;
 
-impl MqpClient {
-    /// Submits `plan` at worker `client` (the peer that becomes the
-    /// query's client). Returns the query id; the outcome arrives
-    /// later via [`MqpClient::poll`] / [`MqpClient::collect`].
-    pub fn submit(&mut self, client: NodeId, plan: &Plan) -> QueryId {
-        let qid = QueryId::new(self.next_qid);
-        self.next_qid += 1;
-        let frame = Frame::Submit {
-            qid,
-            plan: Mqp::without_original(plan.clone()).to_wire(),
-        };
-        assert!(
-            self.endpoint.send(client, frame.encode()),
-            "worker {client} is gone"
-        );
-        qid
-    }
-
-    /// Pushes a policy rule set to worker `node` (hot reload). Returns
-    /// `false` when the worker is gone. Queries already in flight at
-    /// the worker keep their accounting; the next processing step sees
-    /// the new rules.
-    pub fn push_policy(&mut self, node: NodeId, rules: &mqp_core::RuleSet) -> bool {
-        self.endpoint
-            .send(node, Frame::Policy(rules.clone()).encode())
-    }
-
-    /// Delivers a catalog registration to worker `node` — the same
-    /// `Register` wire frame the simulator's `send_registration` ships,
-    /// so adversarial registration schedules run identically on every
-    /// driver. Returns `false` when the worker is gone.
-    pub fn register(&mut self, node: NodeId, entry: &mqp_catalog::CatalogEntry) -> bool {
-        self.endpoint
-            .send(node, Frame::Register(entry.clone()).encode())
-    }
-
-    /// Non-blocking: the next completed outcome, if any.
-    pub fn poll(&mut self) -> Option<QueryOutcome> {
-        loop {
-            let outcome = self.outcomes.try_recv().ok()?;
-            if self.seen.insert(outcome.qid) {
-                return Some(outcome);
-            }
-        }
-    }
-
-    /// Blocking: collects `n` distinct outcomes or gives up after
-    /// `timeout` without progress.
-    pub fn collect(&mut self, n: usize, timeout: Duration) -> Vec<QueryOutcome> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.outcomes.recv_timeout(timeout) {
-                Ok(outcome) => {
-                    if self.seen.insert(outcome.qid) {
-                        out.push(outcome);
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        out
-    }
-}
-
-/// A population of peers on real OS threads: one worker thread per
-/// peer, fully connected over `mqp_net::threaded`, plus a client slot
-/// (node `n`) for the front-end.
-pub struct ThreadedCluster {
-    workers: Vec<JoinHandle<()>>,
-    ctls: Vec<Sender<Ctl>>,
-    counters: Arc<SharedCounters>,
-    n: usize,
-}
-
-impl ThreadedCluster {
+impl Cluster<Mesh> {
     /// Spawns one worker per peer. Peer `i` sits at node `i`; the
     /// returned [`MqpClient`] holds node `n`.
     pub fn new(peers: Vec<Peer>) -> (ThreadedCluster, MqpClient) {
         Self::with_config(peers, None, Duration::ZERO)
     }
 
-    /// Spawns with a retry policy and/or a per-envelope service delay
-    /// (see `worker_loop`).
+    /// Spawns with a retry policy and/or a modeled per-envelope service
+    /// delay for `mqp` frames.
     pub fn with_config(
         peers: Vec<Peer>,
         retry: Option<RetryPolicy>,
         service_delay: Duration,
     ) -> (ThreadedCluster, MqpClient) {
-        let n = peers.len();
-        let directory = Arc::new(Directory::new(
-            peers.iter().map(|p| p.id().clone()).collect(),
-        ));
-        let mut endpoints = mesh(n + 1);
-        let client_endpoint = endpoints.pop().expect("client endpoint");
-        let (tx, rx) = channel();
-        let counters = Arc::new(SharedCounters {
-            frames: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-        });
-        let epoch = Instant::now();
-        let mut ctls = Vec::with_capacity(n);
-        let workers = peers
-            .into_iter()
-            .zip(endpoints)
-            .enumerate()
-            .map(|(i, (peer, endpoint))| {
-                let mut node = PeerNode::new(i, peer, Arc::clone(&directory));
-                node.set_retry(retry);
-                let outcomes = tx.clone();
-                let counters = Arc::clone(&counters);
-                let (ctl_tx, ctl_rx) = channel();
-                ctls.push(ctl_tx);
-                std::thread::Builder::new()
-                    .name(format!("mqp-worker-{i}"))
-                    .spawn(move || {
-                        worker_loop(
-                            node,
-                            endpoint,
-                            ctl_rx,
-                            outcomes,
-                            counters,
-                            epoch,
-                            service_delay,
-                        )
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        (
-            ThreadedCluster {
-                workers,
-                ctls,
-                counters,
-                n,
-            },
-            MqpClient {
-                endpoint: client_endpoint,
-                outcomes: rx,
-                next_qid: 0,
-                seen: std::collections::HashSet::new(),
-            },
-        )
+        let mut endpoints = mesh(peers.len() + 1).into_iter();
+        Cluster::spawn(peers, retry, service_delay, |_, stats| Mesh {
+            endpoint: endpoints.next().expect("one endpoint per node"),
+            stats,
+        })
     }
 
-    /// Number of worker threads.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the cluster has no workers.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Crashes worker `i` (the API parity twin of
-    /// `TcpCluster::kill`): the peer's volatile state is dropped, a
-    /// durable catalog's disk power-fails, and every frame delivered
-    /// while down is discarded. Asynchronous — the worker notices on
-    /// its next loop iteration (≤ `IDLE_WAIT`).
-    pub fn kill(&self, i: usize) {
-        let _ = self.ctls[i].send(Ctl::Kill);
-    }
-
-    /// Restarts worker `i`: the catalog recovers from its journal
-    /// (prefix-consistent replay) and surviving bindings are
-    /// re-announced as `rereg` frames. A no-op if the worker is up.
-    pub fn restart(&self, i: usize) {
-        let _ = self.ctls[i].send(Ctl::Restart);
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> ClusterStats {
-        ClusterStats {
-            frames_delivered: self.counters.frames.load(Ordering::Relaxed),
-            bytes_delivered: self.counters.bytes.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Stops every worker and joins the threads. Returns final stats.
-    pub fn shutdown(mut self, client: &MqpClient) -> ClusterStats {
-        for i in 0..self.n {
-            let _ = client.endpoint.send(i, Frame::Stop.encode());
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.stats()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
-    use mqp_xml::parse;
-
-    fn ns() -> Namespace {
-        Namespace::new([
-            Hierarchy::new("Location").with(["USA/OR/Portland"]),
-            Hierarchy::new("Merchandise").with(["Music/CDs"]),
-        ])
-    }
-
-    fn pdx_cds() -> InterestArea {
-        InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]])
-    }
-
-    fn world() -> Vec<Peer> {
-        let client = Peer::new("client", ns()).with_default_route("meta");
-        let mut meta = Peer::new("meta", ns());
-        let mut s1 = Peer::new("seller-1", ns());
-        s1.add_collection(
-            "cds",
-            pdx_cds(),
-            [
-                parse("<item><title>A</title><price>8</price></item>").unwrap(),
-                parse("<item><title>B</title><price>12</price></item>").unwrap(),
-            ],
-        );
-        let mut s2 = Peer::new("seller-2", ns());
-        s2.add_collection(
-            "cds",
-            pdx_cds(),
-            [parse("<item><title>C</title><price>9</price></item>").unwrap()],
-        );
-        meta.catalog_mut().register(s1.base_entry());
-        meta.catalog_mut().register(s2.base_entry());
-        vec![client, meta, s1, s2]
-    }
-
-    #[test]
-    fn end_to_end_over_real_threads() {
-        let (cluster, mut client) = ThreadedCluster::new(world());
-        let plan = Plan::select(
-            "price < 10",
-            Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
-        );
-        let qid = client.submit(0, &plan);
-        let done = client.collect(1, Duration::from_secs(10));
-        assert_eq!(done.len(), 1);
-        let q = &done[0];
-        assert_eq!(q.qid, qid);
-        assert!(q.failure.is_none(), "{:?}", q.failure);
-        let mut titles: Vec<String> = q.items.iter().filter_map(|i| i.field("title")).collect();
-        titles.sort();
-        assert_eq!(titles, ["A", "C"]);
-        assert!(q.hops >= 3);
-        let stats = cluster.shutdown(&client);
-        assert!(stats.frames_delivered > 0);
-        assert!(stats.bytes_delivered > 0);
-    }
-
-    #[test]
-    fn many_concurrent_queries_all_complete() {
-        let (cluster, mut client) = ThreadedCluster::new(world());
-        let plan = Plan::select(
-            "price < 10",
-            Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
-        );
-        let qids: Vec<QueryId> = (0..24).map(|_| client.submit(0, &plan)).collect();
-        let done = client.collect(qids.len(), Duration::from_secs(10));
-        assert_eq!(done.len(), qids.len());
-        let mut got: Vec<QueryId> = done.iter().map(|q| q.qid).collect();
-        got.sort();
-        assert_eq!(got, qids);
-        for q in &done {
-            assert!(q.failure.is_none(), "{:?}", q.failure);
-            assert_eq!(q.items.len(), 2);
-        }
-        cluster.shutdown(&client);
-    }
-
-    /// The shutdown-ordering guarantee: a stop sent right behind a
-    /// burst of submissions must not outrace their deliveries. With a
-    /// single self-routing peer every delivery is a self-send queued
-    /// behind the stop in its own inbox, so without the worker's
-    /// stop-drain exactly zero outcomes would survive.
-    #[test]
-    fn stop_drains_behind_submissions() {
-        let mut solo = Peer::new("solo", ns());
-        solo.add_collection(
-            "cds",
-            pdx_cds(),
-            [parse("<item><title>A</title><price>8</price></item>").unwrap()],
-        );
-        let (cluster, mut client) = ThreadedCluster::new(vec![solo]);
-        let k = 8;
-        for _ in 0..k {
-            client.submit(0, &Plan::url("mqp://solo/"));
-        }
-        // No collect before shutdown: the outcomes must ride the drain.
-        cluster.shutdown(&client);
-        let done = client.collect(k, Duration::from_millis(100));
-        assert_eq!(done.len(), k, "outcomes lost at teardown");
-    }
-
-    /// ThreadedCluster's kill/restart API (the parity twin of
-    /// `TcpCluster`'s) drives the same recovery state machine: a durable
-    /// seller loses its in-memory catalog at kill, recovers it from the
-    /// journal at restart, and serves again audit-clean.
-    #[test]
-    fn durable_peer_survives_kill_restart() {
-        use mqp_catalog::durable::{DurableCatalog, MemDisk, SharedDisk};
-        use mqp_catalog::CatalogEntry;
-        let mut peers = world();
-        peers[2]
-            .catalog_mut()
-            .register(CatalogEntry::index("meta", pdx_cds()));
-        peers[2].enable_durability(DurableCatalog::new(SharedDisk::new(MemDisk::new())));
-        let (cluster, mut client) = ThreadedCluster::new(peers);
-        let plan = Plan::select(
-            "price < 10",
-            Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
-        );
-        client.submit(0, &plan);
-        let before = client.collect(1, Duration::from_secs(10));
-        assert_eq!(before.len(), 1);
-        assert!(before[0].failure.is_none(), "{:?}", before[0].failure);
-
-        // Power-cycle seller-1; the control messages are async, so give
-        // the worker a loop iteration (≤ IDLE_WAIT) to notice each.
-        cluster.kill(2);
-        std::thread::sleep(Duration::from_millis(120));
-        cluster.restart(2);
-        std::thread::sleep(Duration::from_millis(120));
-
-        client.submit(0, &plan);
-        let done = client.collect(1, Duration::from_secs(10));
-        assert_eq!(done.len(), 1, "query stranded across durable restart");
-        let q = &done[0];
-        assert!(q.failure.is_none(), "{:?}", q.failure);
-        let mut titles: Vec<String> = q.items.iter().filter_map(|i| i.field("title")).collect();
-        titles.sort();
-        assert_eq!(titles, ["A", "C"]);
-        assert_eq!(q.audit_clean, Some(true));
-        cluster.shutdown(&client);
-    }
-
-    /// A volatile peer keeps the legacy interface-outage semantics
-    /// through the same kill/restart API: protocol state survives in
-    /// memory, so a killed-then-restarted peer serves with no journal.
-    #[test]
-    fn volatile_peer_keeps_state_across_kill_restart() {
-        let (cluster, mut client) = ThreadedCluster::new(world());
-        cluster.kill(2);
-        std::thread::sleep(Duration::from_millis(120));
-        cluster.restart(2);
-        std::thread::sleep(Duration::from_millis(120));
-        let qid = client.submit(0, &Plan::url("mqp://seller-1/"));
-        let done = client.collect(1, Duration::from_secs(10));
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].qid, qid);
-        assert!(done[0].failure.is_none(), "{:?}", done[0].failure);
-        assert_eq!(done[0].items.len(), 2);
-        cluster.shutdown(&client);
-    }
-
-    #[test]
-    fn poll_is_nonblocking_and_dedups() {
-        let (cluster, mut client) = ThreadedCluster::new(world());
-        assert!(client.poll().is_none());
-        let qid = client.submit(0, &Plan::url("mqp://seller-2/"));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let outcome = loop {
-            if let Some(o) = client.poll() {
-                break o;
-            }
-            assert!(Instant::now() < deadline, "query never completed");
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(outcome.qid, qid);
-        cluster.shutdown(&client);
+    /// Stops every worker — each drains what is queued ahead of its
+    /// `stop` first — and joins the threads. Returns final stats.
+    pub fn shutdown(self, client: &MqpClient) -> SocketStats {
+        self.join(|i| {
+            client.transport.endpoint.send(i, Frame::Stop.encode());
+        })
     }
 }

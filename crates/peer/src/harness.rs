@@ -423,47 +423,14 @@ impl SimHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::{self, ns, pdx_cds};
     use mqp_algebra::plan::Plan;
-    use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
+    use mqp_namespace::{InterestArea, Urn};
     use mqp_xml::parse;
 
-    fn ns() -> Namespace {
-        Namespace::new([
-            Hierarchy::new("Location").with(["USA/OR/Portland", "USA/WA/Seattle"]),
-            Hierarchy::new("Merchandise").with(["Music/CDs", "Furniture/Chairs"]),
-        ])
-    }
-
-    fn pdx_cds() -> InterestArea {
-        InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]])
-    }
-
-    /// A 4-peer world: client, meta-index, and two sellers.
+    /// The shared 4-peer world: client, meta-index, and two sellers.
     fn world() -> SimHarness {
-        let client = Peer::new("client", ns()).with_default_route("meta");
-        let mut meta = Peer::new("meta", ns());
-        let mut s1 = Peer::new("seller-1", ns());
-        s1.add_collection(
-            "cds",
-            pdx_cds(),
-            [
-                parse("<item><title>A</title><price>8</price></item>").unwrap(),
-                parse("<item><title>B</title><price>12</price></item>").unwrap(),
-            ],
-        );
-        let mut s2 = Peer::new("seller-2", ns());
-        s2.add_collection(
-            "cds",
-            pdx_cds(),
-            [parse("<item><title>C</title><price>9</price></item>").unwrap()],
-        );
-        // The meta-index knows both sellers.
-        meta.catalog_mut().register(s1.base_entry());
-        meta.catalog_mut().register(s2.base_entry());
-        SimHarness::new(
-            Topology::clustered(4, 2, 1_000, 50_000),
-            vec![client, meta, s1, s2],
-        )
+        SimHarness::new(Topology::clustered(4, 2, 1_000, 50_000), fixture::world())
     }
 
     #[test]
@@ -663,64 +630,13 @@ mod tests {
 #[cfg(test)]
 mod durable_tests {
     use super::*;
-    use mqp_algebra::plan::Plan;
-    use mqp_catalog::durable::{DurableCatalog, MemDisk, SharedDisk};
-    use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
-    use mqp_xml::parse;
+    use crate::fixture::{self, cheap_cds, titles};
 
-    fn ns() -> Namespace {
-        Namespace::new([
-            Hierarchy::new("Location").with(["USA/OR/Portland"]),
-            Hierarchy::new("Merchandise").with(["Music/CDs"]),
-        ])
-    }
-
-    fn pdx_cds() -> InterestArea {
-        InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]])
-    }
-
-    /// The 4-peer world with a *durable* seller-1 that also knows the
-    /// meta-index, so a restarted seller has someone to re-announce to.
     fn durable_world() -> SimHarness {
-        let client = Peer::new("client", ns()).with_default_route("meta");
-        let mut meta = Peer::new("meta", ns());
-        let mut s1 = Peer::new("seller-1", ns());
-        s1.add_collection(
-            "cds",
-            pdx_cds(),
-            [
-                parse("<item><title>A</title><price>8</price></item>").unwrap(),
-                parse("<item><title>B</title><price>12</price></item>").unwrap(),
-            ],
-        );
-        s1.catalog_mut()
-            .register(CatalogEntry::index("meta", pdx_cds()));
-        s1.enable_durability(DurableCatalog::new(SharedDisk::new(MemDisk::new())));
-        let mut s2 = Peer::new("seller-2", ns());
-        s2.add_collection(
-            "cds",
-            pdx_cds(),
-            [parse("<item><title>C</title><price>9</price></item>").unwrap()],
-        );
-        meta.catalog_mut().register(s1.base_entry());
-        meta.catalog_mut().register(s2.base_entry());
         SimHarness::new(
             Topology::clustered(4, 2, 1_000, 50_000),
-            vec![client, meta, s1, s2],
+            fixture::durable_world(),
         )
-    }
-
-    fn cheap_cds() -> Plan {
-        Plan::select(
-            "price < 10",
-            Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
-        )
-    }
-
-    fn titles(q: &QueryOutcome) -> Vec<String> {
-        let mut t: Vec<String> = q.items.iter().filter_map(|i| i.field("title")).collect();
-        t.sort();
-        t
     }
 
     #[test]
@@ -811,20 +727,10 @@ mod durable_tests {
 #[cfg(test)]
 mod lazy_tests {
     use super::*;
+    use crate::fixture::{ns, pdx_cds};
     use mqp_algebra::plan::Plan;
-    use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
+    use mqp_namespace::Urn;
     use mqp_xml::parse;
-
-    fn ns() -> Namespace {
-        Namespace::new([
-            Hierarchy::new("Location").with(["USA/OR/Portland"]),
-            Hierarchy::new("Merchandise").with(["Music/CDs"]),
-        ])
-    }
-
-    fn pdx_cds() -> InterestArea {
-        InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]])
-    }
 
     /// 2 named peers (client, idx) + 4 scheme-named sellers, built on
     /// demand. Only seller-0 is indexed, so sellers 1..4 never

@@ -1,4 +1,4 @@
-//! # mqp-peer — the peer protocol core and its drivers
+//! # mqp-peer — the peer protocol core, its simulator and its host
 //!
 //! Ties the pieces together in three layers (DESIGN.md §8):
 //!
@@ -12,15 +12,18 @@
 //!   as a pure event machine — `on_message`/`on_tick`/`submit` return
 //!   [`Effect`]s for a host to execute. No sockets, no channels, no
 //!   clocks.
-//! * The drivers: [`SimHarness`] feeds `PeerNode`s from the `mqp-net`
+//! * What runs it: [`SimHarness`] feeds `PeerNode`s from the `mqp-net`
 //!   discrete-event simulator (deterministic; the substrate for every
-//!   experiment in EXPERIMENTS.md), [`ThreadedCluster`] drives the
-//!   identical nodes over `mqp_net::threaded` endpoints on real OS
-//!   threads with an [`MqpClient`] front-end supporting many
-//!   concurrent in-flight queries, and [`TcpCluster`] drives them over
-//!   real TCP sockets — length-prefixed [`framing`], reconnecting
-//!   links, bounded write queues — behind an equivalent [`TcpClient`]
-//!   (`tests/equivalence.rs` pins all three to identical outcomes).
+//!   experiment in EXPERIMENTS.md), and the one wall-clock [`host`] —
+//!   a worker loop, an `Effect` executor, kill/restart/stop-drain, a
+//!   [`host::Cluster`] handle and a [`host::Client`] front-end with
+//!   many queries in flight — runs the identical nodes on real OS
+//!   threads over either of two [`host::Transport`]s:
+//!   [`ThreadedCluster`]/[`MqpClient`] on the `mqp_net::threaded` mpsc
+//!   mesh ([`cluster`]) and [`TcpCluster`]/[`TcpClient`] on real TCP
+//!   sockets ([`tcp`]: length-prefixed [`framing`], reconnecting links,
+//!   bounded write queues). `tests/equivalence.rs` pins all three to
+//!   identical outcomes.
 //!
 //! Peer roles (§3.2) are configuration, not types: a peer with local
 //! collections is a *base server*; one with catalog entries it answers
@@ -30,15 +33,18 @@
 //! query's server" (§1).
 
 pub mod cluster;
+#[cfg(test)]
+mod fixture;
 pub mod framing;
 pub mod harness;
+pub mod host;
 pub mod node;
 pub mod peer;
 pub mod store;
 pub mod tcp;
 pub mod wire;
 
-pub use cluster::{ClusterStats, MqpClient, ThreadedCluster};
+pub use cluster::{MqpClient, ThreadedCluster};
 pub use harness::{SimHarness, SimMsg};
 pub use mqp_core::{QueryId, QueryOutcome};
 pub use node::{Directory, Effect, PeerNode, RetryPolicy};

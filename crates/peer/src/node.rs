@@ -950,19 +950,9 @@ fn frame_audit(frame: &Frame) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mqp_namespace::{Hierarchy, Namespace, Urn};
+    use crate::fixture::{ns, pdx_cds};
+    use mqp_namespace::Urn;
     use mqp_xml::parse;
-
-    fn ns() -> Namespace {
-        Namespace::new([
-            Hierarchy::new("Location").with(["USA/OR/Portland"]),
-            Hierarchy::new("Merchandise").with(["Music/CDs"]),
-        ])
-    }
-
-    fn pdx_cds() -> InterestArea {
-        InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]])
-    }
 
     fn directory(ids: &[&str]) -> Arc<Directory> {
         Arc::new(Directory::new(

@@ -496,20 +496,9 @@ impl ServerContext for Peer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::{ns, pdx_cds};
     use mqp_core::{Mqp, Outcome};
-    use mqp_namespace::Hierarchy;
     use mqp_xml::parse;
-
-    fn ns() -> Namespace {
-        Namespace::new([
-            Hierarchy::new("Location").with(["USA/OR/Portland", "USA/WA/Seattle"]),
-            Hierarchy::new("Merchandise").with(["Music/CDs", "Furniture/Chairs"]),
-        ])
-    }
-
-    fn pdx_cds() -> InterestArea {
-        InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]])
-    }
 
     fn seller() -> Peer {
         let mut p = Peer::new("seller-1", ns());

@@ -1,69 +1,43 @@
-//! The real-socket driver: the same sans-IO [`PeerNode`]s the
-//! simulator and the [`ThreadedCluster`](crate::cluster::ThreadedCluster)
-//! run, each on its own OS thread behind a real TCP listener, talking
-//! [`wire`](crate::wire) frames wrapped in the length-prefixed
-//! [`framing`](crate::framing) grammar over loopback (or any) sockets.
-//!
-//! Where the threaded cluster's mpsc mesh gives every message free,
-//! lossless, infinitely-buffered delivery, this driver gets only what
-//! TCP gives a real deployment — and fills the gap the way a real
-//! deployment would (DESIGN.md §11):
-//!
-//! * **Framing.** A connection is a byte stream; each encoded frame
-//!   travels behind a 4-byte length prefix and an incremental
-//!   [`FrameDecoder`] reassembles it regardless of how the kernel
-//!   splits reads.
-//! * **Attribution.** Wire frames carry no sender address (the mpsc
-//!   `Envelope` did), so the first frame on every connection is a
-//!   `hello` declaring the caller's [`NodeId`]; everything else the
-//!   connection delivers is attributed to that node.
-//! * **Connection lifecycle.** Links are lazy, unidirectional, and
-//!   self-healing: a peer connects to a destination only when it has a
-//!   frame for it, and a failed connect or dropped connection moves the
-//!   link to a jittered exponential-backoff [`Retrier`] before the next
-//!   attempt. Replies travel on the *replier's* own outbound link,
-//!   never back down the inbound connection.
-//! * **Backpressure.** Write queues are bounded and drop-newest: a slow
-//!   or dead destination costs the sender a counter
-//!   ([`SocketStats::dropped_backpressure`]), never a blocked protocol
-//!   thread. Retry watches — the protocol's own machinery — recover
-//!   whatever the transport sheds.
-//! * **Churn.** [`TcpCluster::kill`] models a network-interface cut:
-//!   the listener closes, every connection drops, queued frames are
-//!   abandoned — but a volatile `PeerNode` (watches included) survives,
-//!   so [`TcpCluster::restart`] brings the peer back on a fresh port
-//!   and pending retries fire immediately. A *durable* peer (one with
-//!   [`Peer::enable_durability`]) additionally models process death:
-//!   kill wipes its in-memory catalog, and restart replays the WAL
-//!   through the shared recovery state machine and re-registers the
-//!   surviving bindings over `rereg` frames. This mirrors the
-//!   simulator's `fail`/`recover`, which is what keeps the three
-//!   drivers equivalent under churn.
-//!
-//! Accounting is exact: every frame a peer hands the transport lands in
-//! precisely one of `frames_sent`, `dropped_backpressure`,
-//! `dropped_disconnected`, `abandoned`, or the live queue — the
-//! [`SocketStats::balances`] identity, asserted by the socket soak at
-//! scale.
+//! The socket transport: real TCP under the shared
+//! [`host`](crate::host), moving [`wire`](crate::wire) frames in the
+//! length-prefixed [`framing`](crate::framing) grammar over loopback
+//! (or any) sockets. Where the mpsc [`Mesh`](crate::cluster::Mesh)
+//! gives every message free, lossless, unbounded delivery, this
+//! transport gets only what TCP gives a real deployment and fills the
+//! gap the way one would (DESIGN.md §11): a `hello` frame attributes
+//! each connection to its caller; links are lazy, unidirectional and
+//! reconnect on a jittered [`Retrier`], for peers and front-end alike;
+//! write queues are bounded and drop-newest, so a slow or dead
+//! destination costs a counter, never a blocked protocol thread; going
+//! down cuts every connection and coming up binds a fresh port. Every
+//! frame handed over lands in exactly one of `frames_sent`,
+//! `dropped_backpressure`, `dropped_disconnected`, `abandoned` or a
+//! live queue — the [`SocketStats::balances`] identity.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use mqp_algebra::plan::Plan;
 use mqp_catalog::ServerId;
-use mqp_core::{Mqp, QueryId, QueryOutcome};
 use mqp_net::{NodeId, Retrier, SocketStats};
 
 use crate::framing::{encode_frame, FrameDecoder};
-use crate::node::{Directory, Effect, PeerNode, RetryPolicy};
+use crate::host::{Client, Cluster, Counters, Transport};
+use crate::node::RetryPolicy;
 use crate::peer::Peer;
 use crate::wire::Frame;
+
+/// Frames a single link buffers before drop-newest kicks in.
+const WRITE_QUEUE_CAP: usize = 1024;
+/// Budget for one blocking connect attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
+/// Budget for a flush: what has not left by then is abandoned.
+const FLUSH_BOUND: Duration = Duration::from_millis(200);
+/// Seed decorrelating reconnect jitter across links.
+const JITTER_SEED: u64 = 0x5eed_50c7;
 
 /// Tuning knobs for a [`TcpCluster`]. The defaults suit loopback
 /// clusters from a handful to several hundred peers.
@@ -71,8 +45,6 @@ use crate::wire::Frame;
 pub struct TcpConfig {
     /// Retry policy installed on every peer (None: no watches).
     pub retry: Option<RetryPolicy>,
-    /// Frames a single link buffers before drop-newest kicks in.
-    pub write_queue_cap: usize,
     /// Consecutive failed connects before a link gives up and drops
     /// frames as `dropped_disconnected` instead of queueing (0: never
     /// give up — churn-tolerant, the default).
@@ -81,120 +53,37 @@ pub struct TcpConfig {
     pub backoff_base: Duration,
     /// Reconnect delay ceiling.
     pub backoff_cap: Duration,
-    /// Budget for one blocking connect attempt.
-    pub connect_timeout: Duration,
-    /// How long a stopping peer keeps listening for stragglers after
-    /// the last frame it processed (the shutdown drain window).
-    pub drain_quiet: Duration,
-    /// Modeled per-envelope service time for `mqp` frames (mirrors
-    /// `ThreadedCluster::with_config`).
-    pub service_delay: Duration,
-    /// Seed decorrelating reconnect jitter across links.
-    pub seed: u64,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             retry: None,
-            write_queue_cap: 1024,
             max_link_attempts: 0,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(250),
-            connect_timeout: Duration::from_millis(100),
-            drain_quiet: Duration::from_millis(50),
-            service_delay: Duration::ZERO,
-            seed: 0x5eed_50c7,
         }
     }
 }
 
 /// Where each node is listening *right now*. Slots go empty when a peer
-/// is killed and are republished (with a fresh port) on restart, so
-/// connectors always dial the current incarnation. Shared by every peer
-/// thread and the client — this is addressing configuration, the
-/// socket-world analogue of the threaded mesh's channel vector.
-#[derive(Clone)]
-pub struct AddrTable {
-    slots: Arc<Vec<Mutex<Option<SocketAddr>>>>,
-}
+/// goes down and are republished (with a fresh port) when it comes up,
+/// so connectors always dial the current incarnation. Shared by every
+/// node of a cluster: the socket analogue of the mesh's channel vector.
+type AddrTable = Arc<Vec<Mutex<Option<SocketAddr>>>>;
 
-impl AddrTable {
-    fn new(n: usize) -> Self {
-        AddrTable {
-            slots: Arc::new((0..n).map(|_| Mutex::new(None)).collect()),
-        }
-    }
-
-    fn publish(&self, node: NodeId, addr: SocketAddr) {
-        *self.slots[node].lock().unwrap() = Some(addr);
-    }
-
-    fn unpublish(&self, node: NodeId) {
-        *self.slots[node].lock().unwrap() = None;
-    }
-
-    /// The node's current listen address, if it is up.
-    pub fn get(&self, node: NodeId) -> Option<SocketAddr> {
-        *self.slots[node].lock().unwrap()
-    }
-}
-
-/// Shared atomic counters behind [`SocketStats`], plus the live queue
-/// gauge that closes the balance identity mid-run.
-#[derive(Default)]
-struct Counters {
-    frames_enqueued: AtomicU64,
-    frames_sent: AtomicU64,
-    dropped_backpressure: AtomicU64,
-    dropped_disconnected: AtomicU64,
-    abandoned: AtomicU64,
-    bytes_sent: AtomicU64,
-    frames_received: AtomicU64,
-    bytes_received: AtomicU64,
-    frames_local: AtomicU64,
-    connects: AtomicU64,
-    disconnects: AtomicU64,
-    retries: AtomicU64,
-    queued: AtomicU64,
-}
-
-impl Counters {
-    fn add(field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> SocketStats {
-        SocketStats {
-            frames_enqueued: self.frames_enqueued.load(Ordering::Relaxed),
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            dropped_backpressure: self.dropped_backpressure.load(Ordering::Relaxed),
-            dropped_disconnected: self.dropped_disconnected.load(Ordering::Relaxed),
-            abandoned: self.abandoned.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            frames_local: self.frames_local.load(Ordering::Relaxed),
-            connects: self.connects.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Driver-plumbing control messages (kill/restart/stop travel out of
-/// band — they model operator actions, not peer traffic).
-enum Ctl {
-    Kill,
-    Restart,
-    Stop,
+fn addr_slot(addrs: &AddrTable, node: NodeId) -> MutexGuard<'_, Option<SocketAddr>> {
+    addrs[node].lock().expect("addr slot poisoned")
 }
 
 /// One lazy outbound connection to a fixed destination, with its
 /// bounded write queue and reconnect state.
 struct Link {
     to: NodeId,
-    conn: Option<Conn>,
+    /// The established connection and how much of the hello it has
+    /// taken. The hello flushes before anything queued and counts in
+    /// `bytes_sent`, but — transport-internal — never as a frame.
+    conn: Option<(TcpStream, usize)>,
     /// Reconnect pacing and the `max_link_attempts` budget; once dead,
     /// enqueues drop as disconnected.
     retry: Retrier,
@@ -206,13 +95,27 @@ struct Link {
     cursor: usize,
 }
 
-/// An established outbound connection. `hello` flushes before anything
-/// queued — it is transport-internal, so it counts in `bytes_sent` but
-/// never in the frame identity.
-struct Conn {
-    stream: TcpStream,
-    hello: Vec<u8>,
-    hello_cursor: usize,
+/// Writes `bytes[*cursor..]` until done (`Ok(true)`) or the socket
+/// would block (`Ok(false)`); `Err(())` means the connection died.
+fn write_from(
+    stream: &mut TcpStream,
+    bytes: &[u8],
+    cursor: &mut usize,
+    stats: &Counters,
+) -> Result<bool, ()> {
+    while *cursor < bytes.len() {
+        match stream.write(&bytes[*cursor..]) {
+            Ok(0) => return Err(()),
+            Ok(n) => {
+                *cursor += n;
+                Counters::add(&stats.bytes_sent, n as u64);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return Err(()),
+        }
+    }
+    Ok(true)
 }
 
 impl Link {
@@ -223,7 +126,7 @@ impl Link {
             retry: Retrier::new(
                 cfg.backoff_base,
                 cfg.backoff_cap,
-                cfg.seed ^ ((me as u64) << 32) ^ to as u64,
+                JITTER_SEED ^ ((me as u64) << 32) ^ to as u64,
                 cfg.max_link_attempts,
             ),
             queue: VecDeque::new(),
@@ -233,14 +136,8 @@ impl Link {
 
     /// Connect if needed, then flush. Returns true on real progress
     /// (connected, bytes moved); failures schedule a retry and return
-    /// false so the event loop can idle.
-    fn advance(
-        &mut self,
-        addrs: &AddrTable,
-        cfg: &TcpConfig,
-        stats: &Counters,
-        hello: &[u8],
-    ) -> bool {
+    /// false so the poll loop can idle.
+    fn advance(&mut self, addrs: &AddrTable, stats: &Counters, hello: &[u8]) -> bool {
         if self.retry.is_dead() || self.queue.is_empty() {
             return false;
         }
@@ -248,54 +145,44 @@ impl Link {
             if !self.retry.ready() {
                 return false;
             }
-            let Some(addr) = addrs.get(self.to) else {
-                // Destination is down (no published listener): that is a
-                // failed attempt too, otherwise an addr-less link would
-                // spin without ever backing off or going dead.
-                Counters::add(&stats.disconnects, 1);
+            // A destination that is down (no published listener) is a
+            // failed attempt too, otherwise an addr-less link would
+            // spin without ever backing off or going dead.
+            let addr = *addr_slot(addrs, self.to);
+            let Some(stream) =
+                addr.and_then(|addr| TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok())
+            else {
                 self.note_failure(stats);
                 return false;
             };
-            match TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    stream.set_nonblocking(true).expect("set_nonblocking");
-                    Counters::add(&stats.connects, 1);
-                    self.retry.success();
-                    self.cursor = 0;
-                    self.conn = Some(Conn {
-                        stream,
-                        hello: hello.to_vec(),
-                        hello_cursor: 0,
-                    });
-                }
-                Err(_) => {
-                    Counters::add(&stats.disconnects, 1);
-                    self.note_failure(stats);
-                    return false;
-                }
-            }
+            stream.set_nodelay(true).ok();
+            stream.set_nonblocking(true).expect("set_nonblocking");
+            Counters::add(&stats.connects, 1);
+            self.retry.success();
+            self.conn = Some((stream, 0));
         }
-        match self.pump(stats) {
+        match self.pump(stats, hello) {
             Ok(progressed) => progressed,
             Err(()) => {
-                self.drop_conn(stats);
+                self.conn = None;
+                self.cursor = 0; // resend the interrupted frame whole
+                self.note_failure(stats);
                 true
             }
         }
     }
 
-    /// Flushes hello then queued frames onto the live connection.
-    /// `Err(())` means the connection died (EOF, reset, write error).
-    fn pump(&mut self, stats: &Counters) -> Result<bool, ()> {
-        let conn = self.conn.as_mut().expect("pump without connection");
-        let mut progressed = false;
+    /// Flushes hello then queued frames onto the live connection;
+    /// `Ok(true)` if bytes moved, `Err(())` if the connection died (EOF,
+    /// reset, write error).
+    fn pump(&mut self, stats: &Counters, hello: &[u8]) -> Result<bool, ()> {
+        let (stream, hello_cursor) = self.conn.as_mut().expect("pump without connection");
         // EOF probe: the destination never sends application data on
         // our outbound connection, so any read resolves to "still up"
         // (WouldBlock) or "gone" (EOF / error).
         let mut probe = [0u8; 256];
         loop {
-            match conn.stream.read(&mut probe) {
+            match stream.read(&mut probe) {
                 Ok(0) => return Err(()),
                 Ok(_) => continue, // stray bytes: ignore, it is our send channel
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -303,57 +190,27 @@ impl Link {
                 Err(_) => return Err(()),
             }
         }
-        while conn.hello_cursor < conn.hello.len() {
-            match conn.stream.write(&conn.hello[conn.hello_cursor..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    conn.hello_cursor += n;
-                    Counters::add(&stats.bytes_sent, n as u64);
-                    progressed = true;
+        let before = (*hello_cursor, self.queue.len(), self.cursor);
+        if write_from(stream, hello, hello_cursor, stats)? {
+            while let Some(front) = self.queue.front() {
+                if !write_from(stream, front, &mut self.cursor, stats)? {
+                    break;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(progressed),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
+                self.queue.pop_front();
+                self.cursor = 0;
+                Counters::add(&stats.frames_sent, 1);
             }
         }
-        while let Some(front) = self.queue.front() {
-            match conn.stream.write(&front[self.cursor..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    self.cursor += n;
-                    Counters::add(&stats.bytes_sent, n as u64);
-                    progressed = true;
-                    if self.cursor == front.len() {
-                        self.queue.pop_front();
-                        self.cursor = 0;
-                        Counters::add(&stats.frames_sent, 1);
-                        stats.queued.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
-            }
-        }
-        Ok(progressed)
+        Ok(before != (*hello_cursor, self.queue.len(), self.cursor))
     }
 
-    fn drop_conn(&mut self, stats: &Counters) {
-        self.conn = None;
-        self.cursor = 0; // resend the interrupted frame whole
-        Counters::add(&stats.disconnects, 1);
-        self.note_failure(stats);
-    }
-
+    /// A failed connect or a dropped connection: back off, and once the
+    /// budget is exhausted shed the queue as disconnected. That fires
+    /// once — a dead link never advances again.
     fn note_failure(&mut self, stats: &Counters) {
+        Counters::add(&stats.disconnects, 1);
         if self.retry.failure() {
-            // Budget exhausted: shed the queue as disconnected. This
-            // fires once — a dead link never advances again.
-            let n = self.queue.len() as u64;
-            self.queue.clear();
-            self.cursor = 0;
-            Counters::add(&stats.dropped_disconnected, n);
-            stats.queued.fetch_sub(n, Ordering::Relaxed);
+            self.shed(&stats.dropped_disconnected);
         }
     }
 
@@ -363,11 +220,13 @@ impl Link {
         if self.conn.take().is_some() {
             Counters::add(&stats.disconnects, 1);
         }
-        let n = self.queue.len() as u64;
+        self.shed(&stats.abandoned);
+    }
+
+    fn shed(&mut self, counter: &AtomicU64) {
+        Counters::add(counter, self.queue.len() as u64);
         self.queue.clear();
         self.cursor = 0;
-        Counters::add(&stats.abandoned, n);
-        stats.queued.fetch_sub(n, Ordering::Relaxed);
     }
 }
 
@@ -378,239 +237,82 @@ struct Inbound {
     from: Option<NodeId>,
 }
 
-/// Everything one peer thread owns: the protocol core plus its sockets.
-struct PeerThread {
-    node: PeerNode,
+/// One node's sockets: listener, accepted connections, outbound links,
+/// and the frames decoded but not yet handed to the host.
+pub struct Tcp {
     me: NodeId,
     addrs: AddrTable,
-    ctl: Receiver<Ctl>,
-    outcomes: Sender<QueryOutcome>,
     stats: Arc<Counters>,
     cfg: TcpConfig,
-    /// Pre-framed hello announcing this peer, sent first on every
+    /// Pre-framed hello announcing this node, sent first on every
     /// outbound connection.
     hello: Vec<u8>,
-    epoch: Instant,
     listener: Option<TcpListener>,
     inbound: Vec<Inbound>,
     links: HashMap<NodeId, Link>,
-    /// Self-sends: effects addressed to this very node short-circuit
+    /// Delivered frames in arrival order. Self-sends short-circuit into
     /// here instead of dialing our own listener.
-    local: VecDeque<Vec<u8>>,
-    down: bool,
-    stopping: bool,
-    last_activity: Instant,
+    ready: VecDeque<(NodeId, Vec<u8>)>,
+    /// Consecutive polls that moved nothing.
+    idle_streak: u64,
+    /// Scratch for socket reads.
+    buf: Box<[u8; 16384]>,
 }
 
-impl PeerThread {
-    fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    fn run(mut self) {
-        // Consecutive no-progress iterations; ramps the idle sleep so a
-        // soak's worth of mostly-idle peers doesn't saturate a small
-        // machine with kilohertz polling, while a busy peer still spins
-        // at full speed.
-        let mut idle_streak: u64 = 0;
-        loop {
-            let mut progressed = false;
-            loop {
-                match self.ctl.try_recv() {
-                    Ok(Ctl::Kill) => {
-                        self.go_down();
-                        progressed = true;
-                    }
-                    Ok(Ctl::Restart) => {
-                        self.come_up();
-                        progressed = true;
-                    }
-                    Ok(Ctl::Stop) => {
-                        self.begin_stop();
-                        progressed = true;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        // The cluster handle is gone: nothing can ever
-                        // restart or stop us cleanly, so drain and exit.
-                        if !self.stopping {
-                            self.begin_stop();
-                        }
-                        break;
-                    }
-                }
-            }
-            if self.down {
-                if self.stopping {
-                    return; // nothing to drain: links died at kill
-                }
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-            while let Some(bytes) = self.local.pop_front() {
-                progressed = true;
-                self.dispatch(self.me, &bytes);
-            }
-            progressed |= self.accept_new();
-            progressed |= self.read_inbound();
-            progressed |= self.advance_links();
-            let now = self.now_us();
-            if self.node.next_deadline().is_some_and(|d| d <= now) {
-                let effects = self.node.on_tick(now);
-                self.apply(effects);
-                progressed = true;
-            }
-            if self.stopping
-                && self.local.is_empty()
-                && self.last_activity.elapsed() >= self.cfg.drain_quiet
-            {
-                self.finish();
-                return;
-            }
-            if progressed {
-                idle_streak = 0;
-            } else {
-                idle_streak += 1;
-                std::thread::sleep(Duration::from_micros((500 * idle_streak).min(5_000)));
-            }
-        }
-    }
-
-    /// A stop was seen (framed from the front-end, or out-of-band).
-    /// Restart the quiet clock so the peer keeps draining stragglers
-    /// for at least `drain_quiet` — this is the ordering guarantee that
-    /// no outcome already in flight is lost at teardown.
-    fn begin_stop(&mut self) {
-        self.stopping = true;
-        self.last_activity = Instant::now();
-    }
-
-    /// Final flush: give outbound queues a bounded chance to empty,
-    /// then abandon the rest and account for it.
-    fn finish(&mut self) {
-        let deadline = Instant::now() + Duration::from_millis(200);
-        loop {
-            let mut pending = false;
-            for link in self.links.values_mut() {
-                link.advance(&self.addrs, &self.cfg, &self.stats, &self.hello);
-                pending |= !link.queue.is_empty();
-            }
-            if !pending || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
-        self.go_down();
-    }
-
-    /// Network interface down: listener closed, address unpublished,
-    /// every connection cut, queued frames abandoned. A volatile
-    /// `PeerNode` — store, catalog, and retry watches — is untouched,
-    /// exactly like the simulator's `fail`; a durable peer additionally
-    /// loses its in-memory catalog to `PeerNode::crash` (process
-    /// death), leaving only what its disk carries.
-    fn go_down(&mut self) {
-        self.addrs.unpublish(self.me);
-        self.listener = None;
-        self.inbound.clear();
-        for (_, mut link) in self.links.drain() {
-            link.abandon(&self.stats);
-        }
-        self.local.clear();
-        self.node.crash();
-        self.down = true;
-    }
-
-    /// Interface back up, on a fresh port. Watches that expired while
-    /// down fire on the first tick after this. A durable peer first
-    /// replays its WAL through `PeerNode::recover`; the resulting
-    /// `rereg` frames flow through the normal enqueue path, so they
-    /// enter the `SocketStats` identity like any other frame.
-    fn come_up(&mut self) {
-        if !self.down {
-            return;
-        }
-        let listener = TcpListener::bind("127.0.0.1:0").expect("rebind listener");
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        self.addrs
-            .publish(self.me, listener.local_addr().expect("listener addr"));
-        self.listener = Some(listener);
-        self.down = false;
-        let now = self.now_us();
-        let effects = self.node.recover(now);
-        self.apply(effects);
-    }
-
+impl Tcp {
     fn accept_new(&mut self) -> bool {
-        let Some(listener) = &self.listener else {
-            return false;
-        };
-        let mut any = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(true).expect("nonblocking conn");
-                    stream.set_nodelay(true).ok();
-                    self.inbound.push(Inbound {
-                        stream,
-                        decoder: FrameDecoder::new(),
-                        from: None,
-                    });
-                    any = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
+        let before = self.inbound.len();
+        // Any error ends this poll's accepting: `WouldBlock` says nobody
+        // is waiting, and whoever else is can wait one poll.
+        while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
+            stream.set_nonblocking(true).expect("nonblocking conn");
+            stream.set_nodelay(true).ok();
+            self.inbound.push(Inbound {
+                stream,
+                decoder: FrameDecoder::new(),
+                from: None,
+            });
         }
-        any
+        self.inbound.len() > before
     }
 
     fn read_inbound(&mut self) -> bool {
         let mut progressed = false;
-        let mut frames: Vec<(NodeId, Vec<u8>)> = Vec::new();
         let mut i = 0;
         while i < self.inbound.len() {
+            let conn = &mut self.inbound[i];
             let mut dead = false;
-            let mut buf = [0u8; 16384];
             loop {
-                match self.inbound[i].stream.read(&mut buf) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => {
+                match conn.stream.read(&mut self.buf[..]) {
+                    Ok(n) if n > 0 => {
                         progressed = true;
                         Counters::add(&self.stats.bytes_received, n as u64);
-                        self.inbound[i].decoder.push(&buf[..n]);
+                        conn.decoder.push(&self.buf[..n]);
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
+                    // EOF or a hard error: decode what arrived, then drop.
+                    _ => {
                         dead = true;
                         break;
                     }
                 }
             }
             loop {
-                match self.inbound[i].decoder.next() {
+                match conn.decoder.next() {
                     Ok(Some(payload)) => {
                         Counters::add(&self.stats.frames_received, 1);
-                        match self.inbound[i].from {
+                        match conn.from {
                             None => match Frame::decode(&payload) {
                                 // First frame on a connection must be the
                                 // hello that attributes the rest.
-                                Ok(Frame::Hello { node, .. }) => {
-                                    self.inbound[i].from = Some(node);
-                                }
+                                Ok(Frame::Hello { node, .. }) => conn.from = Some(node),
                                 _ => {
                                     dead = true;
                                     break;
                                 }
                             },
-                            Some(from) => frames.push((from, payload)),
+                            Some(from) => self.ready.push_back((from, payload)),
                         }
                     }
                     Ok(None) => break,
@@ -630,60 +332,24 @@ impl PeerThread {
                 i += 1;
             }
         }
-        for (from, payload) in frames {
-            progressed = true;
-            self.dispatch(from, &payload);
-        }
         progressed
     }
 
     fn advance_links(&mut self) -> bool {
         let mut progressed = false;
         for link in self.links.values_mut() {
-            progressed |= link.advance(&self.addrs, &self.cfg, &self.stats, &self.hello);
+            progressed |= link.advance(&self.addrs, &self.stats, &self.hello);
         }
         progressed
     }
+}
 
-    fn dispatch(&mut self, from: NodeId, bytes: &[u8]) {
-        self.last_activity = Instant::now();
-        match Frame::kind(bytes) {
-            "stop" => self.begin_stop(),
-            kind => {
-                if kind == "mqp" && !self.cfg.service_delay.is_zero() {
-                    std::thread::sleep(self.cfg.service_delay);
-                }
-                let now = self.now_us();
-                let effects = self.node.on_message(from, bytes, now);
-                self.apply(effects);
-            }
-        }
-    }
-
-    fn apply(&mut self, effects: Vec<Effect>) {
-        for effect in effects {
-            match effect {
-                Effect::Send { to, bytes } => self.enqueue(to, bytes),
-                Effect::Ack { to, qid } => self.enqueue(to, Frame::Ack { qid }.encode()),
-                Effect::Complete(outcome) => {
-                    let _ = self.outcomes.send(outcome);
-                }
-                Effect::Retried { .. } => {
-                    Counters::add(&self.stats.retries, 1);
-                }
-                // The node's watch list is the timer state; the loop
-                // polls `next_deadline`. Registrations and recovery
-                // reports are already applied peer-side.
-                Effect::SetTimer { .. } | Effect::Register(_) | Effect::Recovered(_) => {}
-            }
-        }
-    }
-
-    fn enqueue(&mut self, to: NodeId, bytes: Vec<u8>) {
+impl Transport for Tcp {
+    fn send(&mut self, to: NodeId, bytes: Vec<u8>) -> bool {
         if to == self.me {
             Counters::add(&self.stats.frames_local, 1);
-            self.local.push_back(bytes);
-            return;
+            self.ready.push_back((to, bytes));
+            return true;
         }
         let link = self
             .links
@@ -695,28 +361,92 @@ impl PeerThread {
         Counters::add(&self.stats.frames_enqueued, 1);
         if link.retry.is_dead() {
             Counters::add(&self.stats.dropped_disconnected, 1);
-            return;
+            return false;
         }
-        if link.queue.len() >= self.cfg.write_queue_cap {
+        if link.queue.len() >= WRITE_QUEUE_CAP {
             Counters::add(&self.stats.dropped_backpressure, 1);
-            return;
+            return false;
         }
-        Counters::add(&self.stats.queued, 1);
         link.queue.push_back(encode_frame(&bytes));
+        true
+    }
+
+    /// One poll step — flush links, accept, read — unless frames are
+    /// already waiting. A step that moved nothing sleeps (at most
+    /// `wait`) and comes back empty, so the host sees control as often
+    /// as it polls; the sleep ramps with the idle streak, so a soak's
+    /// worth of idle peers doesn't saturate a small machine with
+    /// kilohertz polling while a busy peer still spins at full speed.
+    fn recv(&mut self, wait: Duration) -> Option<(NodeId, Vec<u8>)> {
+        if self.ready.is_empty() {
+            let mut progressed = self.advance_links();
+            progressed |= self.accept_new();
+            progressed |= self.read_inbound();
+            if !progressed {
+                self.idle_streak += 1;
+                let nap = Duration::from_micros((500 * self.idle_streak).min(5_000));
+                std::thread::sleep(nap.min(wait));
+                return None;
+            }
+        }
+        self.idle_streak = 0;
+        self.ready.pop_front()
+    }
+
+    /// Pumps every link until its queue is empty, its destination is
+    /// down, or [`FLUSH_BOUND`] passes; a link left with frames is
+    /// abandoned whole, reconnect state included.
+    fn flush(&mut self) -> bool {
+        let deadline = Instant::now() + FLUSH_BOUND;
+        loop {
+            self.advance_links();
+            let pending =
+                |link: &Link| !link.queue.is_empty() && addr_slot(&self.addrs, link.to).is_some();
+            if !self.links.values().any(pending) || Instant::now() >= deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        let before = self.links.len();
+        self.links.retain(|_, link| {
+            let clean = link.queue.is_empty();
+            if !clean {
+                link.abandon(&self.stats);
+            }
+            clean
+        });
+        self.links.len() == before
+    }
+
+    fn go_down(&mut self) {
+        *addr_slot(&self.addrs, self.me) = None;
+        self.listener = None;
+        self.inbound.clear();
+        for (_, mut link) in self.links.drain() {
+            link.abandon(&self.stats);
+        }
+        self.ready.clear();
+    }
+
+    fn come_up(&mut self) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        *addr_slot(&self.addrs, self.me) = Some(listener.local_addr().expect("listener addr"));
+        self.listener = Some(listener);
+        self.idle_streak = 0; // callers are about to dial in: poll at full rate
     }
 }
 
-/// A population of peers on real OS threads and real TCP sockets: one
-/// worker thread per peer, each behind its own loopback listener, plus
-/// a connected [`TcpClient`] front-end at slot `n`.
-pub struct TcpCluster {
-    threads: Vec<JoinHandle<()>>,
-    ctls: Vec<Sender<Ctl>>,
-    stats: Arc<Counters>,
-    n: usize,
-}
+/// Peers on real OS threads and real TCP sockets, each behind its own
+/// loopback listener.
+pub type TcpCluster = Cluster<Tcp>;
 
-impl TcpCluster {
+/// The front-end of a [`TcpCluster`]: dials out like a peer, never listens.
+pub type TcpClient = Client<Tcp>;
+
+impl Cluster<Tcp> {
     /// Spawns one socket-backed worker per peer with default tuning.
     /// Peer `i` sits at node `i`; the [`TcpClient`] holds node `n`.
     pub fn new(peers: Vec<Peer>) -> (TcpCluster, TcpClient) {
@@ -726,362 +456,42 @@ impl TcpCluster {
     /// Spawns with explicit tuning.
     pub fn with_config(peers: Vec<Peer>, cfg: TcpConfig) -> (TcpCluster, TcpClient) {
         let n = peers.len();
-        let directory = Arc::new(Directory::new(
-            peers.iter().map(|p| p.id().clone()).collect(),
-        ));
-        let addrs = AddrTable::new(n + 1);
-        let (tx, rx) = channel();
-        let stats = Arc::new(Counters::default());
-        let epoch = Instant::now();
-        let mut ctls = Vec::with_capacity(n);
-        let threads = peers
-            .into_iter()
-            .enumerate()
-            .map(|(i, peer)| {
-                let id = peer.id().clone();
-                let mut node = PeerNode::new(i, peer, Arc::clone(&directory));
-                node.set_retry(cfg.retry);
-                let (ctl_tx, ctl_rx) = channel();
-                ctls.push(ctl_tx);
-                // Bind on the spawning thread so every peer is reachable
-                // the moment the constructor returns.
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind listener");
-                listener
-                    .set_nonblocking(true)
-                    .expect("nonblocking listener");
-                addrs.publish(i, listener.local_addr().expect("listener addr"));
-                let pt = PeerThread {
-                    node,
-                    me: i,
-                    addrs: addrs.clone(),
-                    ctl: ctl_rx,
-                    outcomes: tx.clone(),
-                    stats: Arc::clone(&stats),
-                    cfg: cfg.clone(),
-                    hello: encode_frame(&Frame::Hello { node: i, id }.encode()),
-                    epoch,
-                    listener: Some(listener),
-                    inbound: Vec::new(),
-                    links: HashMap::new(),
-                    local: VecDeque::new(),
-                    down: false,
-                    stopping: false,
-                    last_activity: Instant::now(),
-                };
-                std::thread::Builder::new()
-                    .name(format!("mqp-tcp-{i}"))
-                    .spawn(move || pt.run())
-                    .expect("spawn tcp worker")
-            })
-            .collect();
-        let client = TcpClient {
-            me: n,
-            addrs,
-            streams: HashMap::new(),
-            outcomes: rx,
-            next_qid: 0,
-            seen: HashSet::new(),
-            connect_timeout: cfg.connect_timeout,
-        };
-        (
-            TcpCluster {
-                threads,
-                ctls,
-                stats,
-                n,
-            },
-            client,
-        )
-    }
-
-    /// Number of worker threads.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the cluster has no workers.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Cuts peer `i` off the network (listener closed, connections
-    /// dropped, queues abandoned). A volatile peer's protocol state
-    /// survives; a durable peer loses its in-memory catalog and keeps
-    /// only what its disk carries.
-    pub fn kill(&self, i: NodeId) {
-        let _ = self.ctls[i].send(Ctl::Kill);
-    }
-
-    /// Brings a killed peer back on a fresh port; a durable peer
-    /// replays its WAL and re-registers surviving bindings first.
-    pub fn restart(&self, i: NodeId) {
-        let _ = self.ctls[i].send(Ctl::Restart);
-    }
-
-    /// Socket accounting so far.
-    pub fn stats(&self) -> SocketStats {
-        self.stats.snapshot()
-    }
-
-    /// Frames currently sitting in write queues (the `queued` term of
-    /// [`SocketStats::balances`]; zero after a drained shutdown).
-    pub fn queued(&self) -> u64 {
-        self.stats.queued.load(Ordering::Relaxed)
-    }
-
-    /// Stops every worker — framed `stop`s first so each peer drains
-    /// in-flight frames behind them in order, out-of-band stops as the
-    /// backstop for peers currently killed — and joins the threads.
-    pub fn shutdown(mut self, client: &mut TcpClient) -> SocketStats {
-        for i in 0..self.n {
-            let _ = client.stop(i);
-        }
-        for ctl in &self.ctls {
-            let _ = ctl.send(Ctl::Stop);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        self.stats.snapshot()
-    }
-}
-
-/// The socket front-end: submits plans over real TCP connections and
-/// collects [`QueryOutcome`]s. API-compatible with
-/// [`MqpClient`](crate::cluster::MqpClient).
-pub struct TcpClient {
-    me: NodeId,
-    addrs: AddrTable,
-    streams: HashMap<NodeId, TcpStream>,
-    outcomes: Receiver<QueryOutcome>,
-    next_qid: u64,
-    /// Outcome dedup: under retries the same query can complete twice.
-    seen: HashSet<QueryId>,
-    connect_timeout: Duration,
-}
-
-impl TcpClient {
-    fn stream_to(&mut self, node: NodeId) -> std::io::Result<&mut TcpStream> {
-        if !self.streams.contains_key(&node) {
-            let addr = self.addrs.get(node).ok_or_else(|| {
-                std::io::Error::new(ErrorKind::NotConnected, format!("peer {node} is down"))
-            })?;
-            let mut stream = TcpStream::connect_timeout(&addr, self.connect_timeout)?;
-            stream.set_nodelay(true).ok();
+        let mut ids: Vec<ServerId> = peers.iter().map(|p| p.id().clone()).collect();
+        ids.push(ServerId::new(format!("front-end-{n}")));
+        let addrs: AddrTable = Arc::new((0..=n).map(|_| Mutex::new(None)).collect());
+        Cluster::spawn(peers, cfg.retry, Duration::ZERO, |me, stats| {
             let hello = Frame::Hello {
-                node: self.me,
-                id: ServerId::new(format!("front-end-{}", self.me)),
+                node: me,
+                id: ids[me].clone(),
             };
-            stream.write_all(&encode_frame(&hello.encode()))?;
-            self.streams.insert(node, stream);
-        }
-        Ok(self.streams.get_mut(&node).expect("stream just inserted"))
-    }
-
-    fn send_frame(&mut self, node: NodeId, frame: &Frame) -> bool {
-        let bytes = encode_frame(&frame.encode());
-        // One reconnect attempt: the cached stream may point at a dead
-        // incarnation of a restarted peer.
-        for _ in 0..2 {
-            match self.stream_to(node).and_then(|s| s.write_all(&bytes)) {
-                Ok(()) => return true,
-                Err(_) => {
-                    self.streams.remove(&node);
-                }
+            let mut tcp = Tcp {
+                me,
+                addrs: addrs.clone(),
+                stats,
+                cfg: cfg.clone(),
+                hello: encode_frame(&hello.encode()),
+                listener: None,
+                inbound: Vec::new(),
+                links: HashMap::new(),
+                ready: VecDeque::new(),
+                idle_streak: 0,
+                buf: Box::new([0; 16384]),
+            };
+            // Peers bind here, on the spawning thread, so every one is
+            // reachable the moment the constructor returns.
+            if me < n {
+                tcp.come_up();
             }
-        }
-        false
+            tcp
+        })
     }
 
-    /// Submits `plan` at worker `client` (the peer that becomes the
-    /// query's client). Returns the query id; the outcome arrives later
-    /// via [`TcpClient::poll`] / [`TcpClient::collect`].
-    pub fn submit(&mut self, client: NodeId, plan: &Plan) -> QueryId {
-        let qid = QueryId::new(self.next_qid);
-        self.next_qid += 1;
-        let frame = Frame::Submit {
-            qid,
-            plan: Mqp::without_original(plan.clone()).to_wire(),
-        };
-        assert!(self.send_frame(client, &frame), "worker {client} is gone");
-        qid
-    }
-
-    /// Best-effort framed stop to one worker; false if unreachable
-    /// (e.g. currently killed — `TcpCluster::shutdown` covers that out
-    /// of band).
-    pub fn stop(&mut self, node: NodeId) -> bool {
-        self.send_frame(node, &Frame::Stop)
-    }
-
-    /// Pushes a policy rule set to one worker over its socket (hot
-    /// reload); false if unreachable. In-flight queries keep their
-    /// accounting; the worker's next processing step sees the rules.
-    pub fn push_policy(&mut self, node: NodeId, rules: &mqp_core::RuleSet) -> bool {
-        self.send_frame(node, &Frame::Policy(rules.clone()))
-    }
-
-    /// Delivers a catalog registration to one worker over its socket —
-    /// the same `Register` wire frame the simulator's
-    /// `send_registration` ships, so adversarial registration schedules
-    /// run identically on every driver. Returns `false` if unreachable.
-    pub fn register(&mut self, node: NodeId, entry: &mqp_catalog::CatalogEntry) -> bool {
-        self.send_frame(node, &Frame::Register(entry.clone()))
-    }
-
-    /// Non-blocking: the next completed outcome, if any.
-    pub fn poll(&mut self) -> Option<QueryOutcome> {
-        loop {
-            let outcome = self.outcomes.try_recv().ok()?;
-            if self.seen.insert(outcome.qid) {
-                return Some(outcome);
-            }
-        }
-    }
-
-    /// Blocking: collects `n` distinct outcomes or gives up after
-    /// `timeout` without progress.
-    pub fn collect(&mut self, n: usize, timeout: Duration) -> Vec<QueryOutcome> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.outcomes.recv_timeout(timeout) {
-                Ok(outcome) => {
-                    if self.seen.insert(outcome.qid) {
-                        out.push(outcome);
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
-    use mqp_xml::parse;
-
-    fn ns() -> Namespace {
-        Namespace::new([
-            Hierarchy::new("Location").with(["USA/OR/Portland"]),
-            Hierarchy::new("Merchandise").with(["Music/CDs"]),
-        ])
-    }
-
-    fn pdx_cds() -> InterestArea {
-        InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]])
-    }
-
-    fn world() -> Vec<Peer> {
-        let client = Peer::new("client", ns()).with_default_route("meta");
-        let mut meta = Peer::new("meta", ns());
-        let mut s1 = Peer::new("seller-1", ns());
-        s1.add_collection(
-            "cds",
-            pdx_cds(),
-            [
-                parse("<item><title>A</title><price>8</price></item>").unwrap(),
-                parse("<item><title>B</title><price>12</price></item>").unwrap(),
-            ],
-        );
-        let mut s2 = Peer::new("seller-2", ns());
-        s2.add_collection(
-            "cds",
-            pdx_cds(),
-            [parse("<item><title>C</title><price>9</price></item>").unwrap()],
-        );
-        meta.catalog_mut().register(s1.base_entry());
-        meta.catalog_mut().register(s2.base_entry());
-        vec![client, meta, s1, s2]
-    }
-
-    #[test]
-    fn end_to_end_over_real_sockets() {
-        let (cluster, mut client) = TcpCluster::new(world());
-        let plan = Plan::select(
-            "price < 10",
-            Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
-        );
-        let qid = client.submit(0, &plan);
-        let done = client.collect(1, Duration::from_secs(10));
-        assert_eq!(done.len(), 1);
-        let q = &done[0];
-        assert_eq!(q.qid, qid);
-        assert!(q.failure.is_none(), "{:?}", q.failure);
-        let mut titles: Vec<String> = q.items.iter().filter_map(|i| i.field("title")).collect();
-        titles.sort();
-        assert_eq!(titles, ["A", "C"]);
-        assert!(q.hops >= 3);
-        let stats = cluster.shutdown(&mut client);
-        assert!(stats.frames_sent > 0);
-        assert!(stats.bytes_sent > 0);
-        assert!(stats.frames_received > 0);
-        assert!(stats.balances(0), "unbalanced: {stats:?}");
-    }
-
-    #[test]
-    fn many_concurrent_queries_all_complete() {
-        let (cluster, mut client) = TcpCluster::new(world());
-        let plan = Plan::select(
-            "price < 10",
-            Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
-        );
-        let qids: Vec<QueryId> = (0..24).map(|_| client.submit(0, &plan)).collect();
-        let done = client.collect(qids.len(), Duration::from_secs(10));
-        assert_eq!(done.len(), qids.len());
-        let mut got: Vec<QueryId> = done.iter().map(|q| q.qid).collect();
-        got.sort();
-        assert_eq!(got, qids);
-        for q in &done {
-            assert!(q.failure.is_none(), "{:?}", q.failure);
-            assert_eq!(q.items.len(), 2);
-        }
-        let stats = cluster.shutdown(&mut client);
-        assert!(stats.balances(0), "unbalanced: {stats:?}");
-    }
-
-    /// The shutdown-ordering guarantee: submissions and a stop sent
-    /// back-to-back on one connection must all land — the stop drains
-    /// behind the submissions, every self-routed delivery included, so
-    /// outcomes survive an immediate teardown.
-    #[test]
-    fn stop_drains_behind_submissions() {
-        let mut solo = Peer::new("solo", ns());
-        solo.add_collection(
-            "cds",
-            pdx_cds(),
-            [parse("<item><title>A</title><price>8</price></item>").unwrap()],
-        );
-        let (cluster, mut client) = TcpCluster::new(vec![solo]);
-        let k = 8;
-        for _ in 0..k {
-            client.submit(0, &Plan::url("mqp://solo/"));
-        }
-        // No collect before shutdown: every delivery is still a
-        // self-send queued behind the stop when it arrives.
-        let stats = cluster.shutdown(&mut client);
-        let done = client.collect(k, Duration::from_millis(100));
-        assert_eq!(done.len(), k, "outcomes lost at teardown");
-        assert!(stats.frames_local >= k as u64);
-        assert!(stats.balances(0), "unbalanced: {stats:?}");
-    }
-
-    #[test]
-    fn poll_is_nonblocking_and_dedups() {
-        let (cluster, mut client) = TcpCluster::new(world());
-        assert!(client.poll().is_none());
-        let qid = client.submit(0, &Plan::url("mqp://seller-2/"));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let outcome = loop {
-            if let Some(o) = client.poll() {
-                break o;
-            }
-            assert!(Instant::now() < deadline, "query never completed");
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        assert_eq!(outcome.qid, qid);
-        cluster.shutdown(&mut client);
+    /// Stops every worker — framed `stop`s first, so each peer drains
+    /// the frames in flight ahead of them in order — and joins the
+    /// threads. Returns final stats.
+    pub fn shutdown(self, client: &mut TcpClient) -> SocketStats {
+        self.join(|i| {
+            client.send(i, &Frame::Stop);
+        })
     }
 }

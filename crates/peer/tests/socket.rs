@@ -209,7 +209,6 @@ fn dead_link_sheds_frames_and_query_fails_cleanly() {
         max_link_attempts: 2,
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(10),
-        ..TcpConfig::default()
     };
     let (cluster, mut client) = TcpCluster::with_config(world(), cfg);
     cluster.kill(SELLER_0);
@@ -229,5 +228,64 @@ fn dead_link_sheds_frames_and_query_fails_cleanly() {
         stats.dropped_disconnected >= 1,
         "dead link must shed its frames: {stats:?}"
     );
+    assert!(stats.balances(0), "unbalanced: {stats:?}");
+}
+
+/// The front-end reaches a restarted peer on its first attempt. Its
+/// connection to the old incarnation is dead but still writable, so a
+/// sender that does not probe it loses the frame while reporting
+/// success; the front-end sends over the same links peers use, which
+/// notice the EOF, redial the fresh port and resend.
+#[test]
+fn front_end_reaches_restarted_peer_on_first_attempt() {
+    // meta starts out knowing seller-0 only.
+    let mut peers = world();
+    let (s0_entry, s1_entry) = (peers[SELLER_0].base_entry(), peers[3].base_entry());
+    peers[1] = Peer::new("meta", ns());
+    peers[1].catalog_mut().register(s0_entry);
+    let (cluster, mut client) = TcpCluster::new(peers);
+    let area = Plan::Urn(mqp_algebra::plan::UrnRef::new(mqp_namespace::Urn::area(
+        pdx_cds(),
+    )));
+    let answer = |client: &mut mqp_peer::TcpClient, what: &str| -> Vec<String> {
+        client.submit(0, &area);
+        let done = client.collect(1, Duration::from_secs(5));
+        assert_eq!(done.len(), 1, "{what}: submit lost");
+        assert!(done[0].failure.is_none(), "{what}: {:?}", done[0].failure);
+        let mut titles: Vec<String> = done[0]
+            .items
+            .iter()
+            .filter_map(|i| i.field("title"))
+            .collect();
+        titles.sort();
+        titles
+    };
+
+    // Warm up: the front-end now holds connections to nodes 0 and 1.
+    assert!(client.push_policy(1, &mqp_core::RuleSet::empty()));
+    assert_eq!(answer(&mut client, "warm-up"), ["A"]);
+
+    for node in [0, 1] {
+        cluster.kill(node);
+    }
+    settle();
+    for node in [0, 1] {
+        cluster.restart(node);
+    }
+    settle();
+
+    let before = cluster.stats().frames_received;
+    assert!(client.push_policy(1, &mqp_core::RuleSet::empty()));
+    settle();
+    assert_eq!(
+        cluster.stats().frames_received - before,
+        2,
+        "meta must receive the front-end's hello and its policy frame"
+    );
+    assert!(client.register(1, &s1_entry));
+    for nth in ["first", "second", "third"] {
+        assert_eq!(answer(&mut client, nth), ["A", "B"]);
+    }
+    let stats = cluster.shutdown(&mut client);
     assert!(stats.balances(0), "unbalanced: {stats:?}");
 }
