@@ -501,7 +501,7 @@ pub fn to_wire(plan: &Plan) -> String {
 /// i.e. the entire hop-to-hop path) decode straight from the zero-copy
 /// tokenizer into a [`Plan`] — no intermediate XML tree for operator
 /// nodes and no deep-cloning data items out of one. Anything else falls
-/// back to [`from_wire_tree`], which also produces the real error for
+/// back to `from_wire_tree`, which also produces the real error for
 /// malformed input.
 pub fn from_wire(s: &str) -> Result<Plan, CodecError> {
     if let Some(plan) = plan_from_canonical(s) {
@@ -511,10 +511,8 @@ pub fn from_wire(s: &str) -> Result<Plan, CodecError> {
 }
 
 /// The tree-building decode path: lenient parse, whitespace trim, then
-/// [`plan_from_xml`]. Kept callable on its own as the fallback for
-/// non-canonical input and as the pre-zero-copy baseline that
-/// `bench_report` measures speedups against.
-pub fn from_wire_tree(s: &str) -> Result<Plan, CodecError> {
+/// [`plan_from_xml`] — the fallback for non-canonical input.
+fn from_wire_tree(s: &str) -> Result<Plan, CodecError> {
     let mut root = mqp_xml::parse_document(s)?;
     // Pretty-printed plans carry inter-element whitespace; it is not
     // data (verbatim items keep their own text intact because trimming

@@ -4,7 +4,7 @@
 //! architectures of its day. To reproduce those comparisons we implement
 //! all three over the same `mqp-net` simulator, answering the same
 //! discovery question — *which servers hold items for this key?* — so
-//! the routing benchmarks (EXPERIMENTS.md E5) measure messages, bytes,
+//! the routing benchmarks (DESIGN.md §3, E5) measure messages, bytes,
 //! latency, and recall on equal footing:
 //!
 //! * [`CentralIndex`] — the "Napster" (hybrid) approach: one index

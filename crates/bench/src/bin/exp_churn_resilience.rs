@@ -7,7 +7,7 @@
 //! The paper's mobility argument (§2, §5.1) is that any peer can parse,
 //! mutate, and forward an MQP; this experiment exercises that claim
 //! under the conditions that make P2P hard. Two runs with the same seed
-//! produce byte-identical output — enforced by the `sim-stress` CI job.
+//! produce byte-identical output — enforced by the `experiments` CI job.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

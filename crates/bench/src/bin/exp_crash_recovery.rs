@@ -8,7 +8,7 @@
 //! sweep point under three fault classes:
 //!
 //! * **post-fsync** — every op synced before the kill; recovery must
-//!   find 100% of the logged bindings (the ≥99% CI gate).
+//!   find 100% of the logged bindings (the ≥99% gate below).
 //! * **torn tail** — sync every 8 ops, crash keeps a seeded *prefix* of
 //!   the unsynced tail, tearing a record mid-write; recovery truncates
 //!   at the tear.
@@ -30,16 +30,14 @@
 //! and rereg traffic are compared; the network's message accounting
 //! identity must stay exact (zero unaccounted frames).
 //!
-//! At full scale the results land in the `recovery` section of
-//! `BENCH_threaded.json`, gated by `bench_report --check-recovery`.
-//! The CI `crash-smoke` job runs this binary at `MQP_EXP_SCALE=golden`
-//! twice, byte-identical.
+//! Every gate is an `assert!` at the end of `main`. The golden-trace
+//! test runs this binary at `MQP_EXP_SCALE=golden` twice,
+//! byte-identical.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use mqp_algebra::plan::{Plan, UrnRef};
-use mqp_bench::{f2, fmt_ms, golden_scale, json_merge, print_table};
+use mqp_bench::{f2, fmt_ms, golden_scale, print_table};
 use mqp_catalog::durable::{CatalogOp, DurableCatalog, FaultyDisk, MemDisk, NullDisk, SharedDisk};
 use mqp_catalog::{Catalog, CatalogEntry, ServerId};
 use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
@@ -397,39 +395,4 @@ fn main() {
         durable.rereg_frames > 0,
         "recovered sellers must re-announce"
     );
-
-    if !golden {
-        let mut rec = String::from("{\n");
-        let _ = writeln!(rec, "    \"wal_ops\": {n_ops},");
-        let _ = writeln!(rec, "    \"kill_points_per_class\": {kill_points},");
-        let _ = writeln!(rec, "    \"post_fsync_recovered_pct\": {clean_mean:.2},");
-        let _ = writeln!(rec, "    \"torn_recovered_pct\": {torn_mean:.2},");
-        let _ = writeln!(rec, "    \"corrupt_recovered_pct\": {corrupt_mean:.2},");
-        let _ = writeln!(
-            rec,
-            "    \"prefix_consistent\": {},",
-            i32::from(prefix_consistent)
-        );
-        let _ = writeln!(rec, "    \"replay_records\": {replay_records},");
-        let _ = writeln!(rec, "    \"replay_ms\": {replay_ms:.2},");
-        let _ = writeln!(
-            rec,
-            "    \"durable_recall_pct\": {:.2},",
-            durable.recall_pct
-        );
-        let _ = writeln!(
-            rec,
-            "    \"baseline_recall_pct\": {:.2},",
-            baseline.recall_pct
-        );
-        let _ = writeln!(rec, "    \"rereg_frames\": {},", durable.rereg_frames);
-        let _ = writeln!(rec, "    \"unaccounted_frames\": {}", durable.unaccounted);
-        rec.push_str("  }");
-        let path =
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_threaded.json");
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|_| "{\n}\n".to_owned());
-        std::fs::write(&path, json_merge::upsert_section(&doc, "recovery", &rec))
-            .expect("write BENCH_threaded.json");
-        println!("\nwrote recovery section to {}", path.display());
-    }
 }

@@ -6,9 +6,9 @@
 //! hot-reload demo ships.
 //!
 //! For each experiment: the committed file's bytes must equal
-//! `plan.render()` (regenerate with `--write-queries` after an
-//! intentional grammar change), the file must parse back to the exact
-//! plan, and running both the parsed and the programmatic plan on
+//! `plan.render()` (after an intentional grammar change the failing
+//! assert prints the text to commit), the file must parse back to the
+//! exact plan, and running both the parsed and the programmatic plan on
 //! fresh identical worlds must yield equal outcome fingerprints —
 //! same items, same failures, same hop counts. Text and code are
 //! interchangeable front doors to the same algebra.
@@ -50,23 +50,15 @@ fn queries_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../queries")
 }
 
-/// Asserts the committed file matches `text` byte for byte (or rewrites
-/// it under `--write-queries`), and returns the committed bytes.
-fn committed(name: &str, text: &str, write: bool) -> String {
+/// Asserts the committed file matches `text` byte for byte, and returns
+/// the committed bytes.
+fn committed(name: &str, text: &str) -> String {
     let path = queries_dir().join(name);
-    if write {
-        std::fs::create_dir_all(queries_dir()).expect("create queries/");
-        std::fs::write(&path, text).unwrap_or_else(|e| panic!("writing {name}: {e}"));
-    }
-    let on_disk = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing committed file {} ({e}); regenerate with exp_lang --write-queries",
-            path.display()
-        )
-    });
-    assert_eq!(
-        on_disk, text,
-        "{name} drifted from its source plan; regenerate with exp_lang --write-queries"
+    let on_disk = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing committed file {} ({e})", path.display()));
+    assert!(
+        on_disk == text,
+        "{name} drifted from its source plan; the file should read:\n{text}"
     );
     on_disk
 }
@@ -117,12 +109,12 @@ fn fig2_plan(n: usize) -> Plan {
     )
 }
 
-fn run_fig2(rows: &mut Vec<Vec<String>>, write: bool) {
+fn run_fig2(rows: &mut Vec<Vec<String>>) {
     for &n in &[100usize, 1_000] {
         let plan = fig2_plan(n);
         let from_text = if n == 100 {
             // The committed example file is the n=100 instance.
-            let text = committed("fig2_pipeline.mqpq", &plan.render(), write);
+            let text = committed("fig2_pipeline.mqpq", &plan.render());
             let q = parse_query(&text).expect("committed fig2 query must parse");
             assert_eq!(
                 q.plan, plan,
@@ -175,13 +167,13 @@ fn routing_world() -> mqp_workloads::garage::GarageWorld {
     })
 }
 
-fn run_routing(rows: &mut Vec<Vec<String>>, write: bool) {
+fn run_routing(rows: &mut Vec<Vec<String>>) {
     let cells = routing_cells();
     let plans: Vec<Plan> = cells
         .iter()
         .map(|(city, cat)| query_for(city, cat, None))
         .collect();
-    committed("routing_discovery.mqpq", &plans[0].render(), write);
+    committed("routing_discovery.mqpq", &plans[0].render());
 
     // The check pass accepts every query against the garage namespace.
     let ns = mqp_workloads::garage::namespace();
@@ -223,12 +215,12 @@ fn run_routing(rows: &mut Vec<Vec<String>>, write: bool) {
 
 // --- 3. index-detail tradeoff ----------------------------------------
 
-fn run_index_detail(rows: &mut Vec<Vec<String>>, write: bool) {
+fn run_index_detail(rows: &mut Vec<Vec<String>>) {
     for &index_servers in &[0usize, 8] {
         let mut rng = StdRng::seed_from_u64(3);
         let plans: Vec<Plan> = (0..25).map(|_| random_query(&mut rng, None)).collect();
         if index_servers == 0 {
-            committed("index_detail.mqpq", &plans[0].render(), write);
+            committed("index_detail.mqpq", &plans[0].render());
         }
         let parsed: Vec<Plan> = plans.iter().map(reparse).collect();
 
@@ -308,9 +300,9 @@ fn policy_plan() -> Plan {
     ])
 }
 
-fn run_policy(rows: &mut Vec<Vec<String>>, write: bool) {
-    let default_text = committed("default_policy.mqpp", DEFAULT_POLICY, write);
-    let fast_text = committed("fast_fallback.mqpp", FAST_FALLBACK, write);
+fn run_policy(rows: &mut Vec<Vec<String>>) {
+    let default_text = committed("default_policy.mqpp", DEFAULT_POLICY);
+    let fast_text = committed("fast_fallback.mqpp", FAST_FALLBACK);
 
     // The compiled default is a behavioral no-op on Policy::current().
     let default_rules = parse_policy(&default_text)
@@ -375,12 +367,11 @@ fn verdict(ok: bool) -> String {
 }
 
 fn main() {
-    let write = std::env::args().any(|a| a == "--write-queries");
     let mut rows = Vec::new();
-    run_fig2(&mut rows, write);
-    run_routing(&mut rows, write);
-    run_index_detail(&mut rows, write);
-    run_policy(&mut rows, write);
+    run_fig2(&mut rows);
+    run_routing(&mut rows);
+    run_index_detail(&mut rows);
+    run_policy(&mut rows);
 
     // Every committed file under queries/ must at least compile.
     let mut files: BTreeSet<String> = BTreeSet::new();

@@ -17,20 +17,21 @@
 //!
 //! Everything printed is deterministic (simulated time, seeded worlds),
 //! so the whole stdout is golden-snapshotted at
-//! `MQP_EXP_SCALE=golden`. `--update` upserts the committed 5%-hijacker
-//! row into `BENCH_scale.json`'s `moas` section (carried forward — not
-//! rewritten — by the other writers of that file), which
-//! `bench_report --check` gates against the
-//! [`mqp_bench::moas_gate`] floors.
+//! `MQP_EXP_SCALE=golden`, and the 5%-hijacker rows must clear the
+//! precision / recall floors below or the run fails.
 
-use mqp_bench::{f2, json_merge, moas_gate, print_table};
+use mqp_bench::{f2, print_table};
 use mqp_workloads::adversary::{build, AdversaryConfig, DetectionReport};
 
 /// Master seed for world assignment and attacker placement.
 const SEED: u64 = 0xD15EA5E;
+/// Quarantine precision floor (true hijackers / all quarantined) at the
+/// flagship 5%-hijacker workload.
+const PRECISION_FLOOR: f64 = 0.95;
+/// Quarantine recall floor (detected hijackers / all hijackers) there.
+const RECALL_FLOOR: f64 = 0.90;
 
 struct MoasRow {
-    sellers: usize,
     peers: usize,
     fraction: f64,
     detection: DetectionReport,
@@ -68,7 +69,6 @@ fn run_pair(sellers: usize, fraction: f64) -> MoasRow {
     let poisoned_on = on.run_queries();
 
     MoasRow {
-        sellers,
         peers,
         fraction,
         detection,
@@ -97,45 +97,8 @@ impl MoasRow {
     }
 }
 
-/// The committed `moas` section (house shape: inner lines at four-space
-/// indent, closing `  }`), from the flagship 5%-hijacker row.
-fn moas_section(row: &MoasRow) -> String {
-    let fields: Vec<(&str, String)> = vec![
-        ("sellers", row.sellers.to_string()),
-        ("peers", row.peers.to_string()),
-        ("hijacker_pct", f2(row.fraction * 100.0)),
-        ("hijackers", row.detection.hijackers.to_string()),
-        ("detected", row.detection.detected.to_string()),
-        ("false_positives", row.detection.false_positives.to_string()),
-        (
-            "mirrors_quarantined",
-            row.detection.mirrors_quarantined.to_string(),
-        ),
-        ("precision", f2(row.detection.precision)),
-        ("recall", f2(row.detection.recall)),
-        (
-            "mean_time_to_quarantine_ms",
-            f2(row.detection.mean_time_to_quarantine_us / 1_000.0),
-        ),
-        ("poisoned_rate_off", f2(row.poisoned_off)),
-        ("poisoned_rate_on", f2(row.poisoned_on)),
-        ("verify_msgs", row.verify_msgs.to_string()),
-        ("verify_bytes", row.verify_bytes.to_string()),
-        ("precision_min", f2(moas_gate::PRECISION_FLOOR)),
-        ("recall_min", f2(moas_gate::RECALL_FLOOR)),
-    ];
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        out.push_str(&format!("    \"{k}\": {v}{comma}\n"));
-    }
-    out.push_str("  }");
-    out
-}
-
 fn main() {
     let golden = mqp_bench::golden_scale();
-    let update = std::env::args().nth(1).as_deref() == Some("--update");
     let sizes: &[usize] = if golden { &[400] } else { &[1_000, 10_000] };
     let fractions: &[f64] = if golden {
         &[0.05, 0.10]
@@ -144,7 +107,6 @@ fn main() {
     };
 
     let mut rows = Vec::new();
-    let mut flagship: Option<MoasRow> = None;
     for &sellers in sizes {
         for &fraction in fractions {
             let row = run_pair(sellers, fraction);
@@ -155,15 +117,15 @@ fn main() {
                 row.detection.mirrors_quarantined, 0,
                 "honest mirrors quarantined at {sellers} sellers / {fraction} fraction"
             );
-            // The committed floors hold at the flagship 5% fraction.
+            // The floors hold at the flagship 5% fraction.
             if (fraction - 0.05).abs() < 1e-9 {
                 assert!(
-                    row.detection.precision >= moas_gate::PRECISION_FLOOR,
+                    row.detection.precision >= PRECISION_FLOOR,
                     "precision {} below floor at {sellers} sellers",
                     row.detection.precision
                 );
                 assert!(
-                    row.detection.recall >= moas_gate::RECALL_FLOOR,
+                    row.detection.recall >= RECALL_FLOOR,
                     "recall {} below floor at {sellers} sellers",
                     row.detection.recall
                 );
@@ -171,10 +133,6 @@ fn main() {
                     row.poisoned_on <= row.poisoned_off,
                     "defense increased poisoning at {sellers} sellers"
                 );
-                flagship = Some(MoasRow {
-                    detection: row.detection.clone(),
-                    ..row
-                });
             }
             rows.push(row.cells());
         }
@@ -207,20 +165,4 @@ fn main() {
          defenseless client would have consumed. The verify columns are the \
          whole price: probe frames riding the existing wire protocol."
     );
-
-    if update {
-        let row = flagship.expect("5% fraction is always in the sweep");
-        let path = mqp_bench::scale_report::committed_path();
-        let committed = std::fs::read_to_string(&path).expect("read committed BENCH_scale.json");
-        let merged = json_merge::upsert_section(&committed, "moas", &moas_section(&row));
-        std::fs::write(&path, merged).expect("write BENCH_scale.json");
-        eprintln!(
-            "exp_moas: updated moas section of {} (precision {:.2}, recall {:.2}, \
-             {} verify msgs)",
-            path.display(),
-            row.detection.precision,
-            row.detection.recall,
-            row.verify_msgs
-        );
-    }
 }

@@ -7,9 +7,8 @@
 //!
 //! Everything printed to stdout is deterministic (event counts, peer
 //! counts, recall, message counts); machine-dependent values (RSS,
-//! wall time) are elided at golden scale and land in
-//! `BENCH_scale.json` via `--update` (the `perf-report` CI job gates
-//! them through `bench_report --check`).
+//! wall time) are elided at golden scale; at full scale the two
+//! capacity numbers must clear their floors or the run fails.
 
 use mqp_baselines::{Chord, Flooding};
 use mqp_bench::{f2, fmt_ms, mean, print_table, scale_report};
@@ -29,6 +28,11 @@ const HORIZON_US: u64 = 60_000_000;
 const FLOOD_HORIZON: u32 = 4;
 /// Scheduler-soak event target at full scale.
 const SOAK_EVENTS: u64 = 2_000_000;
+/// Capacity floor: fully-materialized peers one GB of RSS must hold.
+const PEERS_PER_GB_FLOOR: f64 = 100_000.0;
+/// Capacity floor: scheduler events per second the calendar queue must
+/// sustain under the soak.
+const EVENTS_PER_SEC_FLOOR: f64 = 1_000_000.0;
 
 fn stretch_scale() -> bool {
     std::env::var("MQP_EXP_SCALE")
@@ -227,7 +231,6 @@ fn run_chord(w: &ScaleWorld, cells: &[(usize, usize)]) -> SweepRow {
 fn main() {
     let golden = mqp_bench::golden_scale();
     let stretch = stretch_scale();
-    let update = std::env::args().nth(1).as_deref() == Some("--update");
     let sizes: &[usize] = if golden {
         &[400]
     } else if stretch {
@@ -306,28 +309,20 @@ fn main() {
         "\nshape check (DESIGN.md §10): MQP materializes only the peers a \
          query touches while recall stays 1.0 clean; flooding's horizon \
          caps recall as the world grows; Chord stays exact-match. The \
-         memory and soak numbers are the BENCH_scale.json capacity floors."
+         memory and soak numbers are held to the capacity floors at full scale."
     );
 
-    if update {
-        let path = scale_report::committed_path();
-        // This binary owns the workload/memory/scheduler/floors
-        // sections; the `moas` section belongs to `exp_moas --update`
-        // and must ride along untouched.
-        let fresh = report.to_json();
-        let merged = match std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|old| mqp_bench::json_merge::section(&old, "moas"))
-        {
-            Some(moas) => mqp_bench::json_merge::upsert_section(&fresh, "moas", &moas),
-            None => fresh,
-        };
-        std::fs::write(&path, merged).expect("write BENCH_scale.json");
-        eprintln!(
-            "exp_scale: wrote {} ({} peers, {:.0} peers/GB, {:.0} events/sec)",
-            path.display(),
-            report.peers,
-            report.peers_per_gb,
+    if !golden {
+        // A zero RSS delta means `/proc/self/status` was unreadable:
+        // there is no memory number to hold to the floor.
+        assert!(
+            report.peers_per_gb == 0.0 || report.peers_per_gb >= PEERS_PER_GB_FLOOR,
+            "{:.0} peers/GB is under the {PEERS_PER_GB_FLOOR:.0} floor",
+            report.peers_per_gb
+        );
+        assert!(
+            report.events_per_sec >= EVENTS_PER_SEC_FLOOR,
+            "{:.0} scheduler events/sec is under the {EVENTS_PER_SEC_FLOOR:.0} floor",
             report.events_per_sec
         );
     }

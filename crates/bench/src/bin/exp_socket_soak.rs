@@ -21,17 +21,15 @@
 //!
 //! Every query must complete (zero failures), every completion must be
 //! §5.1 audit-clean, and after shutdown the transport's frame
-//! accounting identity must balance exactly — enforced here, summarized
-//! in the `socket` section of `BENCH_threaded.json` at full scale, and
-//! gated by `bench_report --check-socket`. The CI `socket-smoke` job
-//! runs this at `MQP_EXP_SCALE=golden`, twice, byte-identical
-//! (timing-dependent counters are elided at golden scale).
+//! accounting identity must balance exactly — all enforced here. The
+//! golden-trace test runs this at `MQP_EXP_SCALE=golden`, twice,
+//! byte-identical (timing-dependent counters are elided at golden
+//! scale).
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use mqp_algebra::plan::{Plan, UrnRef};
-use mqp_bench::{f2, fmt_ms, golden_scale, json_merge, print_table};
+use mqp_bench::{f2, fmt_ms, golden_scale, print_table};
 use mqp_core::QueryOutcome;
 use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
 use mqp_peer::node::RetryPolicy;
@@ -162,8 +160,8 @@ fn main() {
     let dropped = stats.dropped_backpressure + stats.dropped_disconnected + stats.abandoned;
     let qps = completed as f64 / wall.as_secs_f64();
 
-    // Timing-dependent counters are elided at golden scale so the CI
-    // socket-smoke double run is byte-identical.
+    // Timing-dependent counters are elided at golden scale so the
+    // golden-trace double run is byte-identical.
     let nat = |v: u64| {
         if golden {
             "-".to_owned()
@@ -207,26 +205,4 @@ fn main() {
     assert_eq!(failed, 0, "soak queries failed");
     assert_eq!(clean, completed, "soak completions not all audit-clean");
     assert!(balanced, "frame accounting identity broken: {stats:?}");
-
-    if !golden {
-        let mut sock = String::from("{\n");
-        let _ = writeln!(sock, "    \"peers\": {peers},");
-        let _ = writeln!(sock, "    \"queries\": {queries},");
-        let _ = writeln!(sock, "    \"completed\": {completed},");
-        let _ = writeln!(sock, "    \"failed\": {failed},");
-        let _ = writeln!(sock, "    \"audit_clean_pct\": {clean_pct:.2},");
-        let _ = writeln!(sock, "    \"balanced\": {},", i32::from(balanced));
-        let _ = writeln!(sock, "    \"kills\": {kills},");
-        let _ = writeln!(sock, "    \"retries\": {retries},");
-        let _ = writeln!(sock, "    \"connects\": {},", stats.connects);
-        let _ = writeln!(sock, "    \"frames_sent\": {},", stats.frames_sent);
-        let _ = writeln!(sock, "    \"throughput_qps\": {qps:.2}");
-        sock.push_str("  }");
-        let path =
-            std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_threaded.json");
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|_| "{\n}\n".to_owned());
-        std::fs::write(&path, json_merge::upsert_section(&doc, "socket", &sock))
-            .expect("write BENCH_threaded.json");
-        println!("\nwrote socket section to {}", path.display());
-    }
 }

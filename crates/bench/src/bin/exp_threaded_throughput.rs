@@ -18,11 +18,9 @@
 //!   the point — the cluster's scaling comes from overlapping waits,
 //!   not from pretending the box has more ALUs than it does.
 //!
-//! Emits `BENCH_threaded.json` at the workspace root and exits
-//! non-zero if the serviced sweep scales < 2× at 8 workers — the CI
-//! `threaded-smoke` job runs this at `MQP_EXP_SCALE=golden`.
+//! Exits non-zero if the serviced sweep scales < 2× at 8 workers — the
+//! CI `experiments` job runs this at `MQP_EXP_SCALE=golden`.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use mqp_algebra::plan::Plan;
@@ -142,40 +140,6 @@ fn main() {
         f2(ratio),
         THREADS.last().unwrap()
     );
-
-    // Emit the committed-trajectory file.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"queries\": {queries},");
-    let _ = writeln!(json, "  \"service_us\": {SERVICE_US},");
-    for (name, qps) in [("serviced", &serviced), ("cpu_bound", &cpu_bound)] {
-        let _ = writeln!(json, "  \"{name}\": {{");
-        for (i, &t) in THREADS.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    \"qps_{t}\": {:.2}{}",
-                qps[i],
-                if i + 1 == THREADS.len() { "" } else { "," }
-            );
-        }
-        let _ = writeln!(json, "  }},");
-    }
-    let _ = writeln!(json, "  \"serviced_scaling_8v1\": {ratio:.2},");
-    let _ = writeln!(json, "  \"floor_8v1\": {FLOOR}");
-    json.push_str("}\n");
-    let path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_threaded.json");
-    // The `socket` section belongs to exp_socket_soak and `recovery`
-    // to exp_crash_recovery; carry any committed ones forward untouched
-    // instead of clobbering them.
-    if let Ok(old) = std::fs::read_to_string(&path) {
-        for name in ["socket", "recovery"] {
-            if let Some(sec) = mqp_bench::json_merge::section(&old, name) {
-                json = mqp_bench::json_merge::upsert_section(&json, name, &sec);
-            }
-        }
-    }
-    std::fs::write(&path, &json).expect("write BENCH_threaded.json");
-    println!("\nwrote {}", path.display());
 
     if ratio < FLOOR {
         eprintln!(

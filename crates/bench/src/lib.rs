@@ -1,7 +1,7 @@
 //! # mqp-bench — the experiment harness
 //!
 //! One binary per paper figure / claim (see DESIGN.md §3 for the
-//! experiment index and EXPERIMENTS.md for recorded results):
+//! experiment index and what each one found):
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -17,11 +17,15 @@
 //! | `exp_index_detail_tradeoff` | §3.2 index vs. meta-index detail |
 //! | `exp_churn_resilience` | §2/§5.1 recall + audits under churn |
 //! | `exp_threaded_throughput` | DESIGN.md §8 real-thread scaling |
+//! | `exp_scale` | DESIGN.md §10 six-digit sweep + capacity floors |
+//! | `exp_socket_soak` | DESIGN.md §11 real-TCP cluster soak under churn |
+//! | `exp_crash_recovery` | DESIGN.md §12 WAL crash recovery under disk faults |
+//! | `exp_lang` | DESIGN.md §13 `.mqpq` / `.mqpp` front-end |
 //! | `exp_moas` | DESIGN.md §14 multi-origin binding defense (E16) |
 //!
 //! Run any of them with
-//! `cargo run -p mqp-bench --release --bin <name>`. Criterion
-//! micro-benches (`cargo bench`) cover the per-stage costs.
+//! `cargo run -p mqp-bench --release --bin <name>`. Performance is
+//! measured separately, by the `benchmark/` package.
 
 /// True when the `exp_*` binaries should run at the reduced, fully
 /// deterministic *golden* scale (`MQP_EXP_SCALE=golden`): smaller
@@ -44,7 +48,7 @@ pub fn fmt_ms(ms: f64) -> String {
     }
 }
 
-/// Prints a fixed-width ASCII table (the format EXPERIMENTS.md quotes).
+/// Prints a fixed-width ASCII table (the format the golden snapshots pin).
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -69,60 +73,11 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The Figure-2 item collection used by `exp_fig2_pipeline` and
-/// `bench_report`: `<item><title>…</title><price>…</price></item>` rows
-/// with repeating titles and prices.
-pub fn fig2_collection(n: usize) -> Vec<mqp_xml::Element> {
-    use mqp_xml::Element;
-    (0..n)
-        .map(|i| {
-            Element::new("item")
-                .child(Element::new("title").text(format!("Album-{:05}", i % (n / 2 + 1))))
-                .child(Element::new("price").text(format!("{}.99", i % 40)))
-        })
-        .collect()
-}
-
-/// The Figure-2 song list joined against [`fig2_collection`].
-pub fn fig2_songs(n: usize) -> Vec<mqp_xml::Element> {
-    use mqp_xml::Element;
-    (0..n)
-        .map(|i| {
-            Element::new("song")
-                .child(Element::new("album").text(format!("Album-{:05}", i * 3 % (n + 1))))
-        })
-        .collect()
-}
-
-/// Capacity floors the scale PR committed to (`BENCH_scale.json`,
-/// written by `exp_scale --update` and enforced by
-/// `bench_report --check`): how many fully-materialized peers one GB of
-/// RSS must hold, and how many scheduler events per second the
-/// calendar queue must sustain.
-pub mod scale_gate {
-    /// Peers per GB of resident memory, fully materialized.
-    pub const PEERS_PER_GB_FLOOR: f64 = 100_000.0;
-    /// Calendar-queue events per second under the soak workload.
-    pub const EVENTS_PER_SEC_FLOOR: f64 = 1_000_000.0;
-}
-
-/// Detection-quality floors the multi-origin binding defense PR
-/// committed to (`BENCH_scale.json`'s `moas` section, written by
-/// `exp_moas --update` and enforced by `bench_report --check`):
-/// detection precision and recall at the committed 5%-hijacker
-/// adversarial workload (DESIGN.md §14, experiment E16).
-pub mod moas_gate {
-    /// Quarantine precision (true hijackers / all quarantined).
-    pub const PRECISION_FLOOR: f64 = 0.95;
-    /// Quarantine recall (detected hijackers / all hijackers).
-    pub const RECALL_FLOOR: f64 = 0.90;
-}
-
 /// Memory and scheduler probes behind the scale sweep (`exp_scale`,
-/// DESIGN.md §10) and its CI gate (`bench_report --check`). Everything
-/// here separates cleanly into a deterministic part (event and peer
-/// counts) and a machine-dependent part (RSS, wall time) so the golden
-/// snapshots can keep the former and elide the latter.
+/// DESIGN.md §10). Everything here separates cleanly into a
+/// deterministic part (event and peer counts) and a machine-dependent
+/// part (RSS, wall time) so the golden snapshots can keep the former
+/// and elide the latter.
 pub mod probe {
     use std::time::Instant;
 
@@ -169,9 +124,8 @@ pub mod probe {
     }
 }
 
-/// The measured capacity numbers behind `BENCH_scale.json`, shared by
-/// `exp_scale` (which prints and `--update`s them) and
-/// `bench_report --check` (which re-measures and gates them).
+/// The measured capacity numbers `exp_scale` prints and holds to its
+/// floors.
 pub mod scale_report {
     use crate::probe;
 
@@ -232,153 +186,6 @@ pub mod scale_report {
             },
         }
     }
-
-    impl ScaleReport {
-        /// The `BENCH_scale.json` document.
-        pub fn to_json(&self) -> String {
-            use std::fmt::Write;
-            let mut out = String::new();
-            let mut section = |name: &str, fields: &[(&str, String)], last: bool| {
-                let _ = writeln!(out, "  \"{name}\": {{");
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    let comma = if i + 1 < fields.len() { "," } else { "" };
-                    let _ = writeln!(out, "    \"{k}\": {v}{comma}");
-                }
-                let _ = writeln!(out, "  }}{}", if last { "" } else { "," });
-            };
-            let f = |x: f64| format!("{x:.2}");
-            section(
-                "workload",
-                &[
-                    ("sellers", self.sellers.to_string()),
-                    ("peers", self.peers.to_string()),
-                ],
-                false,
-            );
-            section(
-                "memory",
-                &[
-                    ("bytes_per_peer", f(self.bytes_per_peer)),
-                    ("peers_per_gb", f(self.peers_per_gb)),
-                ],
-                false,
-            );
-            section(
-                "scheduler",
-                &[
-                    ("soak_events", self.soak_events.to_string()),
-                    ("events_per_sec", f(self.events_per_sec)),
-                ],
-                false,
-            );
-            section(
-                "floors",
-                &[
-                    ("peers_per_gb_min", f(crate::scale_gate::PEERS_PER_GB_FLOOR)),
-                    (
-                        "events_per_sec_min",
-                        f(crate::scale_gate::EVENTS_PER_SEC_FLOOR),
-                    ),
-                ],
-                true,
-            );
-            format!("{{\n  \"schema\": \"bench_scale/v1\",\n{out}}}\n")
-        }
-    }
-
-    /// Where the committed baseline lives (workspace root).
-    pub fn committed_path() -> std::path::PathBuf {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scale.json")
-    }
-}
-
-/// Line-based section surgery for the committed `BENCH_*.json`
-/// trajectory files.
-///
-/// Those files are written by independent experiment binaries but share
-/// one document, so a binary that regenerates *its* sections must carry
-/// the others' forward untouched. The files follow a fixed house shape
-/// — top-level braces at column 0, each section object opened by
-/// `  "name": {` and closed by `  }` at two-space indent — which makes
-/// exact line matching both sufficient and byte-stable, where a parse →
-/// re-serialize round trip would reformat sections it never meant to
-/// touch.
-pub mod json_merge {
-    /// Extracts the named top-level section as its object literal,
-    /// exactly as it appears in the file (braces included, inner lines
-    /// at their original indent). `None` if the section is absent.
-    pub fn section(text: &str, name: &str) -> Option<String> {
-        let lines: Vec<&str> = text.lines().collect();
-        let (start, end) = span(&lines, name)?;
-        let mut out = String::from("{\n");
-        for l in &lines[start + 1..end] {
-            out.push_str(l);
-            out.push('\n');
-        }
-        out.push_str("  }");
-        Some(out)
-    }
-
-    /// Returns the document with the named section removed (and the
-    /// trailing comma of the new last member fixed up). A no-op if the
-    /// section is absent.
-    pub fn remove_section(text: &str, name: &str) -> String {
-        let lines: Vec<&str> = text.lines().collect();
-        let Some((start, end)) = span(&lines, name) else {
-            return text.to_owned();
-        };
-        let mut kept: Vec<String> = lines[..start].iter().map(|s| s.to_string()).collect();
-        kept.extend(lines[end + 1..].iter().map(|s| s.to_string()));
-        // JSON forbids a trailing comma before the closing brace; if
-        // the removed section was the last member, strip its
-        // predecessor's comma.
-        if let Some(close) = kept.iter().rposition(|l| l == "}") {
-            if close > 0 && kept[close - 1].ends_with(',') {
-                let fixed = kept[close - 1].trim_end_matches(',').to_owned();
-                kept[close - 1] = fixed;
-            }
-        }
-        kept.join("\n") + "\n"
-    }
-
-    /// Inserts (or replaces) the named section as the *last* member of
-    /// the top-level object. `object` is an object literal in the shape
-    /// [`section`] returns: `{`, inner lines at four-space indent, and
-    /// a closing `  }`.
-    pub fn upsert_section(text: &str, name: &str, object: &str) -> String {
-        let without = remove_section(text, name);
-        let mut lines: Vec<String> = without.lines().map(|s| s.to_owned()).collect();
-        let Some(close) = lines.iter().rposition(|l| l == "}") else {
-            // Not in the house shape; start a fresh document.
-            return upsert_section("{\n}\n", name, object);
-        };
-        if close > 0 {
-            let prev = &lines[close - 1];
-            if prev != "{" && !prev.ends_with(',') {
-                let with_comma = format!("{prev},");
-                lines[close - 1] = with_comma;
-            }
-        }
-        let mut insert = Vec::new();
-        let mut obj = object.lines();
-        insert.push(format!("  \"{name}\": {}", obj.next().unwrap_or("{")));
-        insert.extend(obj.map(|l| l.to_owned()));
-        lines.splice(close..close, insert);
-        lines.join("\n") + "\n"
-    }
-
-    /// Start/end line indexes of `  "name": {` … `  }`/`  },`.
-    fn span(lines: &[&str], name: &str) -> Option<(usize, usize)> {
-        let open = format!("  \"{name}\": {{");
-        let start = lines.iter().position(|&l| l == open)?;
-        let end = lines
-            .iter()
-            .enumerate()
-            .skip(start + 1)
-            .find(|(_, &l)| l == "  }" || l == "  },")
-            .map(|(i, _)| i)?;
-        Some((start, end))
-    }
 }
 
 /// Mean of a slice.
@@ -403,44 +210,6 @@ mod tests {
     fn mean_empty_and_values() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
-
-    const DOC: &str = "{\n  \"queries\": 480,\n  \"serviced\": {\n    \"qps_1\": 479.69,\n    \"qps_8\": 2106.81\n  },\n  \"floor_8v1\": 2\n}\n";
-
-    #[test]
-    fn section_extracts_the_exact_object() {
-        assert_eq!(
-            json_merge::section(DOC, "serviced").as_deref(),
-            Some("{\n    \"qps_1\": 479.69,\n    \"qps_8\": 2106.81\n  }")
-        );
-        assert_eq!(json_merge::section(DOC, "missing"), None);
-    }
-
-    #[test]
-    fn upsert_appends_as_last_member_and_replaces_in_place() {
-        let sock = "{\n    \"peers\": 250,\n    \"balanced\": 1\n  }";
-        let once = json_merge::upsert_section(DOC, "socket", sock);
-        assert!(
-            once.ends_with("  \"socket\": {\n    \"peers\": 250,\n    \"balanced\": 1\n  }\n}\n")
-        );
-        assert!(once.contains("  \"floor_8v1\": 2,\n"), "{once}");
-        // Idempotent: replacing the same section changes nothing.
-        assert_eq!(json_merge::upsert_section(&once, "socket", sock), once);
-        // Round trip: what section() pulls out, upsert puts back.
-        let pulled = json_merge::section(&once, "socket").unwrap();
-        assert_eq!(pulled, sock);
-    }
-
-    #[test]
-    fn remove_fixes_the_dangling_comma() {
-        let sock = "{\n    \"peers\": 250\n  }";
-        let doc = json_merge::upsert_section(DOC, "socket", sock);
-        assert_eq!(json_merge::remove_section(&doc, "socket"), DOC);
-        // Removing a middle section leaves the rest intact.
-        let gone = json_merge::remove_section(DOC, "serviced");
-        assert!(gone.contains("\"queries\": 480"));
-        assert!(!gone.contains("qps_1"));
-        assert!(gone.ends_with("  \"floor_8v1\": 2\n}\n"));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! in compiled matcher form ([`crate::compile`]): interned-name node
 //! tests and pre-parsed literals, applied per item with no allocation.
 //!
-//! The pre-batching tree-walker is preserved verbatim in
-//! [`crate::legacy`] as the measured baseline (`bench_report`'s
-//! `BENCH_engine.json` ratios) and the equivalence oracle for the
+//! The pre-batching tree-walker is preserved verbatim in the
+//! test-only `legacy` module as the equivalence oracle for the
 //! property tests in `proptests.rs`.
 
 use std::collections::{HashMap, HashSet};

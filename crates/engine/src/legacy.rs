@@ -1,18 +1,19 @@
-//! The pre-batching, materializing tree-walker — frozen as a baseline.
+//! The pre-batching, materializing tree-walker — frozen as a test
+//! oracle (compiled only under `cfg(test)`).
 //!
 //! This is the evaluator the batched engine replaced, kept verbatim so
-//! that (a) `bench_report` can measure legacy-vs-batched speedups as
-//! same-run ratios on the same machine (`BENCH_engine.json`), and (b)
-//! the equivalence property tests in `proptests.rs` have an oracle:
-//! for any plan over any collections, [`legacy::eval`](eval) and the
-//! batched [`crate::eval`] must produce identical item sequences.
+//! that the equivalence property tests in `proptests.rs` have an
+//! oracle: for any plan over any collections, [`legacy::eval`](eval)
+//! and the batched [`crate::eval`] must produce identical item
+//! sequences.
 //!
 //! Its cost profile is the old one on purpose: `Data` leaves deep-copy
 //! every item per evaluation, resolver results are materialized into
 //! owned `Vec<Element>`s (the whole-collection clone the old store
 //! handed out), predicates re-parse literals per item, join keys build
 //! a `Vec<String>` per item, and dedup is `Vec::contains` linear scans.
-//! Do not "fix" those: they are the measurement.
+//! Do not "fix" those: an oracle that shares no technique with the
+//! engine it checks is the point.
 
 use std::collections::HashMap;
 

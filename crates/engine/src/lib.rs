@@ -14,16 +14,17 @@
 //!   [`Resolver`] (the peer layer backs this with its local store and
 //!   catalog, which *lends* `Arc` handles instead of cloning
 //!   collections).
-//! * [`legacy`] — the pre-batching materializing evaluator, frozen as
-//!   the measured baseline (`BENCH_engine.json`) and the equivalence
-//!   oracle for the property tests.
+//! * `legacy` — the pre-batching materializing evaluator, compiled
+//!   only under `cfg(test)`: the equivalence oracle for the property
+//!   tests.
 //! * [`cost`] — size estimation: annotated statistics when present
 //!   (paper §5.1), System-R-style defaults otherwise.
 
 pub mod compile;
 pub mod cost;
 pub mod eval;
-pub mod legacy;
+#[cfg(test)]
+mod legacy;
 
 pub use compile::{compile, compile_cached, CompileCache, CompiledPlan};
 pub use cost::{estimate, Estimate};

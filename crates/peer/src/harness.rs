@@ -1,6 +1,6 @@
 //! The deterministic simulation driver: a population of sans-IO
 //! [`PeerNode`]s over the `mqp-net` discrete-event simulator. Every
-//! experiment (EXPERIMENTS.md) runs through this.
+//! experiment (DESIGN.md §3) runs through this.
 //!
 //! The harness owns no protocol logic — parsing, forwarding, acking,
 //! retrying, and completing all live in [`PeerNode`] (DESIGN.md §8).

@@ -14,7 +14,7 @@
 //!   clocks.
 //! * What runs it: [`SimHarness`] feeds `PeerNode`s from the `mqp-net`
 //!   discrete-event simulator (deterministic; the substrate for every
-//!   experiment in EXPERIMENTS.md), and the one wall-clock [`host`] —
+//!   experiment in DESIGN.md §3), and the one wall-clock [`host`] —
 //!   a worker loop, an `Effect` executor, kill/restart/stop-drain, a
 //!   [`host::Cluster`] handle and a [`host::Client`] front-end with
 //!   many queries in flight — runs the identical nodes on real OS

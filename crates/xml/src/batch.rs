@@ -92,8 +92,8 @@ impl Batch {
     }
 
     /// Deep-copies the items out into owned trees. This is the
-    /// *materializing* escape hatch — only the legacy evaluator baseline
-    /// and tests should need it.
+    /// *materializing* escape hatch — only tests (the engine's `legacy`
+    /// oracle among them) should need it.
     pub fn to_vec(&self) -> Vec<Element> {
         self.iter().cloned().collect()
     }
