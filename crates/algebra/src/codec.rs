@@ -22,42 +22,50 @@
 //! `urn`; the attribute names `href`, `collection`, `name`, and
 //! `cardinality` (on `data` it is stored in meta too) are reserved by
 //! the format.
+//!
+//! There is one decoder, [`from_wire`]: a single walk over the
+//! zero-copy tokenizer of `mqp_xml::canon`, which accepts exactly the
+//! canonical XML [`to_wire`] writes. Anything else — a prolog, a
+//! comment, single-quoted attributes, pretty-printing — is
+//! [`CodecError::NotCanonical`]; people write `.mqpq` (`mqp-lang`), not
+//! plan XML. [`plan_to_xml`] is the tree-building encoder the direct
+//! one is property-tested against.
 
 use std::fmt;
 
 use mqp_namespace::Urn;
 use mqp_xml::serialize::escape_into;
 use mqp_xml::xpath::Path;
-use mqp_xml::{serialize_into, Element, Node};
+use mqp_xml::{serialize_into, Element, Node, Token, Tokenizer, TreeBuilder};
 
 use crate::plan::{Annotations, JoinCond, OrAlt, Plan, UrlRef, UrnRef};
 use crate::predicate::{AggFunc, Predicate};
 
-/// Errors decoding a plan from XML.
+/// Errors decoding a plan or envelope from its wire bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CodecError {
-    /// The XML text itself did not parse.
-    Xml(mqp_xml::ParseError),
-    /// The XML parsed but is not a valid plan.
+    /// The bytes are not canonical XML — the wire grammar
+    /// (`mqp_xml::canon`): the tokenizer stopped at byte offset `at`
+    /// (a construct it does not accept, a mismatched or duplicate name,
+    /// truncation, or content after the root).
+    NotCanonical {
+        /// Byte offset into the decoded string.
+        at: usize,
+    },
+    /// Canonical XML, but not a valid plan.
     Malformed(String),
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::Xml(e) => write!(f, "plan XML: {e}"),
+            CodecError::NotCanonical { at } => write!(f, "not canonical XML at byte {at}"),
             CodecError::Malformed(m) => write!(f, "malformed plan: {m}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
-
-impl From<mqp_xml::ParseError> for CodecError {
-    fn from(e: mqp_xml::ParseError) -> Self {
-        CodecError::Xml(e)
-    }
-}
 
 fn malformed(msg: impl Into<String>) -> CodecError {
     CodecError::Malformed(msg.into())
@@ -299,194 +307,6 @@ fn write_meta_attrs(out: &mut String, elem: &str, meta: &Annotations) {
     }
 }
 
-/// Decodes a plan from its XML element form.
-pub fn plan_from_xml(e: &Element) -> Result<Plan, CodecError> {
-    match e.name() {
-        "data" => {
-            let mut meta = Annotations::new();
-            for (k, v) in e.attrs() {
-                meta.set(k.clone(), v.clone());
-            }
-            let items: mqp_xml::Batch = e.child_elements().cloned().collect();
-            Ok(Plan::Data { items, meta })
-        }
-        "url" => {
-            let href = e
-                .get_attr("href")
-                .ok_or_else(|| malformed("url missing href"))?
-                .to_owned();
-            let collection = match e.get_attr("collection") {
-                Some(c) => Some(
-                    Path::parse(c).map_err(|err| malformed(format!("url collection: {err}")))?,
-                ),
-                None => None,
-            };
-            let mut meta = Annotations::new();
-            for (k, v) in e.attrs() {
-                if k != "href" && k != "collection" {
-                    meta.set(k.clone(), v.clone());
-                }
-            }
-            Ok(Plan::Url(UrlRef {
-                href,
-                collection,
-                meta,
-            }))
-        }
-        "urn" => {
-            let name = e
-                .get_attr("name")
-                .ok_or_else(|| malformed("urn missing name"))?;
-            let urn = Urn::parse(name).map_err(|err| malformed(format!("urn: {err}")))?;
-            let mut meta = Annotations::new();
-            for (k, v) in e.attrs() {
-                if k != "name" {
-                    meta.set(k.clone(), v.clone());
-                }
-            }
-            Ok(Plan::Urn(UrnRef { urn, meta }))
-        }
-        "select" => {
-            let pred = Predicate::parse(
-                e.get_attr("pred")
-                    .ok_or_else(|| malformed("select missing pred"))?,
-            )
-            .map_err(|err| malformed(format!("select pred: {err}")))?;
-            Ok(Plan::Select {
-                pred,
-                input: Box::new(only_child(e)?),
-            })
-        }
-        "project" => {
-            let fields: Vec<String> = e
-                .get_attr("fields")
-                .ok_or_else(|| malformed("project missing fields"))?
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(str::to_owned)
-                .collect();
-            Ok(Plan::Project {
-                fields,
-                input: Box::new(only_child(e)?),
-            })
-        }
-        "join" => {
-            let on = JoinCond {
-                left_path: parse_path_attr(e, "left")?,
-                right_path: parse_path_attr(e, "right")?,
-            };
-            let kids: Vec<&Element> = e.child_elements().collect();
-            if kids.len() != 2 {
-                return Err(malformed(format!(
-                    "join needs 2 inputs, got {}",
-                    kids.len()
-                )));
-            }
-            Ok(Plan::Join {
-                on,
-                left: Box::new(plan_from_xml(kids[0])?),
-                right: Box::new(plan_from_xml(kids[1])?),
-            })
-        }
-        "union" => {
-            let inputs: Result<Vec<Plan>, CodecError> =
-                e.child_elements().map(plan_from_xml).collect();
-            Ok(Plan::Union(inputs?))
-        }
-        "or" => {
-            let mut alts = Vec::new();
-            for alt in e.child_elements() {
-                if alt.name() != "alt" {
-                    return Err(malformed(format!(
-                        "or child must be alt, got {}",
-                        alt.name()
-                    )));
-                }
-                let staleness = match alt.get_attr("staleness") {
-                    Some(s) => Some(
-                        s.parse()
-                            .map_err(|_| malformed(format!("bad staleness {s:?}")))?,
-                    ),
-                    None => None,
-                };
-                let plan = only_child(alt)?;
-                alts.push(OrAlt { plan, staleness });
-            }
-            if alts.is_empty() {
-                return Err(malformed("or needs at least one alternative"));
-            }
-            Ok(Plan::Or(alts))
-        }
-        "agg" => {
-            let func = AggFunc::parse(
-                e.get_attr("func")
-                    .ok_or_else(|| malformed("agg missing func"))?,
-            )
-            .ok_or_else(|| malformed("unknown agg func"))?;
-            let path = match e.get_attr("path") {
-                Some(p) => {
-                    Some(Path::parse(p).map_err(|err| malformed(format!("agg path: {err}")))?)
-                }
-                None => None,
-            };
-            Ok(Plan::Aggregate {
-                func,
-                path,
-                input: Box::new(only_child(e)?),
-            })
-        }
-        "topn" => {
-            let n: usize = e
-                .get_attr("n")
-                .ok_or_else(|| malformed("topn missing n"))?
-                .parse()
-                .map_err(|_| malformed("topn n not a number"))?;
-            let key = parse_path_attr(e, "key")?;
-            let ascending = match e.get_attr("order").unwrap_or("asc") {
-                "asc" => true,
-                "desc" => false,
-                other => return Err(malformed(format!("bad topn order {other:?}"))),
-            };
-            Ok(Plan::TopN {
-                n,
-                key,
-                ascending,
-                input: Box::new(only_child(e)?),
-            })
-        }
-        "display" => {
-            let target = e
-                .get_attr("target")
-                .ok_or_else(|| malformed("display missing target"))?
-                .to_owned();
-            Ok(Plan::Display {
-                target,
-                input: Box::new(only_child(e)?),
-            })
-        }
-        other => Err(malformed(format!("unknown operator <{other}>"))),
-    }
-}
-
-fn parse_path_attr(e: &Element, attr: &str) -> Result<Path, CodecError> {
-    let raw = e
-        .get_attr(attr)
-        .ok_or_else(|| malformed(format!("{} missing {attr}", e.name())))?;
-    Path::parse(raw).map_err(|err| malformed(format!("{attr}: {err}")))
-}
-
-fn only_child(e: &Element) -> Result<Plan, CodecError> {
-    let kids: Vec<&Element> = e.child_elements().collect();
-    if kids.len() != 1 {
-        return Err(malformed(format!(
-            "<{}> needs exactly one input, got {}",
-            e.name(),
-            kids.len()
-        )));
-    }
-    plan_from_xml(kids[0])
-}
-
 /// Serializes a plan to the compact XML wire string (via
 /// [`write_plan`], so no intermediate tree is built).
 pub fn to_wire(plan: &Plan) -> String {
@@ -495,42 +315,48 @@ pub fn to_wire(plan: &Plan) -> String {
     out
 }
 
-/// Parses a plan from the XML wire string.
-///
-/// Fast path: canonical wire bytes (everything [`to_wire`] produced,
-/// i.e. the entire hop-to-hop path) decode straight from the zero-copy
-/// tokenizer into a [`Plan`] — no intermediate XML tree for operator
-/// nodes and no deep-cloning data items out of one. Anything else falls
-/// back to `from_wire_tree`, which also produces the real error for
-/// malformed input.
+/// Parses a plan from the XML wire string: canonical bytes (everything
+/// [`to_wire`] produces) decode straight from the zero-copy tokenizer
+/// into a [`Plan`] — no intermediate XML tree for operator nodes and no
+/// deep-cloning data items out of one. This is the only decoder; what
+/// it does not accept is an error that says why.
 pub fn from_wire(s: &str) -> Result<Plan, CodecError> {
-    if let Some(plan) = plan_from_canonical(s) {
-        return Ok(plan);
+    let mut tok = Tokenizer::new(s);
+    let Token::Open(name) = next(&mut tok)? else {
+        return Err(not_canonical(&tok));
+    };
+    let mut tb = TreeBuilder::new();
+    let plan = plan_from_tokens(&mut tok, &mut ItemSink::Build(&mut tb), name)?;
+    let end = tok.pos();
+    match tok.next_token() {
+        Ok(None) => Ok(plan),
+        _ => Err(CodecError::NotCanonical { at: end }), // content after the root
     }
-    from_wire_tree(s)
 }
 
-/// The tree-building decode path: lenient parse, whitespace trim, then
-/// [`plan_from_xml`] — the fallback for non-canonical input.
-fn from_wire_tree(s: &str) -> Result<Plan, CodecError> {
-    let mut root = mqp_xml::parse_document(s)?;
-    // Pretty-printed plans carry inter-element whitespace; it is not
-    // data (verbatim items keep their own text intact because trimming
-    // only removes whitespace-only nodes... which *could* matter inside
-    // data items, so only trim operator levels).
-    trim_operator_whitespace(&mut root);
-    plan_from_xml(&root)
+fn not_canonical(tok: &Tokenizer<'_>) -> CodecError {
+    CodecError::NotCanonical { at: tok.pos() }
+}
+
+/// The next token; a tokenizer error and a premature end of input are
+/// both [`CodecError::NotCanonical`] at the tokenizer's offset.
+#[inline]
+fn next<'a>(tok: &mut Tokenizer<'a>) -> Result<Token<'a>, CodecError> {
+    match tok.next_token() {
+        Ok(Some(t)) => Ok(t),
+        _ => Err(not_canonical(tok)),
+    }
 }
 
 /// What [`plan_from_tokens`] should do with verbatim data items: build
 /// them as XML trees, or validate-and-skip them. `Skip` makes the
 /// decoder a *validator* — it accepts exactly the same inputs (the
-/// skip/build equivalence is property-tested in `mqp-xml`) while doing
-/// none of the item allocation, which is how the envelope layer
-/// validates its `<original>` section without materializing it.
+/// skip/build equivalence is property-tested here and in `mqp-xml`)
+/// while doing none of the item allocation, which is how the envelope
+/// layer validates its `<original>` section without materializing it.
 pub enum ItemSink<'a> {
     /// Materialize items through this builder.
-    Build(&'a mut mqp_xml::TreeBuilder),
+    Build(&'a mut TreeBuilder),
     /// Validate items but build nothing (data leaves decode with empty
     /// item lists — use only when the decoded plan is discarded).
     Skip,
@@ -539,57 +365,43 @@ pub enum ItemSink<'a> {
 impl ItemSink<'_> {
     fn item(
         &mut self,
-        tok: &mut mqp_xml::Tokenizer<'_>,
+        tok: &mut Tokenizer<'_>,
         name: &str,
         out: &mut mqp_xml::Batch,
-    ) -> Result<(), mqp_xml::NotCanonical> {
+    ) -> Result<(), CodecError> {
         match self {
-            ItemSink::Build(tb) => out.push_item(tb.build(tok, name)?),
-            ItemSink::Skip => mqp_xml::skip_subtree(tok, name)?,
+            ItemSink::Build(tb) => {
+                out.push_item(tb.build(tok, name).map_err(|_| not_canonical(tok))?)
+            }
+            ItemSink::Skip => mqp_xml::skip_subtree(tok, name).map_err(|_| not_canonical(tok))?,
         }
         Ok(())
     }
 }
 
-/// Decodes a whole canonical document as a plan, or `None` to fall
-/// back (non-canonical bytes *or* anything the token decoder cannot
-/// express an error for — the fallback rediscovers the precise error).
-pub fn plan_from_canonical(s: &str) -> Option<Plan> {
-    let mut tok = mqp_xml::Tokenizer::new(s);
-    let Ok(Some(mqp_xml::Token::Open(name))) = tok.next_token() else {
-        return None;
-    };
-    let mut tb = mqp_xml::TreeBuilder::new();
-    let plan = plan_from_tokens(&mut tok, &mut ItemSink::Build(&mut tb), name).ok()?;
-    matches!(tok.next_token(), Ok(None)).then_some(plan)
-}
-
 /// Decodes the operator element whose `Open(name)` token was just
-/// consumed. Mirrors [`plan_from_xml`] exactly — same attribute
-/// handling, same tolerance for stray text at operator level (ignored),
-/// same verbatim treatment of data items (routed through `items`) —
-/// but any problem at all yields `Err` so the caller can fall back to
-/// the tree path for diagnosis.
+/// consumed: attributes, then children (stray text at operator level is
+/// ignored; data items are verbatim and routed through `items`), then
+/// the closing tag. Leaves the tokenizer just past the element, so a
+/// caller can slice its bytes with [`Tokenizer::pos`].
 pub fn plan_from_tokens(
-    tok: &mut mqp_xml::Tokenizer<'_>,
+    tok: &mut Tokenizer<'_>,
     items: &mut ItemSink<'_>,
     name: &str,
-) -> Result<Plan, mqp_xml::NotCanonical> {
-    use mqp_xml::{NotCanonical, Token};
-
+) -> Result<Plan, CodecError> {
     // Attributes arrive before we know the children.
     let mut attrs: Vec<(&str, std::borrow::Cow<'_, str>)> = Vec::new();
     let self_closed = loop {
-        match tok.next_token()?.ok_or(NotCanonical)? {
+        match next(tok)? {
             Token::Attr { name, value } => {
                 if attrs.iter().any(|(n, _)| *n == name) {
-                    return Err(NotCanonical);
+                    return Err(not_canonical(tok));
                 }
                 attrs.push((name, value));
             }
             Token::OpenEnd => break false,
             Token::SelfClose => break true,
-            _ => return Err(NotCanonical),
+            _ => return Err(not_canonical(tok)),
         }
     };
     let attr = |key: &str| {
@@ -598,6 +410,11 @@ pub fn plan_from_tokens(
             .find(|(n, _)| *n == key)
             .map(|(_, v)| v.as_ref())
     };
+    let need = |key: &str| attr(key).ok_or_else(|| malformed(format!("{name} missing {key}")));
+    let path = |key: &str, raw: &str| {
+        Path::parse(raw).map_err(|err| malformed(format!("{name} {key}: {err}")))
+    };
+    let need_path = |key: &str| path(key, need(key)?);
 
     // Leaves first: they own their children loops.
     match name {
@@ -609,20 +426,20 @@ pub fn plan_from_tokens(
             let mut out = mqp_xml::Batch::new();
             if !self_closed {
                 loop {
-                    match tok.next_token()?.ok_or(NotCanonical)? {
+                    match next(tok)? {
                         Token::Open(n) => items.item(tok, n, &mut out)?,
-                        Token::Text(_) => {} // formatting; ignored like plan_from_xml
+                        Token::Text(_) => {} // formatting, not an item
                         Token::Close("data") => break,
-                        _ => return Err(NotCanonical),
+                        _ => return Err(not_canonical(tok)),
                     }
                 }
             }
             return Ok(Plan::Data { items: out, meta });
         }
         "url" => {
-            let href = attr("href").ok_or(NotCanonical)?.to_owned();
+            let href = need("href")?.to_owned();
             let collection = match attr("collection") {
-                Some(c) => Some(Path::parse(c).map_err(|_| NotCanonical)?),
+                Some(c) => Some(path("collection", c)?),
                 None => None,
             };
             let mut meta = Annotations::new();
@@ -639,7 +456,7 @@ pub fn plan_from_tokens(
             return finish_leaf(tok, name, self_closed, plan);
         }
         "urn" => {
-            let urn = Urn::parse(attr("name").ok_or(NotCanonical)?).map_err(|_| NotCanonical)?;
+            let urn = Urn::parse(need("name")?).map_err(|err| malformed(format!("urn: {err}")))?;
             let mut meta = Annotations::new();
             for (k, v) in &attrs {
                 if *k != "name" {
@@ -653,13 +470,13 @@ pub fn plan_from_tokens(
     }
 
     // Interior operators: decode the element-children plans, ignoring
-    // stray text (plan_from_xml never looks at it either).
+    // stray text.
     let mut kids: Vec<Plan> = Vec::new();
     let mut or_alts: Vec<OrAlt> = Vec::new();
     let is_or = name == "or";
     if !self_closed {
         loop {
-            match tok.next_token()?.ok_or(NotCanonical)? {
+            match next(tok)? {
                 Token::Open(n) => {
                     if is_or {
                         or_alts.push(alt_from_tokens(tok, items, n)?);
@@ -669,26 +486,25 @@ pub fn plan_from_tokens(
                 }
                 Token::Text(_) => {}
                 Token::Close(c) if c == name => break,
-                _ => return Err(NotCanonical),
+                _ => return Err(not_canonical(tok)),
             }
         }
     }
-    fn only_one(kids: Vec<Plan>) -> Result<Box<Plan>, mqp_xml::NotCanonical> {
-        let mut it = kids.into_iter();
-        let first = it.next().ok_or(mqp_xml::NotCanonical)?;
-        if it.next().is_some() {
-            return Err(mqp_xml::NotCanonical);
-        }
-        Ok(Box::new(first))
-    }
+    let only_one = |kids: Vec<Plan>| match <[Plan; 1]>::try_from(kids) {
+        Ok([input]) => Ok(Box::new(input)),
+        Err(kids) => Err(malformed(format!(
+            "<{name}> needs exactly one input, got {}",
+            kids.len()
+        ))),
+    };
     match name {
         "select" => Ok(Plan::Select {
-            pred: Predicate::parse(attr("pred").ok_or(NotCanonical)?).map_err(|_| NotCanonical)?,
+            pred: Predicate::parse(need("pred")?)
+                .map_err(|err| malformed(format!("select pred: {err}")))?,
             input: only_one(kids)?,
         }),
         "project" => Ok(Plan::Project {
-            fields: attr("fields")
-                .ok_or(NotCanonical)?
+            fields: need("fields")?
                 .split(',')
                 .filter(|s| !s.is_empty())
                 .map(str::to_owned)
@@ -697,147 +513,132 @@ pub fn plan_from_tokens(
         }),
         "join" => {
             let on = JoinCond {
-                left_path: Path::parse(attr("left").ok_or(NotCanonical)?)
-                    .map_err(|_| NotCanonical)?,
-                right_path: Path::parse(attr("right").ok_or(NotCanonical)?)
-                    .map_err(|_| NotCanonical)?,
+                left_path: need_path("left")?,
+                right_path: need_path("right")?,
             };
-            if kids.len() != 2 {
-                return Err(NotCanonical);
-            }
-            let mut it = kids.into_iter();
-            let left = Box::new(it.next().expect("len checked"));
-            let right = Box::new(it.next().expect("len checked"));
-            Ok(Plan::Join { on, left, right })
+            let [left, right] = <[Plan; 2]>::try_from(kids)
+                .map_err(|kids| malformed(format!("join needs 2 inputs, got {}", kids.len())))?;
+            Ok(Plan::Join {
+                on,
+                left: Box::new(left),
+                right: Box::new(right),
+            })
         }
         "union" => Ok(Plan::Union(kids)),
         "or" => {
             if or_alts.is_empty() {
-                return Err(NotCanonical);
+                return Err(malformed("or needs at least one alternative"));
             }
             Ok(Plan::Or(or_alts))
         }
-        "agg" => Ok(Plan::Aggregate {
-            func: AggFunc::parse(attr("func").ok_or(NotCanonical)?).ok_or(NotCanonical)?,
-            path: match attr("path") {
-                Some(p) => Some(Path::parse(p).map_err(|_| NotCanonical)?),
-                None => None,
-            },
-            input: only_one(kids)?,
-        }),
+        "agg" => {
+            let func = need("func")?;
+            Ok(Plan::Aggregate {
+                func: AggFunc::parse(func)
+                    .ok_or_else(|| malformed(format!("agg: unknown func {func:?}")))?,
+                path: match attr("path") {
+                    Some(p) => Some(path("path", p)?),
+                    None => None,
+                },
+                input: only_one(kids)?,
+            })
+        }
         "topn" => Ok(Plan::TopN {
-            n: attr("n")
-                .ok_or(NotCanonical)?
+            n: need("n")?
                 .parse()
-                .map_err(|_| NotCanonical)?,
-            key: Path::parse(attr("key").ok_or(NotCanonical)?).map_err(|_| NotCanonical)?,
+                .map_err(|_| malformed("topn n not a number"))?,
+            key: need_path("key")?,
             ascending: match attr("order").unwrap_or("asc") {
                 "asc" => true,
                 "desc" => false,
-                _ => return Err(NotCanonical),
+                other => return Err(malformed(format!("topn: bad order {other:?}"))),
             },
             input: only_one(kids)?,
         }),
         "display" => Ok(Plan::Display {
-            target: attr("target").ok_or(NotCanonical)?.to_owned(),
+            target: need("target")?.to_owned(),
             input: only_one(kids)?,
         }),
-        _ => Err(NotCanonical),
+        other => Err(malformed(format!("unknown operator <{other}>"))),
     }
 }
 
-/// Consumes the closing tag of a childless leaf; a leaf written long
-/// form is not canonical output, so fall back rather than guess.
+/// Consumes the closing tag of a leaf that was not self-closed. A `url`
+/// or `urn` has no children: an element inside one is an error.
 fn finish_leaf(
-    tok: &mut mqp_xml::Tokenizer<'_>,
+    tok: &mut Tokenizer<'_>,
     name: &str,
     self_closed: bool,
     plan: Plan,
-) -> Result<Plan, mqp_xml::NotCanonical> {
-    use mqp_xml::{NotCanonical, Token};
+) -> Result<Plan, CodecError> {
     if self_closed {
         return Ok(plan);
     }
     loop {
-        match tok.next_token()?.ok_or(NotCanonical)? {
+        match next(tok)? {
             Token::Text(_) => {}
             Token::Close(c) if c == name => return Ok(plan),
-            _ => return Err(NotCanonical),
+            Token::Open(child) => {
+                return Err(malformed(format!("{name} is a leaf, got <{child}> inside")))
+            }
+            _ => return Err(not_canonical(tok)),
         }
     }
 }
 
 fn alt_from_tokens(
-    tok: &mut mqp_xml::Tokenizer<'_>,
+    tok: &mut Tokenizer<'_>,
     items: &mut ItemSink<'_>,
     name: &str,
-) -> Result<OrAlt, mqp_xml::NotCanonical> {
-    use mqp_xml::{NotCanonical, Token};
+) -> Result<OrAlt, CodecError> {
     if name != "alt" {
-        return Err(NotCanonical);
+        return Err(malformed(format!("or child must be alt, got {name}")));
     }
     let mut staleness = None;
     let mut plan = None;
     let self_closed = loop {
-        match tok.next_token()?.ok_or(NotCanonical)? {
+        match next(tok)? {
             Token::Attr {
                 name: "staleness",
                 value,
             } => {
                 if staleness.is_some() {
-                    return Err(NotCanonical);
+                    return Err(not_canonical(tok));
                 }
-                staleness = Some(value.parse().map_err(|_| NotCanonical)?);
+                staleness = Some(
+                    value
+                        .parse()
+                        .map_err(|_| malformed(format!("alt: bad staleness {value:?}")))?,
+                );
             }
-            Token::Attr { .. } => return Err(NotCanonical), // foreign attr: fall back
+            Token::Attr { name, .. } => {
+                return Err(malformed(format!("alt: unknown attribute {name}")))
+            }
             Token::OpenEnd => break false,
             Token::SelfClose => break true,
-            _ => return Err(NotCanonical),
+            _ => return Err(not_canonical(tok)),
         }
     };
+    let one_input = || malformed("<alt> needs exactly one input");
     if !self_closed {
         loop {
-            match tok.next_token()?.ok_or(NotCanonical)? {
+            match next(tok)? {
                 Token::Open(n) => {
                     if plan.is_some() {
-                        return Err(NotCanonical);
+                        return Err(one_input());
                     }
                     plan = Some(plan_from_tokens(tok, items, n)?);
                 }
                 Token::Text(_) => {}
                 Token::Close("alt") => break,
-                _ => return Err(NotCanonical),
+                _ => return Err(not_canonical(tok)),
             }
         }
     }
     Ok(OrAlt {
-        plan: plan.ok_or(NotCanonical)?,
+        plan: plan.ok_or_else(one_input)?,
         staleness,
     })
-}
-
-/// Removes whitespace-only text nodes from operator elements (not from
-/// verbatim data items, whose text is payload).
-fn trim_operator_whitespace(e: &mut Element) {
-    const OPERATORS: [&str; 11] = [
-        "data", "url", "urn", "select", "project", "join", "union", "or", "alt", "agg", "topn",
-    ];
-    let is_op = OPERATORS.contains(&e.name()) || e.name() == "display";
-    if !is_op {
-        return; // inside verbatim data — leave untouched
-    }
-    if e.name() == "data" {
-        // Whitespace directly under <data> is formatting; items keep
-        // their insides untouched.
-        e.children_mut().retain(|c| !c.is_whitespace());
-        return;
-    }
-    e.children_mut().retain(|c| !c.is_whitespace());
-    for c in e.children_mut() {
-        if let Node::Element(el) = c {
-            trim_operator_whitespace(el);
-        }
-    }
 }
 
 /// Exact byte size of the plan on the wire — what the network simulator
@@ -962,46 +763,89 @@ mod tests {
         assert_eq!(back.as_data().unwrap()[0], item);
     }
 
+    /// One grammar: XML that is well-formed but not what [`to_wire`]
+    /// writes is an error that says where or why, not a second parse.
     #[test]
-    fn pretty_printed_plan_reparses() {
-        // Pretty printing is for humans: it indents inside verbatim data
-        // items too, so reparsing recovers the plan modulo whitespace in
-        // item text. Normalize both sides before comparing.
-        fn normalize(p: &mut Plan) {
-            if let Plan::Data { items, .. } = p {
-                for i in items.iter_mut() {
-                    i.trim_whitespace();
-                }
-            }
-            for c in p.children_mut() {
-                normalize(c);
-            }
-        }
-        let p = figure3_plan();
-        let pretty = mqp_xml::serialize_pretty(&plan_to_xml(&p));
-        let mut back = from_wire(&pretty).unwrap();
-        let mut expect = p;
-        normalize(&mut back);
-        normalize(&mut expect);
-        assert_eq!(back, expect);
+    fn non_canonical_plans_are_rejected() {
+        let not_canonical = |s: &str| match from_wire(s) {
+            Err(CodecError::NotCanonical { at }) => at,
+            other => panic!("{s}: expected NotCanonical, got {other:?}"),
+        };
+        let malformed = |s: &str| match from_wire(s) {
+            Err(CodecError::Malformed(m)) => m,
+            other => panic!("{s}: expected Malformed, got {other:?}"),
+        };
+        // Pretty-printing ends in a newline after the root.
+        let pretty = mqp_xml::serialize_pretty(&plan_to_xml(&figure3_plan()));
+        assert_eq!(not_canonical(&pretty), pretty.trim_end().len());
+        assert_eq!(not_canonical("<?xml version=\"1.0\"?><data/>"), 1);
+        assert_eq!(not_canonical("<!-- c --><data/>"), 1);
+        assert_eq!(not_canonical("<data><i a='1'/></data>"), 10);
+        // A duplicate attribute: offset just past the second one.
+        assert_eq!(not_canonical("<url href=\"x\" href=\"y\"/>"), 22);
+        assert_eq!(not_canonical("<data/><data/>"), 7);
+        assert_eq!(not_canonical("<select pred=\"a = 1\"><data/>"), 28);
+        assert!(malformed("<url href=\"x\"><note/></url>").contains("url is a leaf"));
+        let m = malformed("<or><alt colour=\"x\"><data/></alt></or>");
+        assert!(m.contains("alt") && m.contains("colour"), "{m}");
+    }
+
+    /// The slack the token walk has always had at operator level (and
+    /// only there — items are verbatim): text between operators is
+    /// formatting, and an empty operator may be written long form.
+    #[test]
+    fn operator_level_formatting_is_ignored() {
+        let p = Plan::union([Plan::url("x"), Plan::data([])]);
+        let spaced =
+            "<union>\n  <url href=\"x\"></url>\n  <data cardinality=\"0\"></data>\n</union>";
+        assert_eq!(from_wire(spaced), Ok(p));
     }
 
     #[test]
     fn malformed_plans_rejected() {
-        for bad in [
-            "<mystery/>",
-            "<select><data/></select>",                     // missing pred
-            "<select pred=\"price &lt;\"><data/></select>", // bad pred
-            "<join left=\"a\" right=\"b\"><data/></join>",  // one input
-            "<url/>",                                       // missing href
-            "<urn name=\"not-a-urn\"/>",
-            "<or/>",            // no alternatives
-            "<or><data/></or>", // child not alt
-            "<topn n=\"x\" key=\"a\"><data/></topn>",
-            "<agg func=\"median\"><data/></agg>",
-            "<display><data/></display>", // missing target
+        for (bad, names) in [
+            ("<mystery/>", "<mystery>"),
+            ("<select><data/></select>", "select missing pred"),
+            (
+                "<select pred=\"price &lt;\"><data/></select>",
+                "select pred",
+            ),
+            (
+                "<select pred=\"a = 1\"/>",
+                "<select> needs exactly one input, got 0",
+            ),
+            (
+                "<join left=\"a\" right=\"b\"><data/></join>",
+                "join needs 2",
+            ),
+            (
+                "<join left=\"a\"><data/><data/></join>",
+                "join missing right",
+            ),
+            ("<url/>", "url missing href"),
+            ("<urn name=\"not-a-urn\"/>", "urn:"),
+            ("<or/>", "or needs"),
+            ("<or><data/></or>", "or child must be alt, got data"),
+            (
+                "<or><alt staleness=\"soon\"><data/></alt></or>",
+                "staleness",
+            ),
+            (
+                "<or><alt><data/><data/></alt></or>",
+                "<alt> needs exactly one",
+            ),
+            ("<topn n=\"x\" key=\"a\"><data/></topn>", "topn n"),
+            (
+                "<topn n=\"1\" key=\"a\" order=\"up\"><data/></topn>",
+                "topn: bad order",
+            ),
+            ("<agg func=\"median\"><data/></agg>", "agg: unknown func"),
+            ("<display><data/></display>", "display missing target"),
         ] {
-            assert!(from_wire(bad).is_err(), "{bad} should be rejected");
+            match from_wire(bad) {
+                Err(CodecError::Malformed(m)) => assert!(m.contains(names), "{bad}: {m}"),
+                other => panic!("{bad}: expected Malformed, got {other:?}"),
+            }
         }
     }
 

@@ -12,7 +12,8 @@
 //! * [`Predicate`] — the selection language (comparisons over XPath
 //!   field paths, `and`/`or`/`not`), with a parser for the compact text
 //!   form used in plan XML attributes.
-//! * [`codec`] — the XML wire format: `Plan ↔ Element` both ways
+//! * [`codec`] — the XML wire format: [`codec::to_wire`] and the one
+//!   decoder, [`codec::from_wire`], over canonical XML only
 //!   (property-tested round trip).
 //! * [`render`] — the parseable pipeline pretty-printer (`mqp-lang`'s
 //!   concrete syntax), used in error messages and golden traces.
@@ -27,7 +28,7 @@ pub mod plan;
 pub mod predicate;
 pub mod render;
 
-pub use codec::{plan_from_xml, plan_to_xml, CodecError};
+pub use codec::{plan_to_xml, CodecError};
 pub use plan::{Annotations, JoinCond, NodePath, Plan, UrlRef, UrnRef};
 pub use predicate::{AggFunc, Predicate};
 

@@ -1,11 +1,12 @@
 //! Property tests: the plan ↔ XML codec round-trips for arbitrary
-//! generated plans, and structural utilities respect their contracts.
+//! generated plans, the decoder holds up against bytes it did not
+//! write, and structural utilities respect their contracts.
 
 use proptest::prelude::*;
 
 use mqp_xml::Element;
 
-use crate::codec::{from_wire, to_wire, wire_size};
+use crate::codec::{from_wire, plan_from_tokens, to_wire, wire_size, ItemSink};
 use crate::plan::{JoinCond, NodePath, OrAlt, Plan, UrlRef};
 use crate::predicate::{AggFunc, Predicate};
 
@@ -92,6 +93,30 @@ fn arb_plan() -> impl Strategy<Value = Plan> {
     })
 }
 
+/// `wire` with one byte deleted (`op` 0), doubled (1) or overwritten
+/// with `with` (2) at an arbitrary index; `None` when the result is not
+/// UTF-8 (a `&str` decoder cannot be handed it).
+fn mutate(wire: &str, op: u8, at: prop::sample::Index, with: u8) -> Option<String> {
+    let mut bytes = wire.as_bytes().to_vec();
+    let i = at.index(bytes.len());
+    match op {
+        0 => drop(bytes.remove(i)),
+        1 => bytes.insert(i, bytes[i]),
+        _ => bytes[i] = with,
+    }
+    String::from_utf8(bytes).ok()
+}
+
+/// Whether the token walk accepts `s` as one whole plan when items are
+/// validated and skipped instead of built.
+fn skip_mode_accepts(s: &str) -> bool {
+    let mut tok = mqp_xml::Tokenizer::new(s);
+    let Ok(Some(mqp_xml::Token::Open(name))) = tok.next_token() else {
+        return false;
+    };
+    plan_from_tokens(&mut tok, &mut ItemSink::Skip, name).is_ok() && tok.next_token() == Ok(None)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -100,6 +125,33 @@ proptest! {
         let wire = to_wire(&plan);
         let back = from_wire(&wire).expect("wire must reparse");
         prop_assert_eq!(back, plan);
+    }
+
+    /// The decoder is alone now: whatever bytes reach it, it answers
+    /// `Ok` or `Err` — it never panics.
+    #[test]
+    fn decoder_never_panics_on_arbitrary_input(s in "[ -~<>&;/\"'=]{0,96}") {
+        let _ = from_wire(&s);
+    }
+
+    /// One damaged byte in real wire output: the decoder answers `Ok`
+    /// or `Err`, what it accepts it can write and read back unchanged,
+    /// and validate-and-skip accepts exactly what build accepts — the
+    /// guarantee the envelope's lazily decoded `<original>` rests on.
+    #[test]
+    fn decoder_survives_one_damaged_byte(
+        plan in arb_plan(),
+        op in 0u8..3,
+        at in any::<prop::sample::Index>(),
+        with in 0x20u8..0x7f,
+    ) {
+        if let Some(damaged) = mutate(&to_wire(&plan), op, at, with) {
+            let decoded = from_wire(&damaged);
+            prop_assert_eq!(skip_mode_accepts(&damaged), decoded.is_ok(), "{}", damaged);
+            if let Ok(p) = decoded {
+                prop_assert_eq!(from_wire(&to_wire(&p)), Ok(p), "{}", damaged);
+            }
+        }
     }
 
     /// The direct serializer ([`crate::codec::write_plan`]) is

@@ -99,7 +99,7 @@ impl Chord {
     /// Installs a fault plan on the underlying network, so resilience
     /// comparisons against the MQP harness run under identical
     /// adversarial schedules. Lookup hops retransmit on loss (up to
-    /// [`MAX_RETRANSMITS`], counted in `stats().retries`); a hop whose
+    /// `MAX_RETRANSMITS`, counted in `stats().retries`); a hop whose
     /// retransmits are exhausted fails the lookup.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.net.set_fault_plan(plan);

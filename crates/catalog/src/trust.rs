@@ -156,7 +156,7 @@ impl TrustRecord {
 
     /// The quarantine state machine, derived (never stored): zero net
     /// penalty is `Trusted`; a strike-driven penalty reaching
-    /// [`QUARANTINE_AT`] is `Quarantined`; anything between is
+    /// `QUARANTINE_AT` is `Quarantined`; anything between is
     /// `Probation`. Because clears keep counting, a quarantined server
     /// that returns to sustained consistency decays back through
     /// `Probation` to `Trusted`.

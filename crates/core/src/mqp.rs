@@ -25,9 +25,10 @@
 //! * **provenance** is append-only, so cached `<visit/>` fragments stay
 //!   valid and only new records serialize;
 //! * [`Mqp::from_wire`] seeds all of these straight from the incoming
-//!   bytes when the input is canonical (always true on the wire path),
-//!   which is sound because the canonical parser guarantees each
-//!   element's byte span re-serializes to itself.
+//!   bytes, which is sound because it decodes canonical XML only (the
+//!   wire grammar; anything else is a [`CodecError`]) and the canonical
+//!   tokenizer guarantees each element's byte span re-serializes to
+//!   itself.
 //!
 //! Invariants (property-tested in `tests/properties.rs`):
 //! [`Mqp::wire_size`] is always exactly `to_wire().len()`, and for any
@@ -44,10 +45,7 @@
 use std::cell::{OnceCell, RefCell};
 use std::fmt;
 
-use mqp_algebra::codec::{
-    plan_from_canonical, plan_from_tokens, plan_from_xml, plan_to_xml, write_plan, CodecError,
-    ItemSink,
-};
+use mqp_algebra::codec::{self, plan_from_tokens, plan_to_xml, write_plan, CodecError, ItemSink};
 use mqp_algebra::plan::Plan;
 use mqp_xml::{Element, Node, Token, Tokenizer, TreeBuilder};
 
@@ -58,8 +56,8 @@ use crate::provenance::VisitRecord;
 /// `to_wire(&self)` can memoize; never observable — every accessor
 /// yields the same bytes a cold cache would.
 ///
-/// One slot is more than a memo: for an envelope parsed from canonical
-/// wire bytes, `original` holds the *only* copy of the original plan —
+/// One slot is more than a memo: for an envelope parsed from wire
+/// bytes, `original` holds the *only* copy of the original plan —
 /// validated at parse time, decoded into `Mqp::original_plan` the
 /// first time someone (the §5.1 audit) actually asks. Intermediate
 /// hops never pay to materialize a section they never read.
@@ -157,15 +155,15 @@ impl Mqp {
 
     /// The original plan as submitted by the client, if carried.
     ///
-    /// For an envelope parsed from canonical wire bytes this is where
-    /// the `<original>` section is first materialized (it was only
+    /// For an envelope parsed from wire bytes this is where the
+    /// `<original>` section is first materialized (it was only
     /// *validated* during parsing); the decode is memoized, and
     /// envelopes that are merely forwarded never pay for it.
     pub fn original(&self) -> Option<&Plan> {
         if self.original_plan.get().is_none() {
             let wire = self.cache.original.borrow();
             let frag = wire.as_deref()?;
-            let plan = plan_from_canonical(frag)
+            let plan = codec::from_wire(frag)
                 .expect("original section was token-validated when the envelope was parsed");
             drop(wire);
             let _ = self.original_plan.set(plan);
@@ -233,40 +231,6 @@ impl Mqp {
         e
     }
 
-    /// Parses an envelope from XML.
-    pub fn from_xml(e: &Element) -> Result<Mqp, CodecError> {
-        let bad = |m: &str| CodecError::Malformed(m.to_owned());
-        if e.name() != "mqp" {
-            return Err(bad("envelope root must be <mqp>"));
-        }
-        let plan_el = e
-            .first("plan")
-            .and_then(|p| p.child_elements().next())
-            .ok_or_else(|| bad("missing <plan>"))?;
-        let plan = plan_from_xml(plan_el)?;
-        let original_plan = OnceCell::new();
-        if let Some(el) = e.first("original").and_then(|o| o.child_elements().next()) {
-            original_plan.set(plan_from_xml(el)?).expect("fresh cell");
-        }
-        let mut provenance = Vec::new();
-        if let Some(prov) = e.first("provenance") {
-            for v in prov.child_elements() {
-                provenance.push(VisitRecord::from_xml(v).ok_or_else(|| bad("bad <visit> record"))?);
-            }
-        }
-        let constraints = match e.first("constraints") {
-            Some(c) => Constraints::from_xml(c).ok_or_else(|| bad("bad <constraints>"))?,
-            None => Constraints::none(),
-        };
-        Ok(Mqp {
-            plan,
-            original_plan,
-            provenance,
-            constraints,
-            cache: WireCache::default(),
-        })
-    }
-
     /// Serializes to the compact wire string, splicing cached fragments
     /// for every section that did not change since the envelope was
     /// parsed (byte-identical to `serialize(&self.to_xml())`).
@@ -304,36 +268,23 @@ impl Mqp {
         out
     }
 
-    /// Parses from the wire string. Canonical input (everything our own
-    /// serializer produced — i.e. the entire hop-to-hop path) walks the
-    /// zero-copy tokenizer once: the current plan decodes straight from
-    /// tokens (no intermediate XML tree), the `<original>` section is
-    /// *validated but not materialized* (its bytes become the cached
-    /// fragment, decoded lazily by [`Mqp::original`]), and every
-    /// section's byte span seeds the splice cache. Anything else falls
-    /// back to the lenient tree path with cold caches — which also
-    /// reproduces the precise error for malformed envelopes.
+    /// Parses from the wire string in one walk of the zero-copy
+    /// tokenizer: the current plan decodes straight from tokens (no
+    /// intermediate XML tree), the `<original>` section is *validated
+    /// but not materialized* (its bytes become the cached fragment,
+    /// decoded lazily by [`Mqp::original`]), and every section's byte
+    /// span seeds the splice cache. The input must be canonical XML, as
+    /// everything [`Mqp::to_wire`] writes is; the error says where it
+    /// is not, or which section or operator is malformed.
     pub fn from_wire(s: &str) -> Result<Mqp, CodecError> {
-        if let Some(mqp) = Mqp::from_wire_canonical(s) {
-            return Ok(mqp);
-        }
-        let root = mqp_xml::parse(s)?;
-        Mqp::from_xml(&root)
-    }
-
-    /// The canonical token walk behind [`Mqp::from_wire`]; `None` means
-    /// fall back (non-canonical bytes, or any shape/semantic problem —
-    /// the fallback rediscovers the exact error).
-    fn from_wire_canonical(s: &str) -> Option<Mqp> {
+        let bad = |m: &str| CodecError::Malformed(m.to_owned());
         let mut tok = Tokenizer::new(s);
-        match tok.next_token() {
-            Ok(Some(Token::Open("mqp"))) => {}
-            _ => return None,
+        match next(&mut tok)? {
+            Token::Open("mqp") => {}
+            Token::Open(_) => return Err(bad("envelope root must be <mqp>")),
+            _ => return Err(not_canonical(&tok)),
         }
-        match tok.next_token() {
-            Ok(Some(Token::OpenEnd)) => {}
-            _ => return None, // attrs on <mqp>, or <mqp/> (missing plan)
-        }
+        open_end(&mut tok, "mqp")?;
         let mut tb = TreeBuilder::new();
         let mut plan: Option<Plan> = None;
         let mut plan_frag: Option<&str> = None;
@@ -347,50 +298,42 @@ impl Mqp {
         let mut constraints_frag: Option<&str> = None;
         loop {
             let section_start = tok.pos();
-            match tok.next_token().ok()?? {
+            match next(&mut tok)? {
                 Token::Close("mqp") => break,
-                Token::Text(_) => {} // stray text: ignored, like from_xml
+                Token::Text(_) => {} // stray text between sections
                 Token::Open("plan") if !seen_plan => {
                     seen_plan = true;
-                    match tok.next_token().ok()?? {
-                        Token::OpenEnd => {}
-                        _ => return None, // attrs on <plan>, or empty <plan/>
-                    }
+                    open_end(&mut tok, "plan")?;
                     loop {
                         let inner_start = tok.pos();
-                        match tok.next_token().ok()?? {
+                        match next(&mut tok)? {
                             Token::Open(n) => {
                                 if plan.is_none() {
-                                    plan = Some(
-                                        plan_from_tokens(
-                                            &mut tok,
-                                            &mut ItemSink::Build(&mut tb),
-                                            n,
-                                        )
-                                        .ok()?,
-                                    );
+                                    plan = Some(plan_from_tokens(
+                                        &mut tok,
+                                        &mut ItemSink::Build(&mut tb),
+                                        n,
+                                    )?);
                                     plan_frag = Some(&s[inner_start..tok.pos()]);
                                 } else {
-                                    // from_xml takes the first element
-                                    // child; skip (and validate) extras.
-                                    mqp_xml::skip_subtree(&mut tok, n).ok()?;
+                                    // The first element child is the
+                                    // plan; skip (and validate) extras.
+                                    mqp_xml::skip_subtree(&mut tok, n)
+                                        .map_err(|_| not_canonical(&tok))?;
                                 }
                             }
                             Token::Text(_) => {}
                             Token::Close("plan") => break,
-                            _ => return None,
+                            _ => return Err(not_canonical(&tok)),
                         }
                     }
                 }
                 Token::Open("original") if !seen_original => {
                     seen_original = true;
-                    match tok.next_token().ok()?? {
-                        Token::OpenEnd => {}
-                        _ => return None,
-                    }
+                    open_end(&mut tok, "original")?;
                     loop {
                         let inner_start = tok.pos();
-                        match tok.next_token().ok()?? {
+                        match next(&mut tok)? {
                             Token::Open(n) => {
                                 if original_frag.is_none() {
                                     // Validate without materializing:
@@ -398,58 +341,67 @@ impl Mqp {
                                     // exactly what the build-mode one
                                     // does, so the lazy decode in
                                     // `original()` cannot fail.
-                                    plan_from_tokens(&mut tok, &mut ItemSink::Skip, n).ok()?;
+                                    plan_from_tokens(&mut tok, &mut ItemSink::Skip, n)?;
                                     original_frag = Some(&s[inner_start..tok.pos()]);
                                 } else {
-                                    mqp_xml::skip_subtree(&mut tok, n).ok()?;
+                                    mqp_xml::skip_subtree(&mut tok, n)
+                                        .map_err(|_| not_canonical(&tok))?;
                                 }
                             }
                             Token::Text(_) => {}
                             Token::Close("original") => break,
-                            _ => return None,
+                            _ => return Err(not_canonical(&tok)),
                         }
                     }
                 }
                 Token::Open("provenance") if !seen_provenance => {
                     seen_provenance = true;
-                    let mut self_closed = false;
-                    match tok.next_token().ok()?? {
-                        Token::OpenEnd => {}
-                        Token::SelfClose => self_closed = true,
-                        _ => return None,
-                    }
+                    let self_closed = match next(&mut tok)? {
+                        Token::OpenEnd => false,
+                        Token::SelfClose => true,
+                        _ => return Err(bad("<provenance> takes no attributes")),
+                    };
                     if !self_closed {
                         loop {
                             let visit_start = tok.pos();
-                            match tok.next_token().ok()?? {
+                            match next(&mut tok)? {
                                 Token::Open(n) => {
-                                    let el = tb.build(&mut tok, n).ok()?;
-                                    visits.push(VisitRecord::from_xml(&el)?);
+                                    let el =
+                                        tb.build(&mut tok, n).map_err(|_| not_canonical(&tok))?;
+                                    visits.push(
+                                        VisitRecord::from_xml(&el)
+                                            .ok_or_else(|| bad("bad <visit> record"))?,
+                                    );
                                     visit_frags.push(&s[visit_start..tok.pos()]);
                                 }
                                 Token::Text(_) => {}
                                 Token::Close("provenance") => break,
-                                _ => return None,
+                                _ => return Err(not_canonical(&tok)),
                             }
                         }
                     }
                 }
                 Token::Open("constraints") if constraints.is_none() => {
-                    let el = tb.build(&mut tok, "constraints").ok()?;
-                    constraints = Some(Constraints::from_xml(&el)?);
+                    let el = tb
+                        .build(&mut tok, "constraints")
+                        .map_err(|_| not_canonical(&tok))?;
+                    constraints =
+                        Some(Constraints::from_xml(&el).ok_or_else(|| bad("bad <constraints>"))?);
                     constraints_frag = Some(&s[section_start..tok.pos()]);
                 }
-                // Unknown sections: from_xml ignores them; skip past.
-                Token::Open(n) => mqp_xml::skip_subtree(&mut tok, n).ok()?,
-                _ => return None,
+                // Unknown sections are skipped (and validated).
+                Token::Open(n) => {
+                    mqp_xml::skip_subtree(&mut tok, n).map_err(|_| not_canonical(&tok))?
+                }
+                _ => return Err(not_canonical(&tok)),
             }
         }
+        let end = tok.pos();
         if !matches!(tok.next_token(), Ok(None)) {
-            return None; // trailing content
+            return Err(CodecError::NotCanonical { at: end }); // content after the root
         }
-        let plan = plan?; // a canonical <mqp> without a plan: fall back to the real error
-        let mqp = Mqp {
-            plan,
+        Ok(Mqp {
+            plan: plan.ok_or_else(|| bad("missing <plan>"))?,
             original_plan: OnceCell::new(),
             provenance: visits,
             constraints: constraints.unwrap_or_else(Constraints::none),
@@ -459,8 +411,7 @@ impl Mqp {
                 visits: RefCell::new(visit_frags.iter().map(|f| (*f).to_owned()).collect()),
                 constraints: RefCell::new(constraints_frag.map(str::to_owned)),
             },
-        };
-        Some(mqp)
+        })
     }
 
     /// Byte size of the envelope on the wire — what the network charges
@@ -509,6 +460,31 @@ impl Mqp {
                 *cons = Some(mqp_xml::serialize(&self.constraints.to_xml()));
             }
         }
+    }
+}
+
+fn not_canonical(tok: &Tokenizer<'_>) -> CodecError {
+    CodecError::NotCanonical { at: tok.pos() }
+}
+
+/// The next token; a tokenizer error and a premature end of input are
+/// both [`CodecError::NotCanonical`] at the tokenizer's offset.
+#[inline]
+fn next<'a>(tok: &mut Tokenizer<'a>) -> Result<Token<'a>, CodecError> {
+    match tok.next_token() {
+        Ok(Some(t)) => Ok(t),
+        _ => Err(not_canonical(tok)),
+    }
+}
+
+/// Consumes the `>` of a section's open tag: `<mqp>`, `<plan>` and
+/// `<original>` take no attributes and are never empty.
+fn open_end(tok: &mut Tokenizer<'_>, section: &str) -> Result<(), CodecError> {
+    match next(tok)? {
+        Token::OpenEnd => Ok(()),
+        _ => Err(CodecError::Malformed(format!(
+            "<{section}> must have content and no attributes"
+        ))),
     }
 }
 
@@ -682,15 +658,60 @@ mod tests {
 
     #[test]
     fn malformed_envelopes_rejected() {
-        for bad in [
-            "<notmqp/>",
-            "<mqp/>",
-            "<mqp><plan/></mqp>",
-            "<mqp><plan><mystery/></plan></mqp>",
-            "<mqp><plan><data/></plan><provenance><visit/></provenance></mqp>",
+        for (bad, names) in [
+            ("<notmqp/>", "<mqp>"),
+            ("<mqp/>", "<mqp>"),
+            ("<mqp a=\"1\"><plan><data/></plan></mqp>", "<mqp>"),
+            ("<mqp><plan/></mqp>", "<plan>"),
+            ("<mqp><provenance/></mqp>", "missing <plan>"),
+            ("<mqp><plan><mystery/></plan></mqp>", "<mystery>"),
+            (
+                "<mqp><plan><data/></plan><original><url/></original></mqp>",
+                "url missing href",
+            ),
+            (
+                "<mqp><plan><data/></plan><provenance><visit/></provenance></mqp>",
+                "<visit>",
+            ),
+            (
+                "<mqp><plan><data/></plan><constraints><order/></constraints></mqp>",
+                "<constraints>",
+            ),
         ] {
-            assert!(Mqp::from_wire(bad).is_err(), "{bad}");
+            match Mqp::from_wire(bad) {
+                Err(CodecError::Malformed(m)) => assert!(m.contains(names), "{bad}: {m}"),
+                other => panic!("{bad}: expected Malformed, got {other:?}"),
+            }
         }
+    }
+
+    /// One grammar: a pretty-printed envelope is well-formed XML but not
+    /// what [`Mqp::to_wire`] writes, and the error says where it
+    /// strays.
+    #[test]
+    fn non_canonical_envelopes_are_rejected() {
+        let wire = sample().to_wire();
+        let pretty = mqp_xml::serialize_pretty(&sample().to_xml());
+        assert_eq!(
+            Mqp::from_wire(&pretty),
+            Err(CodecError::NotCanonical {
+                at: pretty.trim_end().len()
+            })
+        );
+        assert_eq!(
+            Mqp::from_wire(&format!("<?xml version=\"1.0\"?>{wire}")),
+            Err(CodecError::NotCanonical { at: 1 })
+        );
+        // An item inside the plan is verbatim: no slack there at all.
+        let item = "<mqp><plan><data><i a='1'/></data></plan><provenance/></mqp>";
+        assert_eq!(
+            Mqp::from_wire(item),
+            Err(CodecError::NotCanonical { at: 21 })
+        );
+        assert_eq!(
+            Mqp::from_wire(&wire[..wire.len() - 1]),
+            Err(CodecError::NotCanonical { at: wire.len() - 1 })
+        );
     }
 
     #[test]
@@ -712,9 +733,9 @@ mod tests {
 
     #[test]
     fn non_canonical_input_still_parses_and_reserializes_canonically() {
-        // Pretty-ish spacing knocks the input off the canonical
-        // grammar; the lenient fallback must still produce an envelope
-        // whose wire form matches the tree serialization.
+        // The one slack the section walk has: an empty `<provenance>`
+        // written long form decodes, and re-serializes canonically
+        // because the provenance wrapper is assembled, not spliced.
         let m = Mqp::new(Plan::data([]));
         let wire = m.to_wire();
         let spaced = wire.replace("<provenance/>", "<provenance></provenance>");

@@ -28,7 +28,7 @@ use mqp_xml::{Batch, Name};
 
 /// A plan compiled for batched evaluation (see module docs). Borrows
 /// the source plan; obtain one via [`compile`] or [`compile_cached`]
-/// and evaluate it with [`CompiledPlan::eval`](crate::eval).
+/// and evaluate it with [`CompiledPlan::eval`].
 #[derive(Debug)]
 pub struct CompiledPlan<'p> {
     pub(crate) root: CNode<'p>,

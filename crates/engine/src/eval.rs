@@ -5,7 +5,7 @@
 //! inputs/outputs. Handle-shuffling operators (`select`, `union`, `or`,
 //! `topn`, `display`) never touch item bytes; only the constructors
 //! (`project`, `join`, `agg`) build new items. Predicates and paths run
-//! in compiled matcher form ([`crate::compile`]): interned-name node
+//! in compiled matcher form ([`mod@crate::compile`]): interned-name node
 //! tests and pre-parsed literals, applied per item with no allocation.
 //!
 //! The pre-batching tree-walker is preserved verbatim in the
@@ -88,7 +88,7 @@ impl std::error::Error for EvalError {}
 ///   result to the target is the peer layer's job).
 ///
 /// Callers that evaluate the same plan repeatedly, or hold a
-/// [`crate::CompileCache`], should [`crate::compile`] once and call
+/// [`crate::CompileCache`], should [`fn@crate::compile`] once and call
 /// [`CompiledPlan::eval`] instead.
 pub fn eval(plan: &Plan, resolver: &impl Resolver) -> Result<Batch, EvalError> {
     compile(plan).eval(resolver)

@@ -5,7 +5,7 @@
 //! literal, courtesy of the span table [`parse_query`] kept):
 //!
 //! * interest-area URNs whose cells name namespace nodes that do not
-//!   exist ([`InterestArea::valid_in`]);
+//!   exist ([`mqp_namespace::InterestArea::valid_in`]);
 //! * named URNs the catalog cannot resolve to any server;
 //! * `project` fields, `topn` keys, and `agg of` paths that no item of
 //!   a *statically known* input can satisfy — checked only when the

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! The parser *is* the code generator — it builds the [`Plan`] directly
-//! and keeps a span table keyed by [`NodePath`] so the catalog /
+//! and keeps a span table keyed by [`mqp_algebra::NodePath`] so the catalog /
 //! namespace check pass ([`crate::check`]) can point diagnostics at the
 //! exact offending literal. [`mqp_algebra::render`] is the inverse:
 //! `parse_query(render(plan)).plan == plan` for every constructible

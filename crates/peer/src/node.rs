@@ -20,11 +20,13 @@ use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrlRef};
 use mqp_algebra::predicate::AggFunc;
+use mqp_algebra::CodecError;
 use mqp_catalog::durable::RecoveryReport;
 use mqp_catalog::{classify, CatalogEntry, Level, Observation, ServerId};
 use mqp_core::{Action, Mqp, Outcome, QueryId, QueryOutcome, VisitRecord};
 use mqp_namespace::InterestArea;
 use mqp_net::NodeId;
+use mqp_xml::{Token, Tokenizer, TreeBuilder};
 
 use crate::peer::Peer;
 use crate::wire::{Frame, Meter, MqpFrame, ResultFrame};
@@ -461,7 +463,7 @@ impl PeerNode {
             }
             Frame::Submit { qid, plan } => {
                 let mqp = Mqp::from_wire(&plan)
-                    .unwrap_or_else(|e| panic!("malformed submitted plan: {e:?}"));
+                    .unwrap_or_else(|e| panic!("malformed submitted plan: {e}"));
                 self.submit(qid, mqp.plan().clone(), now)
             }
             // Hot policy reload: takes effect from the next processing
@@ -541,7 +543,8 @@ impl PeerNode {
             effects.push(Effect::Retried { qid: w.qid });
             match w.frame {
                 Frame::Mqp(mut mf) => {
-                    let mut mqp = Mqp::from_wire(&mf.envelope).expect("tracked envelope reparses");
+                    let mut mqp = Mqp::from_wire(&mf.envelope)
+                        .unwrap_or_else(|e| panic!("tracked envelope does not reparse: {e}"));
                     let dead = self.directory.id_of(w.to);
                     // §4.2 fallback: drop Or-alternatives that require
                     // the dead server (when others survive), then
@@ -720,14 +723,9 @@ impl PeerNode {
     /// verdicts (journaled trust transitions) at the wrapped peer.
     fn absorb_probe(&mut self, probe: Probe, rf: &ResultFrame, now: u64) {
         // A malformed or empty answer reads as zero qualifying items.
-        let wrapped = format!("<results>{}</results>", rf.items);
-        let count = mqp_xml::parse(&wrapped)
+        let count = decode_items(&rf.items)
             .ok()
-            .and_then(|r| {
-                r.child_elements()
-                    .next()
-                    .and_then(|e| e.deep_text().trim().parse::<u64>().ok())
-            })
+            .and_then(|items| items.first()?.deep_text().trim().parse::<u64>().ok())
             .unwrap_or(0);
         let fresh = self.peer.catalog().trust().is_fresh(&probe.server, now);
         let Some(round) = self.rounds.get_mut(&probe.area_key) else {
@@ -769,17 +767,21 @@ impl PeerNode {
                 }
             }
         }
-        // Reparse the concatenated items.
-        let wrapped = format!("<results>{}</results>", rf.items);
-        let items: mqp_xml::Batch = mqp_xml::parse(&wrapped)
-            .map(|r| r.child_elements().cloned().collect())
-            .unwrap_or_default();
+        // A payload that does not decode is a failed query, not an
+        // empty answer.
+        let (items, failure) = match decode_items(&rf.items) {
+            Ok(items) => (items, None),
+            Err(e) => (
+                mqp_xml::Batch::new(),
+                Some(format!("malformed result payload: {e}")),
+            ),
+        };
         effects.push(Effect::Complete(mk_outcome(
             rf.qid,
             rf.meter,
             now,
             items,
-            None,
+            failure,
             rf.audit_clean,
         )));
         effects
@@ -796,7 +798,7 @@ impl PeerNode {
             Err(e) => {
                 // A malformed envelope is a protocol bug; surface loudly.
                 panic!(
-                    "malformed MQP envelope delivered to node {}: {e:?}",
+                    "malformed MQP envelope delivered to node {}: {e}",
                     self.node
                 );
             }
@@ -928,6 +930,27 @@ fn mk_outcome(
         retries: meter.retries,
         audit_clean,
     }
+}
+
+/// Decodes a result payload — the canonical items a completing server
+/// concatenated — with the tokenizer + builder loop the plan codec runs
+/// over `<data>` children (text between items is formatting).
+fn decode_items(payload: &str) -> Result<mqp_xml::Batch, CodecError> {
+    let mut tok = Tokenizer::new(payload);
+    let mut tb = TreeBuilder::new();
+    let mut items = mqp_xml::Batch::new();
+    loop {
+        match tok.next_token() {
+            Ok(None) => return Ok(items),
+            Ok(Some(Token::Open(name))) => match tb.build(&mut tok, name) {
+                Ok(item) => items.push_item(item),
+                Err(_) => break,
+            },
+            Ok(Some(Token::Text(_))) => {}
+            _ => break,
+        }
+    }
+    Err(CodecError::NotCanonical { at: tok.pos() })
 }
 
 fn frame_meter(frame: &Frame) -> Meter {
@@ -1127,6 +1150,39 @@ mod tests {
         let fx = a.on_message(1, &Frame::Register(entry.clone()).encode(), 5);
         assert_eq!(fx, vec![Effect::Register(entry.clone())]);
         assert_eq!(a.peer().catalog().entries().len(), 1);
+    }
+
+    /// A result payload that does not decode fails the query; it must
+    /// not read as a successful answer with zero items.
+    #[test]
+    fn torn_result_payload_fails_the_query() {
+        let dir = directory(&["a", "b"]);
+        let mut a = PeerNode::new(0, Peer::new("a", ns()), Arc::clone(&dir));
+        let mut outcome = |items: &str| {
+            let frame = Frame::Result(ResultFrame {
+                qid: QueryId::new(3),
+                meter: Meter::default(),
+                audit_clean: Some(true),
+                bound_by: None,
+                items: items.to_owned(),
+            });
+            let fx = a.on_message(1, &frame.encode(), 5);
+            match &fx[..] {
+                [Effect::Ack { to: 1, .. }, Effect::Complete(o)] => o.clone(),
+                other => panic!("expected ack + completion, got {other:?}"),
+            }
+        };
+        let whole = outcome("<item><t>A</t></item><item><t>B</t></item>");
+        assert_eq!(whole.failure, None);
+        let expect = ["<item><t>A</t></item>", "<item><t>B</t></item>"].map(|s| parse(s).unwrap());
+        assert!(whole.items.iter().eq(expect.iter()));
+        let torn = outcome("<item><t>A</t>");
+        assert!(torn.items.is_empty());
+        let why = torn.failure.expect("a torn payload is a failure");
+        assert!(
+            why.contains("malformed result payload") && why.contains("byte 14"),
+            "{why}"
+        );
     }
 
     // ------------------------------------------------------------------

@@ -394,7 +394,7 @@ impl Transport for Tcp {
     }
 
     /// Pumps every link until its queue is empty, its destination is
-    /// down, or [`FLUSH_BOUND`] passes; a link left with frames is
+    /// down, or `FLUSH_BOUND` passes; a link left with frames is
     /// abandoned whole, reconnect state included.
     fn flush(&mut self) -> bool {
         let deadline = Instant::now() + FLUSH_BOUND;

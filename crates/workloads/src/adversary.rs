@@ -218,7 +218,7 @@ impl AdversaryWorld {
     ///    binding (first verification round, first strike);
     /// 3. churn — every hijacker re-registers (second strike →
     ///    quarantine);
-    /// 4. flap — every [`FLAP_EVERY`]-th hijacker keeps going.
+    /// 4. flap — every `FLAP_EVERY`-th hijacker keeps going.
     ///
     /// Each wave runs the network dry, so verification rounds complete
     /// before the next wave begins.

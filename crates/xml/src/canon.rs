@@ -1,5 +1,5 @@
 //! Zero-copy parsing of *canonical* XML — the exact form
-//! [`crate::serialize`] emits.
+//! [`fn@crate::serialize`] emits.
 //!
 //! Everything MQP puts on the wire is produced by our own serializer,
 //! which emits one canonical spelling: no prolog, no comments or CDATA,
@@ -19,21 +19,23 @@
 //!
 //! (Property-tested in `proptests.rs`.) The envelope layer exploits
 //! this to splice received bytes directly into outgoing messages
-//! instead of re-serializing unchanged subtrees. Any deviation from the
-//! canonical grammar — stray whitespace, `<a></a>` long forms, numeric
-//! character references, single-quoted attributes — makes the parse
-//! return `None`, and callers fall back to the lenient parser in
-//! [`crate::parse`].
+//! instead of re-serializing unchanged subtrees. Canonical XML is the
+//! wire grammar, not a fast path: any deviation — stray whitespace,
+//! `<a></a>` long forms, numeric character references, single-quoted
+//! attributes — is [`NotCanonical`], which the plan and envelope
+//! decoders report as a protocol error with the byte offset. (Humans
+//! write `.mqpq`; the lenient parser in [`mod@crate::parse`] reads their
+//! item literals and is the reference these functions are
+//! property-tested against.)
 
 use std::borrow::Cow;
 
-use crate::intern::Name;
 use crate::node::{Element, Node};
 use crate::parse::{is_name_char, is_name_start};
 
 /// Marker error: the input strayed from the canonical grammar. Carries
-/// no detail because the only response is falling back to the lenient
-/// parser (which produces real diagnostics).
+/// no detail of its own; [`Tokenizer::pos`] at the moment it is returned
+/// is where the input went wrong, which is what decoders report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotCanonical;
 
@@ -280,27 +282,6 @@ impl<'a> Tokenizer<'a> {
     }
 }
 
-/// Byte span of one element in the input, with the spans of its direct
-/// element children (recorded down to the depth the caller asked for).
-/// `input[start..end]` is exactly the element's serialization.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanNode {
-    /// Offset of the element's `<`.
-    pub start: usize,
-    /// Offset one past the element's closing `>`.
-    pub end: usize,
-    /// Spans of direct element children, in document order (empty when
-    /// below the recorded depth).
-    pub children: Vec<SpanNode>,
-}
-
-impl SpanNode {
-    /// The element's bytes within the original input.
-    pub fn slice<'a>(&self, input: &'a str) -> &'a str {
-        &input[self.start..self.end]
-    }
-}
-
 /// Builds [`Element`] subtrees from a [`Tokenizer`], accumulating
 /// children in one reused scratch buffer so each finished element gets
 /// a single exact-size allocation instead of push-doubling growth —
@@ -434,7 +415,7 @@ pub fn skip_subtree<'a>(tok: &mut Tokenizer<'a>, name: &str) -> Result<(), NotCa
 
 /// Parses a canonical document: exactly one element, nothing before or
 /// after. Returns `None` when the input deviates from the canonical
-/// grammar (callers fall back to [`crate::parse_document`]).
+/// grammar.
 pub fn parse_canonical(input: &str) -> Option<Element> {
     let mut tok = Tokenizer::new(input);
     let Ok(Some(Token::Open(name))) = tok.next_token() else {
@@ -444,81 +425,6 @@ pub fn parse_canonical(input: &str) -> Option<Element> {
     match tok.next_token() {
         Ok(None) => Some(root),
         _ => None, // trailing content, or junk after the root
-    }
-}
-
-/// Like [`parse_canonical`], additionally recording element byte spans
-/// `span_depth` levels below the root (0 = just the root's span).
-pub fn parse_canonical_spanned(input: &str, span_depth: usize) -> Option<(Element, SpanNode)> {
-    let mut tok = Tokenizer::new(input);
-    let Ok(Some(Token::Open(name))) = tok.next_token() else {
-        return None;
-    };
-    let (root, span) = parse_element(&mut tok, name, 0, span_depth).ok()?;
-    match tok.next_token() {
-        Ok(None) => Some((root, span)),
-        _ => None, // trailing content, or junk after the root
-    }
-}
-
-fn parse_element(
-    tok: &mut Tokenizer<'_>,
-    name: &str,
-    start: usize,
-    span_depth: usize,
-) -> Result<(Element, SpanNode), NotCanonical> {
-    let name = Name::new(name);
-    let mut el = Element::new(name.clone());
-    loop {
-        match tok.next_token()?.ok_or(NotCanonical)? {
-            Token::Attr { name, value } => {
-                // The serializer never emits duplicates; let the
-                // lenient parser produce the proper error.
-                if el.get_attr(name).is_some() {
-                    return Err(NotCanonical);
-                }
-                el.set_attr(name, value);
-            }
-            Token::SelfClose => {
-                let span = SpanNode {
-                    start,
-                    end: tok.pos(),
-                    children: Vec::new(),
-                };
-                return Ok((el, span));
-            }
-            Token::OpenEnd => break,
-            _ => return Err(NotCanonical),
-        }
-    }
-    let mut children = Vec::new();
-    loop {
-        let child_start = tok.pos();
-        match tok.next_token()?.ok_or(NotCanonical)? {
-            Token::Text(t) => el.push_child(Node::Text(t.into_owned())),
-            Token::Open(child_name) => {
-                let (child, span) =
-                    parse_element(tok, child_name, child_start, span_depth.saturating_sub(1))?;
-                if span_depth > 0 {
-                    children.push(span);
-                }
-                el.push_child(Node::Element(child));
-            }
-            Token::Close(close) => {
-                // `<a></a>` is the serializer's `<a/>`: long-form empty
-                // elements are not canonical.
-                if close != name || el.children().is_empty() {
-                    return Err(NotCanonical);
-                }
-                let span = SpanNode {
-                    start,
-                    end: tok.pos(),
-                    children,
-                };
-                return Ok((el, span));
-            }
-            _ => return Err(NotCanonical),
-        }
     }
 }
 
@@ -582,24 +488,22 @@ mod tests {
             "<a",                          // EOF in tag
             "<a>text",                     // EOF in content
         ] {
-            assert!(parse_canonical(src).is_none(), "{src:?} should fall back");
+            assert!(parse_canonical(src).is_none(), "{src:?} should be rejected");
         }
     }
 
     #[test]
     fn spans_cover_children() {
+        use crate::proptests::child_slices;
         let src = "<mqp><plan><select/></plan><provenance><visit/><visit/></provenance></mqp>";
-        let (root, span) = parse_canonical_spanned(src, 2).unwrap();
-        assert_eq!((span.start, span.end), (0, src.len()));
-        assert_eq!(span.children.len(), 2);
-        assert_eq!(span.children[0].slice(src), "<plan><select/></plan>");
-        assert_eq!(span.children[0].children[0].slice(src), "<select/>");
-        let prov = &span.children[1];
-        assert_eq!(prov.children.len(), 2);
-        assert_eq!(prov.children[0].slice(src), "<visit/>");
-        // Depth 2 means grandchildren record no further spans.
-        assert!(prov.children[0].children.is_empty());
-        assert_eq!(root.child_elements().count(), 2);
+        let kids = child_slices(src).unwrap();
+        assert_eq!(kids.len(), 2);
+        assert_eq!(kids[0].1, "<plan><select/></plan>");
+        assert_eq!(child_slices(kids[0].1).unwrap()[0].1, "<select/>");
+        let prov = child_slices(kids[1].1).unwrap();
+        assert_eq!(prov.len(), 2);
+        assert_eq!(prov[0].1, "<visit/>");
+        assert_eq!(kids[1].0.child_elements().count(), 2);
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! The CIDR 2003 paper serializes query plans, verbatim data, and partial
 //! results as XML, and its prototype used the Niagara XML engine. This
 //! crate is our stand-in substrate: a small, dependency-free XML tree
-//! model ([`Element`], [`Node`]), a recursive-descent parser
-//! ([`parse()`](parse::parse)), a serializer with correct escaping, and an XPath-subset
-//! evaluator ([`xpath::Path`]) used for collection identifiers
-//! (e.g. `/data[@id='245']`) and value extraction inside predicates.
+//! model ([`Element`], [`Node`]), a serializer with correct escaping,
+//! the zero-copy [`canon`] tokenizer for exactly what that serializer
+//! emits (the wire grammar — the only XML a peer decodes), a lenient
+//! recursive-descent parser ([`parse()`](parse::parse)) for XML people
+//! write (item literals in `.mqpq`, tests, and the reference `canon` is
+//! property-tested against), and an XPath-subset evaluator
+//! ([`xpath::Path`]) used for collection identifiers (e.g.
+//! `/data[@id='245']`) and value extraction inside predicates.
 //!
 //! Design goals:
 //! * **Round-trip fidelity** — `parse(serialize(e)) == e` for any tree the
@@ -26,10 +30,7 @@ pub mod serialize;
 pub mod xpath;
 
 pub use batch::Batch;
-pub use canon::{
-    parse_canonical, parse_canonical_spanned, skip_subtree, NotCanonical, SpanNode, Token,
-    Tokenizer, TreeBuilder,
-};
+pub use canon::{parse_canonical, skip_subtree, NotCanonical, Token, Tokenizer, TreeBuilder};
 pub use error::{ParseError, Result};
 pub use intern::{FxBuildHasher, Name};
 pub use node::{Element, Node};

@@ -119,9 +119,16 @@ impl Element {
         self
     }
 
-    /// Appends a text child; returns `self` for chaining.
+    /// Appends a text child; returns `self` for chaining. An empty
+    /// string appends nothing: XML has no empty text node, and an
+    /// element holding one would serialize as `<a></a>`, which the
+    /// canonical wire grammar does not accept.
     pub fn text(self, text: impl Into<String>) -> Self {
-        self.child(Node::Text(text.into()))
+        let text = text.into();
+        if text.is_empty() {
+            return self;
+        }
+        self.child(Node::Text(text))
     }
 
     /// Appends many element children; returns `self` for chaining.

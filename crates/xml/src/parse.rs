@@ -24,16 +24,18 @@ pub fn parse_document(input: &str) -> Result<Element> {
     Ok(root)
 }
 
-/// Parses a single element from the input. This is the entry point used
-/// when deserializing MQPs.
+/// Parses a single element from the input: the entry point for XML a
+/// person wrote — item literals in `.mqpq` queries, test fixtures —
+/// and the reference [`crate::canon`] is property-tested against. Peers
+/// do not call it: plans and envelopes decode from the canonical
+/// tokenizer alone.
 ///
-/// Fast path: wire messages are produced by [`crate::serialize`], whose
-/// canonical output the zero-copy parser in [`crate::canon`] accepts
-/// directly (borrowed name/text slices, interned names, no per-entity
-/// allocations). Anything else — pretty-printed plans, prologs,
-/// comments, hand-written XML — falls back to this module's lenient
-/// recursive-descent parser, which also produces the real error when
-/// the input is malformed.
+/// Input that happens to be canonical (everything
+/// [`fn@crate::serialize`] writes) takes the zero-copy parser in
+/// [`crate::canon`]; anything else — pretty-printing, prologs,
+/// comments, single quotes — goes through this module's
+/// recursive-descent parser, which also produces the error when the
+/// input is malformed.
 pub fn parse(input: &str) -> Result<Element> {
     if let Some(e) = crate::canon::parse_canonical(input) {
         return Ok(e);

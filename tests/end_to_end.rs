@@ -398,3 +398,24 @@ fn coordinator_free_distributed_join() {
     assert_eq!(q.items.len(), 1);
     assert_eq!(q.items[0].name(), "tuple");
 }
+
+/// Whatever a server's evaluator produces, the next hop must be able to
+/// decode: an aggregate over an empty input has no value to print, and
+/// its item must still be canonical XML (`<min/>`, not `<min></min>`).
+#[test]
+fn empty_aggregates_cross_the_wire() {
+    use mqp::algebra::codec::{from_wire, to_wire};
+    use mqp::algebra::predicate::AggFunc;
+    for func in [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ] {
+        let answer = mqp::engine::eval_const(&Plan::aggregate(func, Some("price"), Plan::data([])))
+            .expect("data-only plan");
+        let reduced = Plan::data_shared(answer);
+        assert_eq!(from_wire(&to_wire(&reduced)), Ok(reduced), "{func:?}");
+    }
+}

@@ -87,6 +87,52 @@ proptest! {
         prop_assert_eq!(back, mqp);
     }
 
+    /// The envelope decoder is alone now: whatever bytes reach it, it
+    /// answers `Ok` or `Err` — it never panics.
+    #[test]
+    fn envelope_decoder_never_panics_on_arbitrary_input(s in "[ -~<>&;/\"'=]{0,96}") {
+        let _ = mqp::core::Mqp::from_wire(&s);
+        let _ = mqp::core::Mqp::from_wire(&format!("<mqp><plan>{s}</plan></mqp>"));
+    }
+
+    /// One byte of a real envelope deleted, doubled or overwritten: the
+    /// decoder answers `Ok` or `Err`, and an envelope it accepts can be
+    /// written and read back unchanged. The comparison materializes
+    /// `original()`, so it also checks that the section validated in
+    /// skip mode at parse time really decodes.
+    #[test]
+    fn envelope_decoder_survives_one_damaged_byte(
+        plan in arb_data_plan(),
+        op in 0u8..3,
+        at in any::<prop::sample::Index>(),
+        with in 0x20u8..0x7f,
+    ) {
+        use mqp::core::{Action, Constraints, Mqp, VisitRecord};
+
+        let mut m = Mqp::new(Plan::display("c#1", plan))
+            .with_constraints(Constraints::none().allow_only(["irs"]));
+        m.record(VisitRecord {
+            server: mqp::catalog::ServerId::new("meta"),
+            action: Action::Bound,
+            detail: "urn:A:x -> mqp://s/".to_owned(),
+            at: 7,
+            staleness: 30,
+        });
+        let mut bytes = m.to_wire().into_bytes();
+        let i = at.index(bytes.len());
+        match op {
+            0 => drop(bytes.remove(i)),
+            1 => bytes.insert(i, bytes[i]),
+            _ => bytes[i] = with,
+        }
+        // Not UTF-8 any more: a `&str` decoder cannot be handed it.
+        if let Ok(damaged) = String::from_utf8(bytes) {
+            if let Ok(back) = Mqp::from_wire(&damaged) {
+                prop_assert_eq!(Mqp::from_wire(&back.to_wire()), Ok(back), "{}", damaged);
+            }
+        }
+    }
+
     /// DESIGN.md §7: cached-fragment re-serialization is pure
     /// memoization. Under arbitrary interleavings of plan mutation,
     /// provenance appends, and wire round-trips (which seed the caches
