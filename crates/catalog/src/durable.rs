@@ -33,10 +33,9 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mqp_namespace::urn::{decode_area, encode_area};
 use mqp_net::{DiskFaults, Retrier};
 
-use crate::entry::{CatalogEntry, Level, ServerId};
+use crate::entry::{parse_flag, CatalogEntry, ServerId};
 use crate::intension::IntensionalStatement;
 use crate::store::Catalog;
 use crate::trust::TrustRecord;
@@ -63,11 +62,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // The op grammar
 // ----------------------------------------------------------------------
 
-/// One durable catalog mutation. The text codec mirrors the `reg` wire
-/// frame's field layout (`mqp_peer::wire`): a space-separated header
-/// line carrying the enum tags and flags, then one field per line. Every
-/// op is idempotent under replay — the property compaction and
-/// crash-in-compaction safety both lean on.
+/// One durable catalog mutation. The text codec is a space-separated
+/// header line carrying the enum tags and flags, then one field per
+/// line; `reg` is the `reg` wire frame's own text
+/// ([`CatalogEntry::to_wire`]). Every op is idempotent under replay —
+/// the property compaction and crash-in-compaction safety both lean on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CatalogOp {
     /// Register (or refresh) an entry — the dominant record.
@@ -97,30 +96,17 @@ fn flag(b: bool) -> u8 {
     u8::from(b)
 }
 
-fn parse_flag(s: &str) -> Result<bool, String> {
-    match s {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(format!("bad flag {other:?}")),
-    }
-}
-
 impl CatalogOp {
     /// Encodes the op as the WAL's text payload.
     pub fn encode(&self) -> String {
         match self {
             CatalogOp::Register(e) => {
-                let mut s = format!(
-                    "reg {} {} {}\n{}\n{}",
-                    e.level.name(),
-                    flag(e.authoritative),
-                    flag(e.collection.is_some()),
-                    e.server.as_str(),
-                    encode_area(&e.area)
-                );
-                if let Some(c) = &e.collection {
-                    s.push('\n');
-                    s.push_str(c);
+                let mut s = e.to_wire("reg");
+                // The record keeps its length: without a collection the
+                // entry's empty last line is left off (and read back as
+                // absent), so seeded fault offsets into a log stay put.
+                if e.collection.is_none() {
+                    s.pop();
                 }
                 s
             }
@@ -173,33 +159,7 @@ impl CatalogOp {
         let (head, rest) = payload.split_once('\n').unwrap_or((payload, ""));
         let mut words = head.split_whitespace();
         match words.next() {
-            Some("reg") => {
-                let level = words
-                    .next()
-                    .and_then(Level::parse)
-                    .ok_or("reg: bad level")?;
-                let authoritative = parse_flag(words.next().ok_or("reg: missing auth flag")?)?;
-                let has_collection = parse_flag(words.next().ok_or("reg: missing coll flag")?)?;
-                let mut lines = rest.splitn(if has_collection { 3 } else { 2 }, '\n');
-                let server = match lines.next() {
-                    Some(s) if !s.is_empty() => s,
-                    _ => return Err("reg: missing server".into()),
-                };
-                let area = decode_area(lines.next().ok_or("reg: missing area")?)
-                    .map_err(|e| format!("reg: {e}"))?;
-                let collection = if has_collection {
-                    Some(lines.next().ok_or("reg: missing collection")?.to_owned())
-                } else {
-                    None
-                };
-                Ok(CatalogOp::Register(CatalogEntry {
-                    server: ServerId::new(server),
-                    level,
-                    area,
-                    collection,
-                    authoritative,
-                }))
-            }
+            Some("reg") => CatalogEntry::from_wire("reg", payload).map(CatalogOp::Register),
             Some("unreg") => match rest {
                 "" => Err("unreg: missing server".into()),
                 s => Ok(CatalogOp::Unregister(ServerId::new(s))),
@@ -856,6 +816,7 @@ impl DurableCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqp_namespace::urn::encode_area;
     use mqp_namespace::InterestArea;
 
     fn area(cells: &[&[&str]]) -> InterestArea {
@@ -950,6 +911,8 @@ mod tests {
             "reg base 2 0\nS\n+a",
             "reg tower 0 0\nS\n+a",
             "reg base 0 1\nS\n+a",
+            "reg base 0 0\n\n(a)",
+            "reg base 0 0\nS\n(a)\n/unflagged",
             "unreg",
             "urn 1\nurn:X:y\nS",
             "stmt\nnot a statement",

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use mqp_namespace::urn::{decode_area, encode_area};
 use mqp_namespace::InterestArea;
 use mqp_xml::Name;
 
@@ -167,6 +168,80 @@ impl CatalogEntry {
         self.authoritative = true;
         self
     }
+
+    /// The entry's text form, shared by the `reg`/`rereg` wire frames
+    /// and the WAL's `reg` record: `<tag> <level> <authoritative>
+    /// <has-collection>`, then the server, the encoded area and the
+    /// collection, one per line. The collection line is always written,
+    /// empty without a collection, and goes last because an XPath may
+    /// hold anything, newlines included.
+    pub fn to_wire(&self, tag: &str) -> String {
+        let collection = self.collection.as_deref().unwrap_or("");
+        debug_assert!(
+            !self.server.as_str().contains('\n'),
+            "server id must be single-line"
+        );
+        format!(
+            "{tag} {} {} {}\n{}\n{}\n{collection}",
+            self.level.name(),
+            u8::from(self.authoritative),
+            u8::from(self.collection.is_some()),
+            self.server.as_str(),
+            encode_area(&self.area),
+        )
+    }
+
+    /// Parses [`CatalogEntry::to_wire`]'s output under the same `tag`;
+    /// without a collection the empty last line may be absent, as the
+    /// WAL writes it. Errors name the field that failed: a WAL decode
+    /// error truncates recovery at that record, so the message reaches
+    /// operator-facing reports.
+    pub fn from_wire(tag: &str, text: &str) -> Result<CatalogEntry, String> {
+        let (head, body) = text.split_once('\n').ok_or("reg: missing server")?;
+        let mut words = head.split(' ');
+        if words.next() != Some(tag) {
+            return Err(format!("reg: not a {tag} record"));
+        }
+        let level = words
+            .next()
+            .and_then(Level::parse)
+            .ok_or("reg: bad level")?;
+        let authoritative = parse_flag(words.next().ok_or("reg: missing auth flag")?)?;
+        let has_collection = parse_flag(words.next().ok_or("reg: missing coll flag")?)?;
+        if words.next().is_some() {
+            return Err("reg: trailing header field".into());
+        }
+        let mut lines = body.splitn(3, '\n');
+        let server = match lines.next() {
+            Some(s) if !s.is_empty() => ServerId::new(s),
+            _ => return Err("reg: missing server".into()),
+        };
+        let area = decode_area(lines.next().ok_or("reg: missing area")?)
+            .map_err(|e| format!("reg: {e}"))?;
+        let collection = match (has_collection, lines.next()) {
+            (true, Some(c)) => Some(c.to_owned()),
+            (true, None) => return Err("reg: missing collection".into()),
+            (false, None | Some("")) => None,
+            (false, Some(_)) => return Err("reg: unflagged collection".into()),
+        };
+        Ok(CatalogEntry {
+            server,
+            level,
+            area,
+            collection,
+            authoritative,
+        })
+    }
+}
+
+/// Parses a `0`/`1` header flag; anything else is an error, never
+/// silently `false`.
+pub(crate) fn parse_flag(s: &str) -> Result<bool, String> {
+    match s {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        other => Err(format!("bad flag {other:?}")),
+    }
 }
 
 impl From<String> for ServerId {
@@ -178,7 +253,6 @@ impl From<String> for ServerId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mqp_namespace::InterestArea;
 
     #[test]
     fn server_id_url_roundtrip() {
@@ -206,5 +280,35 @@ mod tests {
         assert!(e.authoritative);
         let b = CatalogEntry::base("seller", area).with_collection("/data[@id='245']");
         assert_eq!(b.collection.as_deref(), Some("/data[@id='245']"));
+    }
+
+    #[test]
+    fn wire_form_roundtrips_and_rejects_lenient_readings() {
+        let area = InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]]);
+        for e in [
+            CatalogEntry::base("seller-1", area.clone()),
+            CatalogEntry::index("idx", area.clone()).authoritative(),
+            CatalogEntry::base("s", area.clone()).with_collection("/data[@id='245']\n[2]"),
+            CatalogEntry::base("s", area.clone()).with_collection(""),
+        ] {
+            assert_eq!(CatalogEntry::from_wire("reg", &e.to_wire("reg")), Ok(e));
+        }
+        let spec = encode_area(&area);
+        for bad in [
+            format!("reg base 2 0\ns\n{spec}\n"),   // flag neither 0 nor 1 …
+            format!("reg base 0 yes\ns\n{spec}\n"), // … in either position
+            format!("reg base 0 0\n\n{spec}\n"),    // empty server line
+            "reg base 0 0".to_owned(),              // no server line at all
+            format!("reg base 0 1\ns\n{spec}"),     // flagged, no collection line
+            format!("reg base 0 0\ns\n{spec}\n/x"), // collection without its flag
+            format!("reg base 0 0 9\ns\n{spec}\n"), // extra header field
+            format!("reg super 0 0\ns\n{spec}\n"),
+            format!("rereg base 0 0\ns\n{spec}\n"), // another record's tag
+        ] {
+            assert!(
+                CatalogEntry::from_wire("reg", &bad).is_err(),
+                "accepted {bad:?}"
+            );
+        }
     }
 }

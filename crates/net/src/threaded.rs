@@ -1,8 +1,6 @@
 //! An in-process transport over `std::sync::mpsc` channels, for running
-//! peers on real OS threads. Unlike the simulator — which moves typed
-//! payloads and *charges* a logical byte count — this transport carries
-//! the actual serialized wire bytes of every message, so the byte count
-//! is a property of the payload, not an argument the sender asserts.
+//! peers on real OS threads. It carries the serialized wire bytes of
+//! every message, so the byte count is a property of the payload.
 //! `mqp_peer::ThreadedCluster` drives the sans-IO `PeerNode` protocol
 //! core over these endpoints.
 

@@ -4,29 +4,23 @@
 //!
 //! The harness owns no protocol logic — parsing, forwarding, acking,
 //! retrying, and completing all live in [`PeerNode`] (DESIGN.md §8).
-//! What remains here is pure driving:
+//! Its `apply` is the wall-clock host's, with [`SimNet`] as the sink:
 //!
-//! * move encoded wire frames through [`SimNet`], charging each the
-//!   logical byte count ([`crate::wire::charge`]);
-//! * turn [`Effect::SetTimer`] into [`SimNet::schedule`]d ticks;
-//! * short-circuit [`Effect::Ack`] — in the simulator, delivery *is*
-//!   the acknowledgement, exactly as the pre-sans-IO harness disarmed
-//!   watches the instant a tracked forward arrived;
-//! * on [`Effect::Complete`], collect the outcome (deduplicated by
-//!   query id) and broadcast `mark_done`, reproducing the legacy
-//!   global pending/in-flight maps: a completed query can never re-arm
-//!   retries anywhere, and at most one watch per query is live at a
-//!   time (arming a watch cancels the previous holder's).
+//! * [`Effect::Send`] and [`Effect::Ack`] put the encoded frame on the
+//!   simulated network, billed its real length — an ack is a frame
+//!   like any other: it takes a round trip, counts as a message, and
+//!   the fault plan can lose it;
+//! * [`Effect::SetTimer`] becomes a [`SimNet::schedule`]d tick;
+//! * [`Effect::Complete`] collects the outcome, deduplicated by query
+//!   id. Nothing is told to any other node: a stale copy's watch
+//!   expires or is acked on its own, and a second completion of the
+//!   same query is absorbed here, as at the host's front-end.
 //!
-//! The omniscient parts (free acks, global cancellation) are
-//! deliberately *driver* behavior: they model an idealized transport
-//! under which the golden traces were recorded, and stay
-//! byte-identical across the sans-IO refactor. The threaded cluster
-//! (`crate::cluster`) drives the identical nodes with none of that
-//! omniscience — acks are real frames and completion knowledge stays
-//! local.
+//! One documented difference from the host: with [`SimHarness::retry`]
+//! unset no node ever arms a watch, so the harness keeps the acks
+//! nobody waits for off the simulated network.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use mqp_catalog::{CatalogEntry, ServerId};
@@ -35,7 +29,7 @@ use mqp_net::{FaultPlan, NodeId, SimNet, Topology};
 
 use crate::node::{Directory, Effect, PeerNode};
 use crate::peer::Peer;
-use crate::wire::{self, Frame};
+use crate::wire::Frame;
 
 pub use crate::node::RetryPolicy;
 
@@ -68,9 +62,6 @@ pub struct SimHarness {
     /// The network (exposed for failure injection and stats).
     pub net: SimNet<SimMsg>,
     nodes: Vec<Option<Box<PeerNode>>>,
-    /// Materialized node ids, in materialization order: the broadcast
-    /// set for `mark_done` and config pushes.
-    live: Vec<NodeId>,
     factory: Option<PeerFactory>,
     directory: Arc<Directory>,
     pending: HashSet<QueryId>,
@@ -82,9 +73,6 @@ pub struct SimHarness {
     /// Timeout/retry policy; `None` (the default) preserves the
     /// fire-and-forget behavior where a lost MQP strands its query.
     pub retry: Option<RetryPolicy>,
-    /// Which node holds the (single) live watch per query — the legacy
-    /// semantics the golden traces were recorded under.
-    watch_holder: HashMap<QueryId, NodeId>,
 }
 
 impl SimHarness {
@@ -103,11 +91,9 @@ impl SimHarness {
             .enumerate()
             .map(|(i, p)| Some(Box::new(PeerNode::new(i, p, Arc::clone(&directory)))))
             .collect();
-        let live = (0..nodes.len()).collect();
         SimHarness {
             net: SimNet::new(topology),
             nodes,
-            live,
             factory: None,
             directory,
             pending: HashSet::new(),
@@ -115,7 +101,6 @@ impl SimHarness {
             next_qid: 0,
             cache_learning: false,
             retry: None,
-            watch_holder: HashMap::new(),
         }
     }
 
@@ -138,7 +123,6 @@ impl SimHarness {
         SimHarness {
             net: SimNet::new(topology),
             nodes: (0..n).map(|_| None).collect(),
-            live: Vec::new(),
             factory: Some(Box::new(factory)),
             directory: Arc::new(directory),
             pending: HashSet::new(),
@@ -146,7 +130,6 @@ impl SimHarness {
             next_qid: 0,
             cache_learning: false,
             retry: None,
-            watch_holder: HashMap::new(),
         }
     }
 
@@ -167,7 +150,6 @@ impl SimHarness {
             pn.set_retry(self.retry);
             pn.set_cache_learning(self.cache_learning);
             self.nodes[node] = Some(pn);
-            self.live.push(node);
         }
         self.nodes[node].as_mut().expect("just materialized")
     }
@@ -177,7 +159,7 @@ impl SimHarness {
     ///
     /// [`len`]: SimHarness::len
     pub fn materialized(&self) -> usize {
-        self.live.len()
+        self.nodes.iter().flatten().count()
     }
 
     /// Installs a fault plan on the underlying network; returns `self`
@@ -243,19 +225,15 @@ impl SimHarness {
     /// Sends a registration message (counted as network traffic); the
     /// receiving peer adds the entry to its catalog on delivery.
     pub fn send_registration(&mut self, from: NodeId, to: NodeId, entry: CatalogEntry) {
-        let bytes = Frame::Register(entry).encode();
-        let charge = wire::charge(&bytes);
-        self.net.send(from, to, charge, SimMsg::Wire(bytes));
+        self.send_frame(from, to, Frame::Register(entry).encode());
     }
 
     /// Pushes a policy rule set to `to` (hot reload; counted as network
-    /// traffic, charged like a registration). The receiving peer
+    /// traffic). The receiving peer
     /// installs the rules on delivery; envelopes already in flight keep
     /// their accounting.
     pub fn push_policy(&mut self, from: NodeId, to: NodeId, rules: mqp_core::RuleSet) {
-        let bytes = Frame::Policy(rules).encode();
-        let charge = wire::charge(&bytes);
-        self.net.send(from, to, charge, SimMsg::Wire(bytes));
+        self.send_frame(from, to, Frame::Policy(rules).encode());
     }
 
     /// §3.3's complementary *pull* process: `index` asks every peer in
@@ -354,49 +332,35 @@ impl SimHarness {
         self.apply(node, effects);
     }
 
+    /// Puts one encoded frame on the simulated network, billed its
+    /// length.
+    fn send_frame(&mut self, from: NodeId, to: NodeId, bytes: Vec<u8>) {
+        self.net.send(from, to, bytes.len(), SimMsg::Wire(bytes));
+    }
+
     /// Executes a node's effects, in order (the send/schedule sequence
     /// determines event seq numbers and fault draws, so order is part
     /// of the determinism contract).
     fn apply(&mut self, node: NodeId, effects: Vec<Effect>) {
         for effect in effects {
             match effect {
-                Effect::Send { to, bytes } => {
-                    let charge = wire::charge(&bytes);
-                    self.net.send(node, to, charge, SimMsg::Wire(bytes));
+                Effect::Send { to, bytes } => self.send_frame(node, to, bytes),
+                Effect::Ack { to, qid } => {
+                    if to == node {
+                        // In place, as `Tcp` short-circuits self-sends.
+                        self.ensure(node).on_ack(node, qid);
+                    } else if self.retry.is_some() {
+                        self.send_frame(node, to, Frame::Ack { qid }.encode());
+                    } // else no watch exists to disarm (module docs)
                 }
-                Effect::SetTimer { qid, at } => {
-                    // Legacy single-watch semantics: arming anywhere
-                    // cancels the previous holder's watch.
-                    if let Some(&holder) = self.watch_holder.get(&qid) {
-                        if holder != node {
-                            self.ensure(holder).cancel_watch(qid);
-                        }
-                    }
-                    self.watch_holder.insert(qid, node);
+                Effect::SetTimer { at } => {
                     let delay = at.saturating_sub(self.net.now());
                     self.net.schedule(node, delay, SimMsg::Tick);
                 }
-                Effect::Ack { to, qid } => {
-                    // Delivery is the ack in the simulator: apply it
-                    // directly, free of charge.
-                    self.ensure(to).on_ack(node, qid);
-                }
-                Effect::Retried { .. } => {
-                    self.net.stats_mut().retries += 1;
-                }
+                Effect::Retried { .. } => self.net.stats_mut().retries += 1,
                 Effect::Register(_) | Effect::Recovered(_) => {}
                 Effect::Complete(outcome) => {
-                    let qid = outcome.qid;
-                    self.watch_holder.remove(&qid);
-                    // Completion is global knowledge here: no node may
-                    // keep (or re-arm) a watch for a finished query.
-                    // Unmaterialized nodes never acted, so they cannot
-                    // hold a watch: broadcasting to the live set keeps
-                    // this O(participants) in a lazy world.
-                    for &i in &self.live {
-                        self.nodes[i].as_mut().expect("live node").mark_done(qid);
-                    }
-                    if self.pending.remove(&qid) {
+                    if self.pending.remove(&outcome.qid) {
                         self.completed.push(outcome);
                     }
                 }
@@ -624,6 +588,48 @@ mod tests {
         assert_eq!(titles, ["A", "C"]);
         assert!(q.retries >= 1);
         assert_eq!(q.audit_clean, Some(true));
+    }
+
+    /// An ack is a frame, so it can be lost. The meta-index is cut off
+    /// for exactly the instant seller-1's ack reaches it: the forward
+    /// itself was delivered and the query completes on time, but meta
+    /// cannot know that — it times out, records the detour and
+    /// re-routes a second copy around seller-1. Nobody tells anybody
+    /// the query is finished; the stale copy runs its course and its
+    /// result is absorbed at the client by `pending`.
+    #[test]
+    fn lost_ack_retries_a_delivered_forward_and_the_stale_copy_is_absorbed() {
+        use mqp_net::{ChurnEvent, FaultPlan};
+        let run = |plan: FaultPlan| {
+            let mut h = SimHarness::new(Topology::uniform(4, 10_000), fixture::world())
+                .with_retry(RetryPolicy::default())
+                .with_fault_plan(plan);
+            h.submit(0, fixture::cheap_cds());
+            h.run(10_000);
+            assert_eq!(h.net.in_flight(), 0);
+            h
+        };
+        let clean = run(FaultPlan::new(1));
+        // 10 ms a hop: client → meta → seller-1, whose ack is back at
+        // meta at 30 ms; → seller-2 → the result at the client at 40 ms.
+        let cut = |at, up| ChurnEvent { at, node: 1, up };
+        let h = run(FaultPlan::new(1).with_churn(vec![cut(29_500, false), cut(30_500, true)]));
+
+        let stats = h.net.stats();
+        assert_eq!(stats.messages_dropped, 1, "exactly the ack: {stats:?}");
+        assert_eq!(stats.retries, 1, "meta must time out and re-route");
+        assert!(stats.balances(0), "{stats:?}");
+        // One completion, and it is the original's: on time, complete,
+        // audit-clean, no retry on its meter.
+        assert_eq!(h.pending_count(), 0);
+        assert_eq!(h.completed(), clean.completed());
+        let [q] = h.completed() else { unreachable!() };
+        assert_eq!(fixture::titles(q), ["A", "C"]);
+        assert_eq!((q.audit_clean, q.retries), (Some(true), 0));
+        // The stale copy travelled on long after (meta's watch fired at
+        // 510 ms) and delivered a second result to the client.
+        assert!(h.net.now() > 540_000, "stale copy ended at {}", h.net.now());
+        assert_eq!(stats.per_node[0].1, clean.net.stats().per_node[0].1 + 1);
     }
 }
 

@@ -2,9 +2,7 @@
 //! generic over a [`Transport`], plus the [`Cluster`] handle and the
 //! [`Client`] front-end every real driver shares (DESIGN.md §8).
 //!
-//! Where the simulator driver is omniscient (free acks, global
-//! completion knowledge, a virtual clock), this host is honest: acks
-//! travel as real `ack` frames, retry deadlines bound the receive wait
+//! Acks travel as `ack` frames, retry deadlines bound the receive wait
 //! against the wall clock, and completions reach the front-end over a
 //! results channel (driver plumbing, not peer traffic). A driver adds
 //! only a way to move frames: [`Mesh`](crate::cluster::Mesh) or

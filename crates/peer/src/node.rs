@@ -6,16 +6,15 @@
 //! [`PeerNode::on_tick`], [`PeerNode::submit`]) and execute the
 //! [`Effect`]s it returns.
 //!
-//! Two drivers exist (DESIGN.md §8): the deterministic simulator
-//! ([`SimHarness`](crate::harness::SimHarness)) and the real-thread
-//! [`ThreadedCluster`](crate::cluster::ThreadedCluster). Both run this
-//! exact state machine; they differ only in how they move bytes and
-//! how much transport-level omniscience they inject (the simulator
-//! short-circuits [`Effect::Ack`] because delivery *is* the ack there,
-//! and globally cancels watches on completion to reproduce the legacy
-//! single-watch-per-query semantics byte-for-byte).
+//! Three hosts run this one core (DESIGN.md §8): the deterministic
+//! simulator ([`SimHarness`](crate::harness::SimHarness)) and the
+//! wall-clock host under its two transports,
+//! [`ThreadedCluster`](crate::cluster::ThreadedCluster) and
+//! [`TcpCluster`](crate::tcp::TcpCluster). They differ only in how they
+//! move bytes and keep time; none injects knowledge a node does not
+//! hold itself.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrlRef};
@@ -61,8 +60,8 @@ impl Default for RetryPolicy {
 }
 
 /// Maps peer names to transport addresses. This is addressing
-/// configuration (who sits where), not distributed state: both drivers
-/// build it once at startup, exactly as a deployment would distribute a
+/// configuration (who sits where), not distributed state: every driver
+/// builds it once at startup, exactly as a deployment would distribute a
 /// membership list.
 ///
 /// Two representations coexist: an explicit head of named peers
@@ -169,10 +168,8 @@ pub enum Effect {
     /// same query).
     Complete(QueryOutcome),
     /// Call [`PeerNode::on_tick`] at (or after) `at`; the node armed a
-    /// retry watch for `qid` expiring then.
+    /// retry watch expiring then.
     SetTimer {
-        /// The watched query.
-        qid: QueryId,
         /// Absolute deadline on the driving clock (µs).
         at: u64,
     },
@@ -180,9 +177,7 @@ pub enum Effect {
     /// the entry is already applied to the node's own catalog).
     Register(CatalogEntry),
     /// Acknowledge to node `to` that its tracked forward of `qid` was
-    /// received here. The simulator applies this directly
-    /// ([`PeerNode::on_ack`]) at zero cost; the threaded cluster ships
-    /// it as a real `ack` frame.
+    /// received here. Hosts ship it as an `ack` frame.
     Ack {
         /// The original sender being acknowledged.
         to: NodeId,
@@ -247,9 +242,9 @@ const VQID_BASE: u64 = 1 << 63;
 const ROUND_TTL_US: u64 = 10_000_000;
 
 /// A peer participating in the MQP protocol: one [`Peer`] (store +
-/// catalog + processor) plus the per-query protocol state the old
-/// monolithic harness kept centrally — pending retries, registration
-/// handling, ack bookkeeping, and client-side route-cache learning.
+/// catalog + processor) plus its per-query protocol state — pending
+/// retries, registration handling, ack bookkeeping, and client-side
+/// route-cache learning.
 pub struct PeerNode {
     node: NodeId,
     peer: Peer,
@@ -261,9 +256,6 @@ pub struct PeerNode {
     watches: Vec<Watch>,
     /// Queries this node submitted and has not yet seen complete.
     client: HashMap<QueryId, ClientQuery>,
-    /// Queries known to have completed: sends for them go untracked so
-    /// a duplicate re-completion can never re-arm retries.
-    done: HashSet<QueryId>,
     /// In-flight verification probes, by verification query id.
     verify: HashMap<QueryId, Probe>,
     /// Open verification rounds, by contested area key.
@@ -283,7 +275,6 @@ impl PeerNode {
             cache_learning: false,
             watches: Vec::new(),
             client: HashMap::new(),
-            done: HashSet::new(),
             verify: HashMap::new(),
             rounds: HashMap::new(),
             vqid_counter: 0,
@@ -338,7 +329,6 @@ impl PeerNode {
         if self.peer.crash_volatile() {
             self.watches.clear();
             self.client.clear();
-            self.done.clear();
             self.verify.clear();
             self.rounds.clear();
         }
@@ -435,12 +425,11 @@ impl PeerNode {
     /// A wire frame arrived from `from`. Returns the effects to apply,
     /// in order.
     pub fn on_message(&mut self, from: NodeId, bytes: &[u8], now: u64) -> Vec<Effect> {
-        let frame = match Frame::decode(bytes) {
-            Ok(f) => f,
-            Err(e) => {
-                // A malformed frame is a protocol bug; surface loudly.
-                panic!("malformed frame delivered to node {}: {e}", self.node);
-            }
+        // Bytes from the network cannot be trusted to be a frame. One
+        // that is not is dropped unacknowledged: to a watching sender
+        // that is a lost frame, and it re-routes.
+        let Ok(frame) = Frame::decode(bytes) else {
+            return Vec::new();
         };
         match frame {
             // A re-registration after crash recovery merges exactly like
@@ -461,11 +450,25 @@ impl PeerNode {
                 self.on_ack(from, qid);
                 Vec::new()
             }
-            Frame::Submit { qid, plan } => {
-                let mqp = Mqp::from_wire(&plan)
-                    .unwrap_or_else(|e| panic!("malformed submitted plan: {e}"));
-                self.submit(qid, mqp.plan().clone(), now)
-            }
+            // This node is the submitting front-end's peer: a plan it
+            // cannot read is a failed query, reported under its qid.
+            Frame::Submit { qid, plan } => match Mqp::from_wire(&plan) {
+                Ok(mqp) => self.submit(qid, mqp.plan().clone(), now),
+                Err(e) => {
+                    let meter = Meter {
+                        submitted_at: now,
+                        ..Meter::default()
+                    };
+                    vec![Effect::Complete(mk_outcome(
+                        qid,
+                        meter,
+                        now,
+                        mqp_xml::Batch::new(),
+                        Some(format!("malformed submitted plan: {e}")),
+                        None,
+                    ))]
+                }
+            },
             // Hot policy reload: takes effect from the next processing
             // step; in-flight envelopes keep their meters and watches
             // untouched.
@@ -487,24 +490,6 @@ impl PeerNode {
         self.watches.retain(|w| !(w.qid == qid && w.to == acker));
     }
 
-    /// Drops any watch for `qid` without marking the query done. The
-    /// simulator driver uses this to reproduce the legacy
-    /// single-watch-per-query semantics: arming a watch anywhere
-    /// cancels the previous holder's.
-    pub fn cancel_watch(&mut self, qid: QueryId) {
-        self.watches.retain(|w| w.qid != qid);
-    }
-
-    /// Records that `qid` reached a terminal state somewhere: drops any
-    /// watch and suppresses future retry tracking for it (a duplicate
-    /// re-completion must not re-arm retries or resend phantom
-    /// traffic).
-    pub fn mark_done(&mut self, qid: QueryId) {
-        self.cancel_watch(qid);
-        self.client.remove(&qid);
-        self.done.insert(qid);
-    }
-
     /// The driving clock passed `now`: fire every expired watch, in
     /// arming order. Ticks with nothing expired are no-ops.
     pub fn on_tick(&mut self, now: u64) -> Vec<Effect> {
@@ -519,12 +504,6 @@ impl PeerNode {
                 continue;
             }
             let w = self.watches.remove(i);
-            if self.done.contains(&w.qid) {
-                // The query already completed through another path;
-                // drop the leftover watch instead of resending phantom
-                // traffic.
-                continue;
-            }
             if w.attempts >= policy.max_retries {
                 let dead = self.directory.id_of(w.to);
                 effects.push(Effect::Complete(mk_outcome(
@@ -606,8 +585,8 @@ impl PeerNode {
         effects
     }
 
-    /// Sends `frame` and, when a retry policy is active and the query
-    /// is not known to be finished, arms a watch at this node.
+    /// Sends `frame` and, when a retry policy is active and the frame
+    /// carries a query id, arms a watch at this node.
     fn tracked_send(
         &mut self,
         qid: Option<QueryId>,
@@ -618,11 +597,10 @@ impl PeerNode {
         effects: &mut Vec<Effect>,
     ) {
         let bytes = frame.encode();
-        let qid = qid.filter(|q| !self.done.contains(q));
         if let (Some(policy), Some(qid)) = (self.retry, qid) {
             let deadline = now + policy.timeout_us;
             // Re-arming replaces the previous watch for this query.
-            self.cancel_watch(qid);
+            self.watches.retain(|w| w.qid != qid);
             self.watches.push(Watch {
                 qid,
                 deadline,
@@ -630,7 +608,7 @@ impl PeerNode {
                 attempts,
                 frame,
             });
-            effects.push(Effect::SetTimer { qid, at: deadline });
+            effects.push(Effect::SetTimer { at: deadline });
         }
         effects.push(Effect::Send { to, bytes });
     }
@@ -788,21 +766,16 @@ impl PeerNode {
     }
 
     fn handle_mqp(&mut self, from: NodeId, mf: MqpFrame, now: u64) -> Vec<Effect> {
+        // An envelope nobody here can process was not delivered: no
+        // ack, so a watching sender re-routes as for a lost frame.
+        let Ok(mut mqp) = Mqp::from_wire(&mf.envelope) else {
+            return Vec::new();
+        };
         let mut effects = Vec::new();
         // The forward arrived: acknowledge so the sender disarms.
         if let Some(qid) = mf.qid {
             effects.push(Effect::Ack { to: from, qid });
         }
-        let mut mqp = match Mqp::from_wire(&mf.envelope) {
-            Ok(m) => m,
-            Err(e) => {
-                // A malformed envelope is a protocol bug; surface loudly.
-                panic!(
-                    "malformed MQP envelope delivered to node {}: {e}",
-                    self.node
-                );
-            }
-        };
         self.peer.set_clock(now);
         let outcome = self.peer.process(&mut mqp);
         match outcome {
@@ -1115,30 +1088,58 @@ mod tests {
         assert!(a.next_deadline().is_none());
     }
 
-    /// `mark_done` suppresses both the watch and future tracking.
+    /// Bytes that are not a frame are dropped: no effects, no panic.
     #[test]
-    fn done_queries_send_untracked() {
+    fn undecodable_frame_is_dropped() {
         let dir = directory(&["a", "b"]);
         let mut a = seller_node(0, &dir);
-        a.set_retry(Some(RetryPolicy::default()));
-        let qid = QueryId::new(9);
-        a.mark_done(qid);
-        let mut fx = Vec::new();
-        a.tracked_send(
-            Some(qid),
-            1,
+        for junk in [&b"\xff\xfe garbage"[..], b"", b"mqp 1 2\n", b"nope 1\n<x/>"] {
+            assert_eq!(a.on_message(1, junk, 5), Vec::new(), "{junk:?}");
+        }
+    }
+
+    /// An `mqp` frame whose envelope does not parse was not delivered:
+    /// in particular it is not acknowledged, so the sender's watch
+    /// treats it as lost.
+    #[test]
+    fn malformed_envelope_is_dropped_unacknowledged() {
+        let dir = directory(&["a", "b"]);
+        let mut a = seller_node(0, &dir);
+        let good = Mqp::new(Plan::display("b#4", Plan::url("mqp://a/"))).to_wire();
+        let frame = |envelope: &str| {
             Frame::Mqp(MqpFrame {
-                qid: Some(qid),
+                qid: Some(QueryId::new(4)),
                 meter: Meter::default(),
-                envelope: Mqp::new(Plan::display("a#9", Plan::url("mqp://b/"))).to_wire(),
-            }),
-            0,
-            0,
-            &mut fx,
-        );
-        // Send happens (duplicate traffic is real), but no timer.
-        assert_eq!(fx.len(), 1);
-        assert!(matches!(fx[0], Effect::Send { .. }));
+                envelope: envelope.to_owned(),
+            })
+            .encode()
+        };
+        assert_eq!(a.on_message(1, &frame(&good[..good.len() / 2]), 5), vec![]);
+        assert_eq!(a.on_message(1, &frame("<mqp>not a plan</mqp>"), 5), vec![]);
+        // The whole envelope, for contrast, is acknowledged first.
+        let fx = a.on_message(1, &frame(&good), 5);
+        assert!(matches!(fx[0], Effect::Ack { to: 1, .. }), "{fx:?}");
+    }
+
+    /// A front-end's `sub` frame carrying an unreadable plan fails that
+    /// query at this node, which is its client.
+    #[test]
+    fn malformed_submitted_plan_fails_the_query() {
+        let dir = directory(&["a", "b"]);
+        let mut a = seller_node(0, &dir);
+        let frame = Frame::Submit {
+            qid: QueryId::new(7),
+            plan: "<mqp><plan><select".to_owned(),
+        };
+        let fx = a.on_message(2, &frame.encode(), 40);
+        let [Effect::Complete(out)] = &fx[..] else {
+            panic!("expected one completion, got {fx:?}");
+        };
+        assert_eq!(out.qid, QueryId::new(7));
+        assert!(out.items.is_empty());
+        let why = out.failure.as_deref().expect("a failure");
+        assert!(why.contains("malformed submitted plan"), "{why}");
+        assert!(a.client.is_empty(), "no client state for a dead query");
     }
 
     /// Registration frames apply to the catalog and surface as effects.

@@ -495,3 +495,59 @@ impl Cluster<Tcp> {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixture::{cheap_cds, titles, world};
+    use crate::wire::{Meter, MqpFrame};
+    use mqp_core::{Mqp, QueryId};
+
+    /// Bytes from the network cannot kill a peer. A stranger dials the
+    /// meta-index's listener directly, introduces itself, and sends a
+    /// frame of garbage and an `mqp` frame whose envelope is cut short.
+    /// The peer takes all three off the socket, answers none, and goes
+    /// on serving: the next query through it completes audit-clean and
+    /// the accounting identity holds at shutdown. (Here, not in
+    /// `tests/socket.rs`: only this module can read the address table.)
+    #[test]
+    fn hostile_frames_on_a_raw_socket_leave_the_peer_serving() {
+        const META: NodeId = 1;
+        let (cluster, mut client) = TcpCluster::new(world());
+        let addr = addr_slot(&client.transport.addrs, META).expect("meta listens");
+        let envelope = Mqp::new(cheap_cds()).to_wire();
+        let truncated = Frame::Mqp(MqpFrame {
+            qid: Some(QueryId::new(77)),
+            meter: Meter::default(),
+            envelope: envelope[..envelope.len() / 2].to_owned(),
+        });
+        let hello = Frame::Hello {
+            node: 3,
+            id: ServerId::new("seller-2"),
+        };
+        let before = cluster.stats().frames_received;
+        let mut raw = TcpStream::connect(addr).expect("dial meta");
+        for payload in [
+            hello.encode(),
+            b"\xff\xfe\x00 junk".to_vec(),
+            truncated.encode(),
+        ] {
+            raw.write_all(&encode_frame(&payload)).expect("raw write");
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.stats().frames_received < before + 3 {
+            assert!(Instant::now() < deadline, "meta never read the frames");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let qid = client.submit(0, &cheap_cds());
+        let done = client.collect(1, Duration::from_secs(10));
+        assert_eq!(done.len(), 1, "meta stopped serving");
+        assert_eq!(done[0].qid, qid);
+        assert_eq!(titles(&done[0]), ["A", "C"]);
+        assert_eq!(done[0].audit_clean, Some(true));
+        drop(raw);
+        let stats = cluster.shutdown(&mut client);
+        assert!(stats.balances(0), "unbalanced: {stats:?}");
+    }
+}

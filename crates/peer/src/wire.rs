@@ -5,38 +5,24 @@
 //! payload bytes — the serialized MQP envelope for `mqp`, the
 //! concatenated result items for `res`, the catalog entry for `reg`.
 //! Every frame is plain UTF-8 so any peer can parse it without
-//! pre-shared binary schemas, matching the MQP envelope itself.
-//!
-//! Two byte counts exist per frame and they are deliberately distinct:
-//!
-//! * [`Envelope::bytes`](mqp_net::threaded::Envelope::bytes) — the real
-//!   size, `payload.len()` of the whole frame. The threaded cluster
-//!   accounts this.
-//! * [`charge`] — the *logical* size the deterministic simulator bills
-//!   to the network: the MQP XML length for `mqp` frames, the item
-//!   bytes plus a fixed result-envelope overhead for `res`, and the
-//!   server-id + encoded-area + fixed overhead for `reg`. These are the
-//!   exact formulas the pre-sans-IO harness charged, which is what
-//!   keeps the golden traces byte-identical across the refactor.
+//! pre-shared binary schemas, matching the MQP envelope itself. A
+//! frame's size is the length of its encoding, on every driver.
 
-use mqp_catalog::{CatalogEntry, Level, ServerId};
+use mqp_catalog::{CatalogEntry, ServerId};
 use mqp_core::{QueryId, RuleSet};
-use mqp_namespace::urn::{decode_area, encode_area};
 use mqp_net::NodeId;
 
 /// Per-query counters that ride every `mqp`/`res` frame, so any peer —
-/// not just the client — can account for the query it is holding. This
-/// is the sans-IO replacement for the old harness's central
-/// `QueryStats` map: the paper's claim that peers need no distributed
-/// state extends to bookkeeping, which travels with the plan.
+/// not just the client — can account for the query it is holding: the
+/// paper's claim that peers need no distributed state extends to
+/// bookkeeping, which travels with the plan.
 ///
-/// One deliberate semantic consequence: under duplication faults each
-/// copy of an envelope carries its *own* meter, so a completed query
-/// reports the bytes/hops/retries of the copy that finished it — not
-/// the sum over every duplicate's wanderings the old central map
-/// accumulated. Network-level totals (`NetStats`) still count every
-/// copy; only the per-query attribution narrowed. No golden trace
-/// observes per-query counters under duplication.
+/// One deliberate semantic consequence: when a query travels as more
+/// than one copy (a duplication fault, or a retry whose original was
+/// delivered after all) each copy carries its *own* meter, so a
+/// completed query reports the bytes/hops/retries of the copy that
+/// finished it, not the sum over every copy's wanderings.
+/// Network-level totals (`NetStats`) count every copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Meter {
     /// Submission time at the client (µs on the driving clock).
@@ -90,12 +76,9 @@ pub enum Frame {
     /// Re-registration after crash recovery: a restarted peer replaying
     /// its WAL announces its surviving bindings again. Semantically a
     /// [`Frame::Register`] (receivers merge identically) under a
-    /// distinct tag so experiments can count recovery traffic; charged
-    /// like `reg`.
+    /// distinct tag so experiments can count recovery traffic.
     Rereg(CatalogEntry),
-    /// Delivery acknowledgement for the watched forward of `qid`. The
-    /// simulator driver short-circuits these (delivery *is* the ack
-    /// there); the threaded cluster ships them for real.
+    /// Delivery acknowledgement for the watched forward of `qid`.
     Ack {
         /// The acknowledged query.
         qid: QueryId,
@@ -112,8 +95,8 @@ pub enum Frame {
     /// Hot policy reload: install the enclosed rule set on the
     /// receiving peer's processor, replacing whatever was loaded
     /// before (an empty set restores pure base-policy behavior).
-    /// Travels on every transport and is charged like `reg` —
-    /// policy distribution is catalog-style control traffic.
+    /// Travels on every transport: policy distribution is
+    /// catalog-style control traffic.
     Policy(RuleSet),
     /// Front-end control: stop the receiving worker thread.
     Stop,
@@ -149,44 +132,6 @@ fn num(t: &str) -> Result<u64, String> {
 
 fn fmt_qid(q: Option<QueryId>) -> String {
     q.map(|q| q.to_string()).unwrap_or_else(|| "-".to_owned())
-}
-
-/// Shared body for `reg`/`rereg`: same field layout, different tag.
-fn encode_reg(tag: &str, e: &CatalogEntry) -> String {
-    let collection = e.collection.as_deref().unwrap_or("");
-    debug_assert!(
-        !e.server.as_str().contains('\n') && !collection.contains('\n'),
-        "registration fields must be single-line"
-    );
-    format!(
-        "{tag} {} {} {}\n{}\n{}\n{collection}",
-        e.level.name(),
-        u8::from(e.authoritative),
-        u8::from(e.collection.is_some()),
-        e.server.as_str(),
-        encode_area(&e.area),
-    )
-}
-
-/// Shared decode for `reg`/`rereg` headers and payloads.
-fn decode_reg(tokens: &[&str], payload: &str, header: &str) -> Result<CatalogEntry, String> {
-    if tokens.len() < 4 {
-        return Err(format!("truncated reg header {header:?}"));
-    }
-    let level = Level::parse(tokens[1]).ok_or_else(|| format!("bad level {:?}", tokens[1]))?;
-    let authoritative = tokens[2] == "1";
-    let has_collection = tokens[3] == "1";
-    let mut lines = payload.splitn(3, '\n');
-    let server = lines.next().ok_or("reg missing server line")?;
-    let area_spec = lines.next().ok_or("reg missing area line")?;
-    let collection = lines.next().unwrap_or("");
-    Ok(CatalogEntry {
-        server: ServerId::new(server),
-        level,
-        area: decode_area(area_spec).map_err(|e| format!("bad area: {e:?}"))?,
-        collection: has_collection.then(|| collection.to_owned()),
-        authoritative,
-    })
 }
 
 impl Meter {
@@ -240,8 +185,8 @@ impl Frame {
                     f.items
                 )
             }
-            Frame::Register(e) => encode_reg("reg", e),
-            Frame::Rereg(e) => encode_reg("rereg", e),
+            Frame::Register(e) => e.to_wire("reg"),
+            Frame::Rereg(e) => e.to_wire("rereg"),
             Frame::Ack { qid } => format!("ack {qid}\n"),
             Frame::Submit { qid, plan } => format!("sub {qid}\n{plan}"),
             Frame::Policy(rules) => {
@@ -256,8 +201,8 @@ impl Frame {
         out.into_bytes()
     }
 
-    /// Parses a frame. Errors are protocol bugs — hosts treat them the
-    /// way the old harness treated a malformed MQP envelope (panic).
+    /// Parses a frame. An error means the bytes are not a frame; the
+    /// receiving node drops them.
     pub fn decode(bytes: &[u8]) -> Result<Frame, String> {
         let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not UTF-8: {e}"))?;
         let (header, payload) = text
@@ -302,8 +247,8 @@ impl Frame {
                     items: payload.to_owned(),
                 }))
             }
-            "reg" => decode_reg(&tokens, payload, header).map(Frame::Register),
-            "rereg" => decode_reg(&tokens, payload, header).map(Frame::Rereg),
+            "reg" => CatalogEntry::from_wire("reg", text).map(Frame::Register),
+            "rereg" => CatalogEntry::from_wire("rereg", text).map(Frame::Rereg),
             "ack" => {
                 if tokens.len() < 2 {
                     return Err(format!("truncated ack header {header:?}"));
@@ -351,32 +296,6 @@ impl Frame {
     }
 }
 
-/// The logical byte count the simulator charges for a frame — the
-/// exact pre-sans-IO `PeerMsg::wire_bytes` formulas (see module docs).
-/// Control frames (`ack`, `sub`, `stop`, `hello`) never cross the
-/// simulated network and charge nothing.
-pub fn charge(bytes: &[u8]) -> usize {
-    let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
-        return 0;
-    };
-    let payload = &bytes[header_end + 1..];
-    match Frame::kind(bytes) {
-        "mqp" => payload.len(),
-        "res" => payload.len() + 32,
-        "reg" | "rereg" => {
-            // server-id line + encoded-area line + level/flags overhead.
-            let mut lines = payload.split(|&b| b == b'\n');
-            let server = lines.next().map(<[u8]>::len).unwrap_or(0);
-            let area = lines.next().map(<[u8]>::len).unwrap_or(0);
-            server + area + 16
-        }
-        // Policy pushes are catalog-style control traffic: rule text
-        // plus the same fixed overhead a registration pays.
-        "policy" => payload.len() + 16,
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,7 +320,6 @@ mod tests {
         let bytes = f.encode();
         assert_eq!(Frame::kind(&bytes), "mqp");
         assert_eq!(Frame::decode(&bytes).unwrap(), f);
-        assert_eq!(charge(&bytes), "<mqp><plan/></mqp>".len());
     }
 
     #[test]
@@ -433,9 +351,7 @@ mod tests {
                 bound_by: bound,
                 items: "<item/><item/>".to_owned(),
             });
-            let bytes = f.encode();
-            assert_eq!(Frame::decode(&bytes).unwrap(), f);
-            assert_eq!(charge(&bytes), "<item/><item/>".len() + 32);
+            assert_eq!(Frame::decode(&f.encode()).unwrap(), f);
         }
     }
 
@@ -447,11 +363,8 @@ mod tests {
             CatalogEntry::base("s", area()).with_collection("/data[@id='245']"),
             CatalogEntry::meta_index("m", InterestArea::parse(&[&["*", "*"]])),
         ] {
-            let f = Frame::Register(entry.clone());
-            let bytes = f.encode();
-            assert_eq!(Frame::decode(&bytes).unwrap(), f);
-            let legacy = entry.server.as_str().len() + encode_area(&entry.area).len() + 16;
-            assert_eq!(charge(&bytes), legacy, "entry {entry:?}");
+            let f = Frame::Register(entry);
+            assert_eq!(Frame::decode(&f.encode()).unwrap(), f);
         }
     }
 
@@ -460,10 +373,7 @@ mod tests {
         let entry = CatalogEntry::base("seller-1", area()).with_collection("/data[@id='1']");
         let re = Frame::Rereg(entry.clone()).encode();
         assert_eq!(Frame::kind(&re), "rereg");
-        assert_eq!(Frame::decode(&re).unwrap(), Frame::Rereg(entry.clone()));
-        // Identical logical charge: recovery traffic bills like first
-        // registration.
-        assert_eq!(charge(&re), charge(&Frame::Register(entry).encode()));
+        assert_eq!(Frame::decode(&re).unwrap(), Frame::Rereg(entry));
     }
 
     #[test]
@@ -480,18 +390,14 @@ mod tests {
                 vec![RuleAction::ForceDefer],
             ),
         ]);
-        let f = Frame::Policy(rules.clone());
+        let f = Frame::Policy(rules);
         let bytes = f.encode();
         assert_eq!(Frame::kind(&bytes), "policy");
         assert_eq!(Frame::decode(&bytes).unwrap(), f);
-        // Charged like reg: payload bytes + the same fixed overhead.
-        assert_eq!(charge(&bytes), rules.to_wire().len() + 16);
 
         // The empty set (clears overrides) travels too.
         let clear = Frame::Policy(RuleSet::empty());
-        let bytes = clear.encode();
-        assert_eq!(Frame::decode(&bytes).unwrap(), clear);
-        assert_eq!(charge(&bytes), 16);
+        assert_eq!(Frame::decode(&clear.encode()).unwrap(), clear);
     }
 
     #[test]
@@ -510,9 +416,7 @@ mod tests {
                 id: ServerId::new("seller-7"),
             },
         ] {
-            let bytes = f.encode();
-            assert_eq!(Frame::decode(&bytes).unwrap(), f);
-            assert_eq!(charge(&bytes), 0);
+            assert_eq!(Frame::decode(&f.encode()).unwrap(), f);
         }
     }
 
@@ -522,5 +426,12 @@ mod tests {
         assert!(Frame::decode(b"nope 1\n").is_err());
         assert!(Frame::decode(b"mqp x\n").is_err());
         assert!(Frame::decode(&[0xFF, 0xFE]).is_err());
+        // A registration is read strictly: flags are 0 or 1, the
+        // server line is not empty.
+        assert!(Frame::decode(b"reg base 0 0\nS\n(a)\n").is_ok());
+        assert!(Frame::decode(b"reg base yes 0\nS\n(a)\n").is_err());
+        assert!(Frame::decode(b"rereg base 0 2\nS\n(a)\n").is_err());
+        assert!(Frame::decode(b"reg base 0 0\n\n(a)\n").is_err());
+        assert!(Frame::decode(b"reg\nS\n(a)\n").is_err());
     }
 }

@@ -4,8 +4,8 @@
 //! `PeerNode` state machine, so for the same topology, world, and
 //! fault-free workload all three must produce identical sets of
 //! `QueryOutcome`s — same answers, same hop counts, same §5.1 audit
-//! verdicts, same failure reasons. Only latency (virtual vs wall
-//! clock) and byte totals (logical vs framed sizes) may differ.
+//! verdicts, same failure reasons — and the same frames on the
+//! network. Only latency (virtual vs wall clock) may differ.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -14,7 +14,8 @@ use mqp::algebra::plan::Plan;
 use mqp::core::QueryId;
 use mqp::namespace::{Hierarchy, InterestArea, Namespace, Urn};
 use mqp::net::Topology;
-use mqp::peer::{Peer, SimHarness, TcpCluster, ThreadedCluster};
+use mqp::peer::wire::Frame;
+use mqp::peer::{Peer, RetryPolicy, SimHarness, SimMsg, TcpCluster, ThreadedCluster};
 use mqp::xml::parse;
 
 fn ns() -> Namespace {
@@ -103,8 +104,8 @@ fn workload() -> Vec<Plan> {
 }
 
 /// The host-independent fingerprint of an outcome: everything except
-/// latency (virtual vs wall clock) and byte totals (the simulator
-/// charges logical sizes, the cluster real frame sizes).
+/// what a clock reading enters — latency, and the envelope byte total
+/// (visit records are stamped in decimal).
 type Fingerprint = (Option<String>, Vec<String>, u64, Option<bool>, u64);
 
 fn fingerprint(q: &mqp::core::QueryOutcome) -> Fingerprint {
@@ -168,6 +169,56 @@ fn sim_threaded_and_tcp_hosts_agree_on_every_outcome() {
     assert!(sim_outcomes.values().any(|f| f.0.is_none()));
     assert!(sim_outcomes.values().any(|f| f.0.is_some()));
     assert!(sim_outcomes.values().any(|f| f.3 == Some(true)));
+}
+
+/// The simulator's network carries the frames the host's transport
+/// carries: with watches armed and no faults, the same queries put the
+/// same number of frames and the same number of frame bytes on
+/// `SimNet` and on the mpsc mesh. Two rules make the counts comparable:
+///
+/// * every clock reading a frame carries (the meter's submission stamp,
+///   each visit's `at`) is written in decimal, so both runs are held
+///   inside one decade of their clocks, [1 s, 10 s);
+/// * a self-delivered frame counts on both sides, but its ack does
+///   not: the simulator applies an ack a node owes itself in place (as
+///   `Tcp` short-circuits self-sends) where the mesh ships it. The only
+///   self-delivery here is each query's submission.
+#[test]
+fn sim_and_threaded_networks_carry_identical_frames() {
+    // Watches must be armed for acks to travel, never fire.
+    let retry = RetryPolicy {
+        timeout_us: 60_000_000,
+        ..RetryPolicy::default()
+    };
+    let decade = Duration::from_secs(1);
+
+    let n = world().len();
+    let mut h = SimHarness::new(Topology::uniform(n, 5_000), world()).with_retry(retry);
+    h.net.schedule(0, decade.as_micros() as u64, SimMsg::Tick);
+    h.run(1);
+    let qids: Vec<QueryId> = workload().into_iter().map(|p| h.submit(0, p)).collect();
+    h.run(100_000);
+    assert_eq!(h.pending_count(), 0, "simulator stranded a query");
+    assert!(h.completed().iter().all(|q| q.latency_us < 9_000_000));
+    let sim = h.net.stats();
+    assert_eq!(sim.retries, 0);
+
+    let (cluster, mut client) = ThreadedCluster::with_config(world(), Some(retry), Duration::ZERO);
+    std::thread::sleep(decade);
+    for plan in workload() {
+        client.submit(0, &plan);
+    }
+    let done = client.collect(qids.len(), 8 * decade);
+    let mesh = cluster.shutdown(&client);
+    assert_eq!(done.len(), qids.len(), "cluster lost a query");
+    assert_eq!(mesh.retries, 0);
+
+    let self_ack_bytes: usize = qids
+        .iter()
+        .map(|&qid| Frame::Ack { qid }.encode().len())
+        .sum();
+    assert_eq!(mesh.frames_sent, sim.messages_sent + qids.len() as u64);
+    assert_eq!(mesh.bytes_sent, sim.bytes_sent + self_ack_bytes as u64);
 }
 
 /// The two hosts also agree under repetition with many queries in

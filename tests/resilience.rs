@@ -104,7 +104,10 @@ fn churned_world_completes_every_query_audit_clean() {
     }
     // The schedule above reliably forces at least one detour.
     assert!(detours > 0, "expected retries under churn");
-    assert_eq!(w.harness.net.stats().retries, detours);
+    // A query whose ack was lost travels as two copies, each with its
+    // own meter; the outcome reports the copy that finished (see
+    // `wire::Meter`), the network counts every copy's retries.
+    assert!(w.harness.net.stats().retries >= detours);
     assert!(w.harness.net.stats().balances(w.harness.net.in_flight()));
 }
 
