@@ -691,9 +691,13 @@ mod tests {
     #[test]
     fn non_canonical_envelopes_are_rejected() {
         let wire = sample().to_wire();
-        let pretty = mqp_xml::serialize_pretty(&sample().to_xml());
         assert_eq!(
-            Mqp::from_wire(&pretty),
+            Mqp::from_wire(&format!("{wire}\n")),
+            Err(CodecError::NotCanonical { at: wire.len() })
+        );
+        let pretty = "<mqp>\n  <plan>\n    <url href=\"x\"/>\n  </plan>\n  <provenance/>\n</mqp>\n";
+        assert_eq!(
+            Mqp::from_wire(pretty),
             Err(CodecError::NotCanonical {
                 at: pretty.trim_end().len()
             })

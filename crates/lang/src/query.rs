@@ -34,7 +34,6 @@ use mqp_catalog::Preference;
 use mqp_core::Policy;
 use mqp_namespace::Urn;
 use mqp_xml::xpath::Path;
-use mqp_xml::Batch;
 
 use crate::cursor::Cursor;
 use crate::diag::{Diagnostic, Span};
@@ -252,15 +251,13 @@ fn parse_head(cur: &mut Cursor) -> Result<(Plan, SpanAcc), Diagnostic> {
         "data" => {
             let (text, span) = cur.expect_str("serialized XML items")?;
             own.push(span);
-            let wrapped = format!("<d>{text}</d>");
-            let root = mqp_xml::parse(&wrapped).map_err(|e| {
+            let items = mqp_xml::parse_items(&text).map_err(|e| {
                 Diagnostic::at(
                     cur.src(),
                     span,
-                    format!("data items are not well-formed XML: {e}"),
+                    format!("data items are not canonical XML at byte {}", e.offset),
                 )
             })?;
-            let items: Batch = root.child_elements().cloned().collect();
             let meta = parse_meta(cur)?;
             // Built directly (not via `Plan::data`, which injects a
             // cardinality annotation): the text's own annotations must

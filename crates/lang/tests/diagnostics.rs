@@ -1,4 +1,4 @@
-//! Snapshot tests for the ten most common compile errors: the exact
+//! Snapshot tests for the most common compile errors: the exact
 //! rendered text — message, position line, gutter, source excerpt, and
 //! caret underline — is pinned byte for byte. These strings are the
 //! crate's user interface; a formatting regression here is as real as
@@ -51,6 +51,14 @@ fn bad_predicate() {
     assert_eq!(
         query_diag("url \"mqp://s/\"\n| select \"price <\""),
         "error: bad predicate: expected literal at byte 7\n  --> line 2, column 10\n   |\n 2 | | select \"price <\"\n   |          ^^^^^^^^^"
+    );
+}
+
+#[test]
+fn data_items_not_canonical() {
+    assert_eq!(
+        query_diag("data \"<i a='1'/>\""),
+        "error: data items are not canonical XML at byte 4\n  --> line 1, column 6\n   |\n 1 | data \"<i a='1'/>\"\n   |      ^^^^^^^^^^^^"
     );
 }
 

@@ -19,13 +19,11 @@ use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrlRef};
 use mqp_algebra::predicate::AggFunc;
-use mqp_algebra::CodecError;
 use mqp_catalog::durable::RecoveryReport;
 use mqp_catalog::{classify, CatalogEntry, Level, Observation, ServerId};
 use mqp_core::{Action, Mqp, Outcome, QueryId, QueryOutcome, VisitRecord};
 use mqp_namespace::InterestArea;
 use mqp_net::NodeId;
-use mqp_xml::{Token, Tokenizer, TreeBuilder};
 
 use crate::peer::Peer;
 use crate::wire::{Frame, Meter, MqpFrame, ResultFrame};
@@ -399,18 +397,22 @@ impl PeerNode {
             Plan::Display { input, .. } => Plan::display(target, *input),
             other => Plan::display(target, other),
         };
+        let meter = Meter {
+            submitted_at: now,
+            ..Meter::default()
+        };
         // Track the query's interest area for cache learning.
         let area = plan.urns().iter().find_map(|u| u.urn.as_area().cloned());
+        let wire = match outbound(&Mqp::new(plan)) {
+            Ok(wire) => wire,
+            Err(reason) => return vec![failed(qid, meter, now, reason)],
+        };
         self.client.insert(qid, ClientQuery { area });
-        let mqp = Mqp::new(plan);
-        let wire = mqp.to_wire();
         let frame = Frame::Mqp(MqpFrame {
             qid: Some(qid),
             meter: Meter {
-                submitted_at: now,
-                hops: 0,
                 mqp_bytes: wire.len() as u64,
-                retries: 0,
+                ..meter
             },
             envelope: wire,
         });
@@ -459,14 +461,8 @@ impl PeerNode {
                         submitted_at: now,
                         ..Meter::default()
                     };
-                    vec![Effect::Complete(mk_outcome(
-                        qid,
-                        meter,
-                        now,
-                        mqp_xml::Batch::new(),
-                        Some(format!("malformed submitted plan: {e}")),
-                        None,
-                    ))]
+                    let reason = format!("malformed submitted plan: {e}");
+                    vec![failed(qid, meter, now, reason)]
                 }
             },
             // Hot policy reload: takes effect from the next processing
@@ -521,51 +517,22 @@ impl PeerNode {
             }
             effects.push(Effect::Retried { qid: w.qid });
             match w.frame {
-                Frame::Mqp(mut mf) => {
-                    let mut mqp = Mqp::from_wire(&mf.envelope)
-                        .unwrap_or_else(|e| panic!("tracked envelope does not reparse: {e}"));
-                    let dead = self.directory.id_of(w.to);
-                    // §4.2 fallback: drop Or-alternatives that require
-                    // the dead server (when others survive), then
-                    // re-route.
-                    let pruned =
-                        mqp_core::rewrite::prune_server_alternatives(mqp.plan_mut(), &dead);
-                    // The detour is provenance-visible (invariant 7).
-                    mqp.record(VisitRecord {
-                        server: self.peer.id().clone(),
-                        action: Action::Retried,
-                        detail: if pruned > 0 {
-                            format!(
-                                "timeout waiting on {dead}; pruned {pruned} alternative(s), rerouting"
-                            )
-                        } else {
-                            format!("timeout waiting on {dead}; rerouting")
-                        },
-                        at: now,
-                        staleness: 0,
-                    });
-                    // Re-resolution: route again, excluding the dead
-                    // hop — the catalog's remaining alternatives take
-                    // over. With no alternative, resend to the same hop
-                    // (it may be mid-churn and rejoin).
-                    let next = self
-                        .peer
-                        .route_excluding(mqp.plan(), &mqp.visited(), &dead)
-                        .and_then(|s| self.directory.node_of(&s))
-                        .unwrap_or(w.to);
-                    let wire = mqp.to_wire();
-                    mf.meter.mqp_bytes += wire.len() as u64;
-                    mf.meter.retries += 1;
-                    mf.envelope = wire;
-                    self.tracked_send(
-                        Some(w.qid),
-                        next,
-                        Frame::Mqp(mf),
-                        w.attempts + 1,
-                        now,
-                        &mut effects,
-                    );
-                }
+                Frame::Mqp(mut mf) => match self.reroute(&mf.envelope, w.to, now) {
+                    Ok((next, wire)) => {
+                        mf.meter.mqp_bytes += wire.len() as u64;
+                        mf.meter.retries += 1;
+                        mf.envelope = wire;
+                        self.tracked_send(
+                            Some(w.qid),
+                            next,
+                            Frame::Mqp(mf),
+                            w.attempts + 1,
+                            now,
+                            &mut effects,
+                        );
+                    }
+                    Err(reason) => effects.push(failed(w.qid, mf.meter, now, reason)),
+                },
                 // A result hop has a fixed destination (the client):
                 // resend as-is.
                 Frame::Result(mut rf) => {
@@ -583,6 +550,40 @@ impl PeerNode {
             }
         }
         effects
+    }
+
+    /// The §4.2 fallback for a tracked envelope `wire` that hop `to`
+    /// never acknowledged: the next hop and the envelope to send there,
+    /// or why the query cannot go on.
+    fn reroute(&mut self, wire: &str, to: NodeId, now: u64) -> Result<(NodeId, String), String> {
+        let mut mqp =
+            Mqp::from_wire(wire).map_err(|e| format!("tracked envelope does not reparse: {e}"))?;
+        let dead = self.directory.id_of(to);
+        // Drop Or-alternatives that require the dead server (when
+        // others survive), then re-route.
+        let pruned = mqp_core::rewrite::prune_server_alternatives(mqp.plan_mut(), &dead);
+        // The detour is provenance-visible (invariant 7).
+        mqp.record(VisitRecord {
+            server: self.peer.id().clone(),
+            action: Action::Retried,
+            detail: if pruned > 0 {
+                format!("timeout waiting on {dead}; pruned {pruned} alternative(s), rerouting")
+            } else {
+                format!("timeout waiting on {dead}; rerouting")
+            },
+            at: now,
+            staleness: 0,
+        });
+        // Re-resolution: route again, excluding the dead hop — the
+        // catalog's remaining alternatives take over. With no
+        // alternative, resend to the same hop (it may be mid-churn and
+        // rejoin).
+        let next = self
+            .peer
+            .route_excluding(mqp.plan(), &mqp.visited(), &dead)
+            .and_then(|s| self.directory.node_of(&s))
+            .unwrap_or(to);
+        Ok((next, outbound(&mqp)?))
     }
 
     /// Sends `frame` and, when a retry policy is active and the frame
@@ -701,7 +702,7 @@ impl PeerNode {
     /// verdicts (journaled trust transitions) at the wrapped peer.
     fn absorb_probe(&mut self, probe: Probe, rf: &ResultFrame, now: u64) {
         // A malformed or empty answer reads as zero qualifying items.
-        let count = decode_items(&rf.items)
+        let count = mqp_xml::parse_items(&rf.items)
             .ok()
             .and_then(|items| items.first()?.deep_text().trim().parse::<u64>().ok())
             .unwrap_or(0);
@@ -747,7 +748,7 @@ impl PeerNode {
         }
         // A payload that does not decode is a failed query, not an
         // empty answer.
-        let (items, failure) = match decode_items(&rf.items) {
+        let (items, failure) = match mqp_xml::parse_items(&rf.items) {
             Ok(items) => (items, None),
             Err(e) => (
                 mqp_xml::Batch::new(),
@@ -835,20 +836,20 @@ impl PeerNode {
                 }
             }
             Outcome::Forward { to } => {
-                let Some(next) = self.directory.node_of(&to) else {
-                    if let Some(qid) = mf.qid {
-                        effects.push(Effect::Complete(mk_outcome(
-                            qid,
-                            mf.meter,
-                            now,
-                            mqp_xml::Batch::new(),
-                            Some(format!("route to unknown server {to}")),
-                            None,
-                        )));
+                let sendable = self
+                    .directory
+                    .node_of(&to)
+                    .ok_or_else(|| format!("route to unknown server {to}"))
+                    .and_then(|next| Ok((next, outbound(&mqp)?)));
+                let (next, wire) = match sendable {
+                    Ok(sendable) => sendable,
+                    Err(reason) => {
+                        if let Some(qid) = mf.qid {
+                            effects.push(failed(qid, mf.meter, now, reason));
+                        }
+                        return effects;
                     }
-                    return effects;
                 };
-                let wire = mqp.to_wire();
                 let mut meter = mf.meter;
                 meter.hops += 1;
                 meter.mqp_bytes += wire.len() as u64;
@@ -867,14 +868,7 @@ impl PeerNode {
             }
             Outcome::Stuck { reason } => {
                 if let Some(qid) = mf.qid {
-                    effects.push(Effect::Complete(mk_outcome(
-                        qid,
-                        mf.meter,
-                        now,
-                        mqp_xml::Batch::new(),
-                        Some(reason),
-                        None,
-                    )));
+                    effects.push(failed(qid, mf.meter, now, reason));
                 }
             }
         }
@@ -905,25 +899,29 @@ fn mk_outcome(
     }
 }
 
-/// Decodes a result payload — the canonical items a completing server
-/// concatenated — with the tokenizer + builder loop the plan codec runs
-/// over `<data>` children (text between items is formatting).
-fn decode_items(payload: &str) -> Result<mqp_xml::Batch, CodecError> {
-    let mut tok = Tokenizer::new(payload);
-    let mut tb = TreeBuilder::new();
-    let mut items = mqp_xml::Batch::new();
-    loop {
-        match tok.next_token() {
-            Ok(None) => return Ok(items),
-            Ok(Some(Token::Open(name))) => match tb.build(&mut tok, name) {
-                Ok(item) => items.push_item(item),
-                Err(_) => break,
-            },
-            Ok(Some(Token::Text(_))) => {}
-            _ => break,
-        }
+/// A query that ends at this node with `reason`, no items and no audit.
+fn failed(qid: QueryId, meter: Meter, now: u64, reason: String) -> Effect {
+    Effect::Complete(mk_outcome(
+        qid,
+        meter,
+        now,
+        mqp_xml::Batch::new(),
+        Some(reason),
+        None,
+    ))
+}
+
+/// The wire form of an envelope this node sends, or why no peer could
+/// read it. Wrapping a submitted plan in its `Display` and binding a
+/// URN both deepen a plan; one grown past the reader's nesting cap
+/// fails its query here instead of being dropped by the next hop.
+fn outbound(mqp: &Mqp) -> Result<String, String> {
+    let wire = mqp.to_wire();
+    if mqp_xml::canon::within_depth_cap(&wire) {
+        Ok(wire)
+    } else {
+        Err("envelope nests too deep for any peer to read".to_owned())
     }
-    Err(CodecError::NotCanonical { at: tok.pos() })
 }
 
 fn frame_meter(frame: &Frame) -> Meter {
@@ -1140,6 +1138,72 @@ mod tests {
         let why = out.failure.as_deref().expect("a failure");
         assert!(why.contains("malformed submitted plan"), "{why}");
         assert!(a.client.is_empty(), "no client state for a dead query");
+    }
+
+    /// A plan grown past the reader's nesting cap fails its query at
+    /// the node that grew it, with retry armed and without a panic:
+    /// once when the submit's `Display` wrap deepens it, once when
+    /// binding its URN does. A tracked envelope that no longer reads
+    /// fails its query on retry.
+    #[test]
+    fn plans_grown_too_deep_fail_where_they_grow() {
+        let dir = directory(&["a", "b", "c"]);
+        let mut a = PeerNode::new(0, Peer::new("a", ns()), Arc::clone(&dir));
+        a.set_retry(Some(RetryPolicy::default()));
+        for (node, seller) in [(1, "b"), (2, "c")] {
+            let entry = CatalogEntry::base(seller, pdx_cds());
+            a.on_message(node, &Frame::Register(entry).encode(), 0);
+        }
+        // Selects over a URN; with `<mqp><plan>` that is `levels + 3`
+        // elements deep.
+        let deep = |levels: usize| {
+            let urn = Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds())));
+            (0..levels).fold(urn, |p, _| Plan::select("price < 10", p))
+        };
+        let submit = |plan: Plan| {
+            let plan = Mqp::without_original(plan).to_wire();
+            Frame::Submit {
+                qid: QueryId::new(9),
+                plan,
+            }
+            .encode()
+        };
+        let failure = |fx: &[Effect]| {
+            fx.iter().find_map(|e| match e {
+                Effect::Complete(o) => o.failure.clone(),
+                _ => None,
+            })
+        };
+        // 64 deep reads, 65 does not: the wrap fails the query.
+        assert!(Mqp::from_wire(&Mqp::without_original(deep(62)).to_wire()).is_err());
+        let why = failure(&a.on_message(3, &submit(deep(61)), 10)).expect("wrap fails");
+        assert!(why.contains("too deep"), "{why}");
+        assert!(a.client.is_empty(), "no client state for a dead query");
+        // A display keeps its depth through the wrap, so the envelope
+        // goes out; binding its URN to two sellers then deepens it.
+        let fx = a.on_message(3, &submit(Plan::display("x", deep(60))), 20);
+        let [Effect::Send { to: 0, bytes }] = &fx[..] else {
+            panic!("expected the self-delivery, got {fx:?}");
+        };
+        let fx = a.on_message(0, bytes, 30);
+        let why = failure(&fx).expect("binding fails the query");
+        assert!(why.contains("too deep"), "{why}");
+        assert!(
+            !fx.iter().any(|e| matches!(e, Effect::Send { .. })),
+            "{fx:?}"
+        );
+        assert_eq!(a.next_deadline(), None, "nothing sent, nothing watched");
+        // The retry path reports an unreadable tracked envelope.
+        let qid = QueryId::new(5);
+        let torn = Frame::Mqp(MqpFrame {
+            qid: Some(qid),
+            meter: Meter::default(),
+            envelope: "<mqp>".to_owned(),
+        });
+        a.tracked_send(Some(qid), 1, torn, 0, 0, &mut Vec::new());
+        let fx = a.on_tick(a.next_deadline().expect("armed"));
+        let why = failure(&fx).expect("retry fails the query");
+        assert!(why.contains("does not reparse"), "{why}");
     }
 
     /// Registration frames apply to the catalog and surface as effects.

@@ -500,16 +500,20 @@ impl Cluster<Tcp> {
 mod tests {
     use super::*;
     use crate::fixture::{cheap_cds, titles, world};
-    use crate::wire::{Meter, MqpFrame};
+    use crate::wire::{Meter, MqpFrame, ResultFrame};
     use mqp_core::{Mqp, QueryId};
 
     /// Bytes from the network cannot kill a peer. A stranger dials the
     /// meta-index's listener directly, introduces itself, and sends a
-    /// frame of garbage and an `mqp` frame whose envelope is cut short.
-    /// The peer takes all three off the socket, answers none, and goes
-    /// on serving: the next query through it completes audit-clean and
-    /// the accounting identity holds at shutdown. (Here, not in
-    /// `tests/socket.rs`: only this module can read the address table.)
+    /// frame of garbage, an `mqp` frame whose envelope is cut short, a
+    /// `res` frame of 1 MB of nested `<a>` and an `mqp` envelope of
+    /// 100 000 nested `<union>` — nesting that would recurse a 2 MiB
+    /// worker stack away without the reader's depth cap. The peer takes
+    /// all five off the socket; the deep result fails its query id and
+    /// nothing else is answered. It goes on serving: the next query
+    /// through it completes audit-clean and the accounting identity
+    /// holds at shutdown. (Here, not in `tests/socket.rs`: only this
+    /// module can read the address table.)
     #[test]
     fn hostile_frames_on_a_raw_socket_leave_the_peer_serving() {
         const META: NodeId = 1;
@@ -525,20 +529,39 @@ mod tests {
             node: 3,
             id: ServerId::new("seller-2"),
         };
+        let deep_result = Frame::Result(ResultFrame {
+            qid: QueryId::new(78),
+            meter: Meter::default(),
+            audit_clean: None,
+            bound_by: None,
+            items: "<a>".repeat((1 << 20) / 3),
+        });
+        let deep_envelope = Frame::Mqp(MqpFrame {
+            qid: Some(QueryId::new(79)),
+            meter: Meter::default(),
+            envelope: format!("<mqp><plan>{}", "<union>".repeat(100_000)),
+        });
         let before = cluster.stats().frames_received;
         let mut raw = TcpStream::connect(addr).expect("dial meta");
         for payload in [
             hello.encode(),
             b"\xff\xfe\x00 junk".to_vec(),
             truncated.encode(),
+            deep_result.encode(),
+            deep_envelope.encode(),
         ] {
             raw.write_all(&encode_frame(&payload)).expect("raw write");
         }
         let deadline = Instant::now() + Duration::from_secs(10);
-        while cluster.stats().frames_received < before + 3 {
+        while cluster.stats().frames_received < before + 5 {
             assert!(Instant::now() < deadline, "meta never read the frames");
             std::thread::sleep(Duration::from_millis(5));
         }
+        let deep = client.collect(1, Duration::from_secs(10));
+        assert_eq!(deep.len(), 1, "the deep result did not fail its query");
+        assert_eq!(deep[0].qid, QueryId::new(78));
+        let why = deep[0].failure.as_deref().unwrap_or_default();
+        assert!(why.contains("malformed result payload"), "{why}");
 
         let qid = client.submit(0, &cheap_cds());
         let done = client.collect(1, Duration::from_secs(10));

@@ -1,5 +1,5 @@
-//! Zero-copy parsing of *canonical* XML — the exact form
-//! [`fn@crate::serialize`] emits.
+//! The crate's one XML reader: zero-copy parsing of *canonical* XML —
+//! the exact form [`fn@crate::serialize`] emits.
 //!
 //! Everything MQP puts on the wire is produced by our own serializer,
 //! which emits one canonical spelling: no prolog, no comments or CDATA,
@@ -13,7 +13,7 @@
 //!
 //! Accepting only the canonical grammar buys a load-bearing guarantee:
 //!
-//! > If [`parse_canonical`] succeeds on `input`, then
+//! > If [`parse()`](crate::parse()) succeeds on `input`, then
 //! > `serialize(&result) == input`, and the byte span of every element
 //! > is exactly its re-serialization.
 //!
@@ -22,16 +22,29 @@
 //! instead of re-serializing unchanged subtrees. Canonical XML is the
 //! wire grammar, not a fast path: any deviation — stray whitespace,
 //! `<a></a>` long forms, numeric character references, single-quoted
-//! attributes — is [`NotCanonical`], which the plan and envelope
-//! decoders report as a protocol error with the byte offset. (Humans
-//! write `.mqpq`; the lenient parser in [`mod@crate::parse`] reads their
-//! item literals and is the reference these functions are
-//! property-tested against.)
+//! attributes, nesting deeper than `MAX_DEPTH` — is [`NotCanonical`],
+//! which every reader reports with the byte offset.
 
 use std::borrow::Cow;
 
 use crate::node::{Element, Node};
-use crate::parse::{is_name_char, is_name_start};
+
+/// How many elements may be open at once. The deepest document in use
+/// is 9 levels (`mqp/plan/display/or/alt/union/data/item/title` in the
+/// `exp_lang` and `exp_currency_latency` goldens; generated plans reach
+/// 9, the benchmark workloads 7): 7× margin, while every recursive
+/// walker over a [`Tokenizer`] — tree building, [`skip_subtree`], the
+/// plan and envelope decoders — stays far inside a 2 MiB thread stack
+/// (the plan decoder overflows one near 200 levels in a debug build).
+const MAX_DEPTH: usize = 64;
+
+fn is_name_start(b: u8) -> bool {
+    b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
+}
+
+fn is_name_char(b: u8) -> bool {
+    is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
+}
 
 /// Marker error: the input strayed from the canonical grammar. Carries
 /// no detail of its own; [`Tokenizer::pos`] at the moment it is returned
@@ -68,6 +81,8 @@ pub struct Tokenizer<'a> {
     input: &'a str,
     pos: usize,
     in_tag: bool,
+    /// Elements opened and not yet closed.
+    depth: usize,
 }
 
 // Word-at-a-time scanning (SWAR): the tokenizer's inner loops walk
@@ -117,6 +132,7 @@ impl<'a> Tokenizer<'a> {
             input,
             pos: 0,
             in_tag: false,
+            depth: 0,
         }
     }
 
@@ -139,33 +155,61 @@ impl<'a> Tokenizer<'a> {
             return self.scan_text().map(|t| Some(Token::Text(t)));
         }
         if self.input.as_bytes().get(self.pos + 1) == Some(&b'/') {
-            self.pos += 2;
-            let name = self.scan_name()?;
-            if self.input.as_bytes().get(self.pos) != Some(&b'>') {
-                return Err(NotCanonical);
-            }
-            self.pos += 1;
-            Ok(Some(Token::Close(name)))
+            self.scan_close().map(|name| Some(Token::Close(name)))
         } else {
-            self.pos += 1;
-            let name = self.scan_name()?;
-            self.in_tag = true;
-            Ok(Some(Token::Open(name)))
+            self.open_tag().map(|name| Some(Token::Open(name)))
         }
+    }
+
+    /// Cursor on the `<` of an open tag: consumes `<name` and counts the
+    /// element as open. A tag past `MAX_DEPTH` open elements is refused
+    /// with the cursor still on its `<`.
+    fn open_tag(&mut self) -> Result<&'a str, NotCanonical> {
+        if self.depth == MAX_DEPTH {
+            return Err(NotCanonical);
+        }
+        self.pos += 1;
+        let name = self.scan_name()?;
+        self.in_tag = true;
+        self.depth += 1;
+        Ok(name)
+    }
+
+    /// An element ended (`/>` or its close tag). Saturating: a stray
+    /// `</x>` at depth 0 is refused by the caller, not here.
+    fn close_tag(&mut self) {
+        self.in_tag = false;
+        self.depth = self.depth.saturating_sub(1);
+    }
+
+    /// Cursor on `</`: consumes `</name>` and closes the element.
+    fn scan_close(&mut self) -> Result<&'a str, NotCanonical> {
+        self.pos += 2;
+        let name = self.scan_name()?;
+        if self.input.as_bytes().get(self.pos) != Some(&b'>') {
+            return Err(NotCanonical);
+        }
+        self.pos += 1;
+        self.close_tag();
+        Ok(name)
+    }
+
+    /// Cursor on the space before ` name="value"`: consumes it.
+    fn scan_attr(&mut self) -> Result<(&'a str, Cow<'a, str>), NotCanonical> {
+        self.pos += 1;
+        let name = self.scan_name()?;
+        if !self.input[self.pos..].starts_with("=\"") {
+            return Err(NotCanonical);
+        }
+        self.pos += 2;
+        Ok((name, self.scan_attr_value()?))
     }
 
     fn tag_token(&mut self) -> Result<Token<'a>, NotCanonical> {
         match self.input.as_bytes().get(self.pos) {
-            Some(b' ') => {
-                self.pos += 1;
-                let name = self.scan_name()?;
-                if !self.input[self.pos..].starts_with("=\"") {
-                    return Err(NotCanonical);
-                }
-                self.pos += 2;
-                let value = self.scan_attr_value()?;
-                Ok(Token::Attr { name, value })
-            }
+            Some(b' ') => self
+                .scan_attr()
+                .map(|(name, value)| Token::Attr { name, value }),
             Some(b'>') => {
                 self.pos += 1;
                 self.in_tag = false;
@@ -173,7 +217,7 @@ impl<'a> Tokenizer<'a> {
             }
             Some(b'/') if self.input.as_bytes().get(self.pos + 1) == Some(&b'>') => {
                 self.pos += 2;
-                self.in_tag = false;
+                self.close_tag();
                 Ok(Token::SelfClose)
             }
             _ => Err(NotCanonical),
@@ -301,8 +345,8 @@ impl TreeBuilder {
     /// Builds the element whose `Open(name)` token was just consumed:
     /// reads its attributes, content, and closing tag. On error the
     /// scratch buffer may hold partial nodes — call [`TreeBuilder::build`]
-    /// again only after discarding the failed parse (both entry points
-    /// here do so by resetting).
+    /// again only after discarding the failed parse (every reader here
+    /// stops at its first error).
     ///
     /// Drives the tokenizer's scanner primitives directly rather than
     /// pulling `Token`s: this loop runs once per node of every data
@@ -313,13 +357,7 @@ impl TreeBuilder {
         loop {
             match tok.input.as_bytes().get(tok.pos) {
                 Some(b' ') => {
-                    tok.pos += 1;
-                    let aname = tok.scan_name()?;
-                    if !tok.input[tok.pos..].starts_with("=\"") {
-                        return Err(NotCanonical);
-                    }
-                    tok.pos += 2;
-                    let value = tok.scan_attr_value()?;
+                    let (aname, value) = tok.scan_attr()?;
                     if el.get_attr(aname).is_some() {
                         return Err(NotCanonical);
                     }
@@ -331,7 +369,7 @@ impl TreeBuilder {
                 }
                 Some(b'/') if tok.input.as_bytes().get(tok.pos + 1) == Some(&b'>') => {
                     tok.pos += 2;
-                    tok.in_tag = false;
+                    tok.close_tag();
                     return Ok(el);
                 }
                 _ => return Err(NotCanonical),
@@ -344,12 +382,7 @@ impl TreeBuilder {
                 None => return Err(NotCanonical),
                 Some(b'<') => {
                     if tok.input.as_bytes().get(tok.pos + 1) == Some(&b'/') {
-                        tok.pos += 2;
-                        let close = tok.scan_name()?;
-                        if tok.input.as_bytes().get(tok.pos) != Some(&b'>') {
-                            return Err(NotCanonical);
-                        }
-                        tok.pos += 1;
+                        let close = tok.scan_close()?;
                         // `<a></a>` is the serializer's `<a/>`:
                         // long-form empty elements are not canonical.
                         if close != el.name() || self.scratch.len() == mark {
@@ -358,9 +391,7 @@ impl TreeBuilder {
                         el.set_children(self.scratch.split_off(mark));
                         return Ok(el);
                     }
-                    tok.pos += 1;
-                    let child_name = tok.scan_name()?;
-                    tok.in_tag = true;
+                    let child_name = tok.open_tag()?;
                     let child = self.build(tok, child_name)?;
                     self.scratch.push(Node::Element(child));
                 }
@@ -413,30 +444,36 @@ pub fn skip_subtree<'a>(tok: &mut Tokenizer<'a>, name: &str) -> Result<(), NotCa
     }
 }
 
-/// Parses a canonical document: exactly one element, nothing before or
-/// after. Returns `None` when the input deviates from the canonical
-/// grammar.
-pub fn parse_canonical(input: &str) -> Option<Element> {
-    let mut tok = Tokenizer::new(input);
-    let Ok(Some(Token::Open(name))) = tok.next_token() else {
-        return None;
-    };
-    let root = TreeBuilder::new().build(&mut tok, name).ok()?;
-    match tok.next_token() {
-        Ok(None) => Some(root),
-        _ => None, // trailing content, or junk after the root
+/// Whether serializer output nests at most `MAX_DEPTH` deep — what the
+/// reader accepts — by a byte scan: the serializer escapes `<` and `>`
+/// outside markup, so each `<` opens or closes a tag and each `/>`
+/// closes one. Peers check every envelope they build with it.
+pub fn within_depth_cap(xml: &str) -> bool {
+    let b = xml.as_bytes();
+    let (mut depth, mut i) = (0, 0);
+    loop {
+        i += find_special(&b[i..], [b'<', b'>']);
+        match (b.get(i), b.get(i + 1)) {
+            (None, _) => return true,
+            (Some(b'<'), Some(b'/')) => depth -= 1,
+            (Some(b'<'), _) if depth >= MAX_DEPTH as isize => return false,
+            (Some(b'<'), _) => depth += 1,
+            _ if i > 0 && b[i - 1] == b'/' => depth -= 1,
+            _ => {}
+        }
+        i += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_document, serialize};
+    use crate::error::ErrorKind;
+    use crate::{parse, parse_canonical, parse_items, serialize};
 
     fn roundtrip(src: &str) -> Element {
-        let e = parse_canonical(src).expect("canonical input must parse");
+        let e = parse(src).expect("canonical input must parse");
         assert_eq!(serialize(&e), src, "byte-identity guarantee");
-        assert_eq!(e, parse_document(src).unwrap(), "agrees with lenient");
         e
     }
 
@@ -463,32 +500,80 @@ mod tests {
         assert_eq!(e.get_attr("k"), Some("\"q' &<>"));
     }
 
+    /// Each input with the byte offset [`parse()`] reports: where the
+    /// input leaves the grammar, or where the root ended when content
+    /// follows it.
     #[test]
     fn non_canonical_forms_rejected() {
-        for src in [
-            "",
-            " <a/>",                       // leading whitespace
-            "<a/> ",                       // trailing whitespace
-            "<a></a>",                     // long-form empty element
-            "<a x='1'/>",                  // single-quoted attribute
-            "<a  x=\"1\"/>",               // double space
-            "<a x=\"1\" />",               // space before />
-            "<a x = \"1\"/>",              // spaces around =
-            "<a>&#65;</a>",                // numeric character reference
-            "<a>&quot;</a>",               // attr-only entity in text
-            "<a>1 > 0</a>",                // raw > in text
-            "<a k=\"x>y\"/>",              // raw > in attribute value
-            "<a k=\"x'y\"/>",              // raw ' in attribute value
-            "<?xml version=\"1.0\"?><a/>", // prolog
-            "<!-- c --><a/>",              // comment
-            "<a><![CDATA[x]]></a>",        // CDATA
-            "<a><b></a></b>",              // mismatched tags
-            "<a x=\"1\" x=\"2\"/>",        // duplicate attribute
-            "<a/><b/>",                    // two roots
-            "<a",                          // EOF in tag
-            "<a>text",                     // EOF in content
+        for (src, at) in [
+            ("", 0),
+            (" <a/>", 1),                       // leading whitespace
+            ("<a/> ", 4),                       // trailing whitespace
+            ("<a></a>", 7),                     // long-form empty element
+            ("<a x='1'/>", 4),                  // single-quoted attribute
+            ("<a  x=\"1\"/>", 3),               // double space
+            ("<a x=\"1\" />", 9),               // space before />
+            ("<a x = \"1\"/>", 4),              // spaces around =
+            ("<a>&#65;</a>", 3),                // numeric character reference
+            ("<a>&quot;</a>", 3),               // attr-only entity in text
+            ("<a>1 > 0</a>", 5),                // raw > in text
+            ("<a k=\"x>y\"/>", 6),              // raw > in attribute value
+            ("<a k=\"x'y\"/>", 6),              // raw ' in attribute value
+            ("<?xml version=\"1.0\"?><a/>", 1), // prolog
+            ("<!-- c --><a/>", 1),              // comment
+            ("<a><![CDATA[x]]></a>", 4),        // CDATA
+            ("<a><b></a></b>", 10),             // mismatched tags
+            ("<a x=\"1\" x=\"2\"/>", 14),       // duplicate attribute
+            ("<a/><b/>", 4),                    // two roots
+            ("<a", 2),                          // EOF in tag
+            ("<a>text", 7),                     // EOF in content
         ] {
-            assert!(parse_canonical(src).is_none(), "{src:?} should be rejected");
+            let err = parse(src).expect_err(src);
+            assert_eq!(
+                (err.offset, err.kind),
+                (at, ErrorKind::NotCanonical),
+                "{src:?}"
+            );
+            assert!(parse_canonical(src).is_none());
+        }
+    }
+
+    /// `MAX_DEPTH` open elements parse; one more is refused at the `<`
+    /// of the tag that would exceed it, by every walker that shares the
+    /// tokenizer's counter — and the counter unwinds between items.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}x{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let too_deep = nest(MAX_DEPTH + 1);
+        let at = 3 * MAX_DEPTH;
+        assert_eq!(parse(&too_deep).unwrap_err().offset, at);
+        assert_eq!(parse_items(&too_deep).unwrap_err().offset, at);
+        let mut tok = Tokenizer::new(&too_deep);
+        let Ok(Some(Token::Open(root))) = tok.next_token() else {
+            panic!("root");
+        };
+        assert_eq!(skip_subtree(&mut tok, root), Err(NotCanonical));
+        assert_eq!(tok.pos(), at);
+        let two = nest(MAX_DEPTH).repeat(2);
+        assert_eq!(parse_items(&two).map(|b| b.len()), Ok(2));
+    }
+
+    /// The writers' byte scan draws the cap exactly where the reader
+    /// does, whatever the leaf: self-closing tags, and `/` in text and
+    /// attribute values next to markup.
+    #[test]
+    fn depth_scan_agrees_with_the_reader() {
+        for depth in [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1] {
+            let wrap = |leaf: &str| {
+                let open = format!("<a k=\"/\">/{}", "<a>".repeat(depth - 2));
+                format!("{open}{leaf}{}/</a>", "</a>".repeat(depth - 2))
+            };
+            for leaf in ["<b/>", "<b k=\"x/\"/>", "<b>x/</b>", "<b/><b/>"] {
+                let doc = wrap(leaf);
+                assert_eq!(within_depth_cap(&doc), parse(&doc).is_ok(), "{doc}");
+                assert_eq!(within_depth_cap(&doc), depth <= MAX_DEPTH, "{doc}");
+            }
         }
     }
 

@@ -17,24 +17,12 @@ pub struct ParseError {
 /// The category of a [`ParseError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ErrorKind {
-    /// Input ended in the middle of a construct.
-    UnexpectedEof,
-    /// A character that cannot start or continue the expected construct.
-    UnexpectedChar(char),
-    /// `</close>` did not match the open tag.
-    MismatchedTag { open: String, close: String },
-    /// An entity reference (`&...;`) that we do not recognize.
-    UnknownEntity(String),
-    /// Invalid numeric character reference.
-    BadCharRef(String),
-    /// Document contained trailing non-whitespace content after the root.
-    TrailingContent,
-    /// Document had no root element.
-    NoRootElement,
+    /// The input is not canonical XML (see [`crate::canon`]): malformed,
+    /// or well-formed but spelled differently from what
+    /// [`fn@crate::serialize`] writes.
+    NotCanonical,
     /// An XPath expression was malformed.
     BadPath(String),
-    /// Attribute appears twice on one element.
-    DuplicateAttribute(String),
 }
 
 impl ParseError {
@@ -47,17 +35,8 @@ impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "XML parse error at byte {}: ", self.offset)?;
         match &self.kind {
-            ErrorKind::UnexpectedEof => write!(f, "unexpected end of input"),
-            ErrorKind::UnexpectedChar(c) => write!(f, "unexpected character {c:?}"),
-            ErrorKind::MismatchedTag { open, close } => {
-                write!(f, "mismatched tag: <{open}> closed by </{close}>")
-            }
-            ErrorKind::UnknownEntity(e) => write!(f, "unknown entity &{e};"),
-            ErrorKind::BadCharRef(e) => write!(f, "bad character reference &#{e};"),
-            ErrorKind::TrailingContent => write!(f, "trailing content after root element"),
-            ErrorKind::NoRootElement => write!(f, "no root element"),
+            ErrorKind::NotCanonical => write!(f, "not canonical XML"),
             ErrorKind::BadPath(p) => write!(f, "bad XPath expression: {p}"),
-            ErrorKind::DuplicateAttribute(a) => write!(f, "duplicate attribute {a:?}"),
         }
     }
 }
@@ -70,24 +49,16 @@ mod tests {
 
     #[test]
     fn display_includes_offset_and_kind() {
-        let e = ParseError::new(17, ErrorKind::UnknownEntity("nbsp".into()));
-        let s = e.to_string();
+        let s = ParseError::new(17, ErrorKind::NotCanonical).to_string();
         assert!(s.contains("17"), "{s}");
-        assert!(s.contains("nbsp"), "{s}");
+        assert!(s.contains("not canonical"), "{s}");
     }
 
     #[test]
     fn display_mismatched_tag() {
-        let e = ParseError::new(
-            0,
-            ErrorKind::MismatchedTag {
-                open: "a".into(),
-                close: "b".into(),
-            },
-        );
         assert_eq!(
-            e.to_string(),
-            "XML parse error at byte 0: mismatched tag: <a> closed by </b>"
+            crate::parse("<a>x</b>").unwrap_err().to_string(),
+            "XML parse error at byte 8: not canonical XML"
         );
     }
 }

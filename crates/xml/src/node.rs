@@ -1,9 +1,9 @@
 //! The XML tree model: [`Element`] and [`Node`].
 //!
 //! The model is deliberately small: elements with ordered attributes and
-//! mixed children (elements and text). Comments, processing instructions
-//! and the document prolog are discarded at parse time — mutant query
-//! plans never carry them, and dropping them keeps structural equality
+//! mixed children (elements and text). It has no comments, processing
+//! instructions or prolog — mutant query plans never carry them, the
+//! reader rejects them, and their absence keeps structural equality
 //! meaningful for plan reduction.
 
 use std::borrow::Cow;
@@ -35,11 +35,6 @@ impl Node {
             Node::Element(_) => None,
             Node::Text(t) => Some(t),
         }
-    }
-
-    /// True if this is a text node consisting only of XML whitespace.
-    pub fn is_whitespace(&self) -> bool {
-        matches!(self, Node::Text(t) if t.chars().all(|c| c.is_ascii_whitespace()))
     }
 }
 
@@ -98,11 +93,6 @@ impl Element {
         &self.name
     }
 
-    /// Renames the element in place.
-    pub fn set_name(&mut self, name: impl Into<Name>) {
-        self.name = name.into();
-    }
-
     // ------------------------------------------------------------------
     // Builder-style construction
     // ------------------------------------------------------------------
@@ -131,12 +121,6 @@ impl Element {
         self.child(Node::Text(text))
     }
 
-    /// Appends many element children; returns `self` for chaining.
-    pub fn children_from(mut self, iter: impl IntoIterator<Item = Element>) -> Self {
-        self.children.extend(iter.into_iter().map(Node::Element));
-        self
-    }
-
     // ------------------------------------------------------------------
     // Mutation
     // ------------------------------------------------------------------
@@ -163,25 +147,9 @@ impl Element {
         self.children.push(node.into());
     }
 
-    /// Removes all children, returning them.
-    pub fn take_children(&mut self) -> Vec<Node> {
-        std::mem::take(&mut self.children)
-    }
-
     /// Replaces the children wholesale.
     pub fn set_children(&mut self, children: Vec<Node>) {
         self.children = children;
-    }
-
-    /// Drops whitespace-only text children, recursively. Useful after
-    /// parsing pretty-printed documents when only structure matters.
-    pub fn trim_whitespace(&mut self) {
-        self.children.retain(|c| !c.is_whitespace());
-        for c in &mut self.children {
-            if let Node::Element(e) = c {
-                e.trim_whitespace();
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -406,18 +374,6 @@ mod tests {
         assert_eq!(tricky.serialized_len(), crate::serialize(&tricky).len());
         let empty = Element::new("e").attr("a", "1");
         assert_eq!(empty.serialized_len(), crate::serialize(&empty).len());
-    }
-
-    #[test]
-    fn trim_whitespace_recurses() {
-        let mut e = Element::new("a")
-            .text("  \n")
-            .child(Element::new("b").text("  ").text("keep"));
-        e.trim_whitespace();
-        assert_eq!(e.children().len(), 1);
-        let b = e.first("b").unwrap();
-        assert_eq!(b.children().len(), 1);
-        assert_eq!(b.direct_text(), "keep");
     }
 
     #[test]

@@ -1,360 +1,69 @@
-//! Recursive-descent XML parser.
-//!
-//! Supports the subset MQPs and data bundles need: elements, attributes
-//! (single- or double-quoted), character data, CDATA sections, comments
-//! (skipped), processing instructions and the XML declaration (skipped),
-//! and the five predefined entities plus numeric character references.
-//! DTDs are not supported (a `<!DOCTYPE…>` is rejected) — plans never
-//! carry them and rejecting them avoids entity-expansion attacks from
-//! untrusted peers.
+//! The one XML reader's entry points, a [`Tokenizer`] driving a
+//! [`TreeBuilder`]: anything but canonical XML is
+//! [`ErrorKind::NotCanonical`] where the input left the grammar.
 
-use crate::error::{ErrorKind, ParseError, Result};
-use crate::node::{Element, Node};
+use crate::batch::Batch;
+use crate::canon::{NotCanonical, Token, Tokenizer, TreeBuilder};
+use crate::error::{ErrorKind, ParseError};
+use crate::node::Element;
 
-/// Parses a complete document: optional prolog, a single root element,
-/// optional trailing whitespace. Returns the root element.
-pub fn parse_document(input: &str) -> Result<Element> {
-    let mut p = Parser::new(input);
-    p.skip_prolog()?;
-    let root = p.parse_element()?;
-    p.skip_misc();
-    if !p.at_end() {
-        return Err(p.err(ErrorKind::TrailingContent));
-    }
-    Ok(root)
-}
-
-/// Parses a single element from the input: the entry point for XML a
-/// person wrote — item literals in `.mqpq` queries, test fixtures —
-/// and the reference [`crate::canon`] is property-tested against. Peers
-/// do not call it: plans and envelopes decode from the canonical
-/// tokenizer alone.
-///
-/// Input that happens to be canonical (everything
-/// [`fn@crate::serialize`] writes) takes the zero-copy parser in
-/// [`crate::canon`]; anything else — pretty-printing, prologs,
-/// comments, single quotes — goes through this module's
-/// recursive-descent parser, which also produces the error when the
-/// input is malformed.
-pub fn parse(input: &str) -> Result<Element> {
-    if let Some(e) = crate::canon::parse_canonical(input) {
-        return Ok(e);
-    }
-    parse_document(input)
-}
-
-/// True for bytes that may start an XML name (shared with the canonical
-/// tokenizer so both parsers accept the same names).
-pub(crate) fn is_name_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
-}
-
-/// True for bytes that may continue an XML name.
-pub(crate) fn is_name_char(b: u8) -> bool {
-    is_name_start(b) || b.is_ascii_digit() || b == b'-' || b == b'.'
-}
-
-struct Parser<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, kind: ErrorKind) -> ParseError {
-        ParseError::new(self.pos, kind)
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s)
-    }
-
-    fn eat(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, s: &str) -> Result<()> {
-        if self.eat(s) {
-            Ok(())
-        } else {
-            match self.peek() {
-                Some(b) => Err(self.err(ErrorKind::UnexpectedChar(b as char))),
-                None => Err(self.err(ErrorKind::UnexpectedEof)),
-            }
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    /// Skips the XML declaration, comments, PIs and whitespace before the
-    /// root element. Rejects DOCTYPE.
-    fn skip_prolog(&mut self) -> Result<()> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                self.skip_until("?>")?;
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->")?;
-            } else if self.starts_with("<!DOCTYPE") {
-                return Err(self.err(ErrorKind::UnexpectedChar('!')));
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Skips comments/PIs/whitespace after the root element.
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                if self.skip_until("-->").is_err() {
-                    return;
-                }
-            } else if self.starts_with("<?") {
-                if self.skip_until("?>").is_err() {
-                    return;
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn skip_until(&mut self, end: &str) -> Result<()> {
-        match self.input[self.pos..].find(end) {
-            Some(i) => {
-                self.pos += i + end.len();
-                Ok(())
-            }
-            None => {
-                self.pos = self.bytes.len();
-                Err(self.err(ErrorKind::UnexpectedEof))
-            }
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String> {
-        let start = self.pos;
-        match self.peek() {
-            Some(b) if is_name_start(b) => {
-                self.pos += 1;
-            }
-            Some(b) => return Err(self.err(ErrorKind::UnexpectedChar(b as char))),
-            None => return Err(self.err(ErrorKind::UnexpectedEof)),
-        }
-        while matches!(self.peek(), Some(b) if is_name_char(b)) {
-            self.pos += 1;
-        }
-        Ok(self.input[start..self.pos].to_owned())
-    }
-
-    fn parse_element(&mut self) -> Result<Element> {
-        self.expect("<")?;
-        let name = self.parse_name()?;
-        let mut el = Element::new(&name);
-
-        // Attributes.
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b'/') => {
-                    self.pos += 1;
-                    self.expect(">")?;
-                    return Ok(el);
-                }
-                Some(b) if is_name_start(b) => {
-                    let aname = self.parse_name()?;
-                    if el.get_attr(&aname).is_some() {
-                        return Err(self.err(ErrorKind::DuplicateAttribute(aname)));
-                    }
-                    self.skip_ws();
-                    self.expect("=")?;
-                    self.skip_ws();
-                    let value = self.parse_attr_value()?;
-                    el.set_attr(aname, value);
-                }
-                Some(b) => return Err(self.err(ErrorKind::UnexpectedChar(b as char))),
-                None => return Err(self.err(ErrorKind::UnexpectedEof)),
-            }
-        }
-
-        // Content.
-        let mut text_buf = String::new();
-        loop {
-            if self.starts_with("</") {
-                flush_text(&mut el, &mut text_buf);
-                self.pos += 2;
-                let close = self.parse_name()?;
-                if close != name {
-                    return Err(self.err(ErrorKind::MismatchedTag { open: name, close }));
-                }
-                self.skip_ws();
-                self.expect(">")?;
-                return Ok(el);
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->")?;
-            } else if self.starts_with("<![CDATA[") {
-                self.pos += "<![CDATA[".len();
-                let start = self.pos;
-                match self.input[self.pos..].find("]]>") {
-                    Some(i) => {
-                        text_buf.push_str(&self.input[start..start + i]);
-                        self.pos += i + 3;
-                    }
-                    None => return Err(self.err(ErrorKind::UnexpectedEof)),
-                }
-            } else if self.starts_with("<?") {
-                self.skip_until("?>")?;
-            } else if self.starts_with("<") {
-                flush_text(&mut el, &mut text_buf);
-                let child = self.parse_element()?;
-                el.push_child(child);
-            } else if self.at_end() {
-                return Err(self.err(ErrorKind::UnexpectedEof));
-            } else {
-                self.parse_char_data(&mut text_buf)?;
-            }
-        }
-    }
-
-    fn parse_attr_value(&mut self) -> Result<String> {
-        let quote = match self.bump() {
-            Some(q @ (b'"' | b'\'')) => q,
-            Some(b) => return Err(self.err(ErrorKind::UnexpectedChar(b as char))),
-            None => return Err(self.err(ErrorKind::UnexpectedEof)),
-        };
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b) if b == quote => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'&') => {
-                    let c = self.parse_entity()?;
-                    out.push_str(&c);
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote || b == b'&' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.input[start..self.pos]);
-                }
-                None => return Err(self.err(ErrorKind::UnexpectedEof)),
-            }
-        }
-    }
-
-    /// Consumes character data up to the next `<` or `&`, appending the
-    /// decoded text to `buf`; decodes one entity if positioned at `&`.
-    fn parse_char_data(&mut self, buf: &mut String) -> Result<()> {
-        match self.peek() {
-            Some(b'&') => {
-                let c = self.parse_entity()?;
-                buf.push_str(&c);
-            }
-            _ => {
-                let start = self.pos;
-                while let Some(b) = self.peek() {
-                    if b == b'<' || b == b'&' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                buf.push_str(&self.input[start..self.pos]);
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses `&name;`, `&#NN;` or `&#xHH;` (cursor on `&`).
-    fn parse_entity(&mut self) -> Result<String> {
-        debug_assert_eq!(self.peek(), Some(b'&'));
-        self.pos += 1;
-        let start = self.pos;
-        while matches!(self.peek(), Some(b) if b != b';') {
-            self.pos += 1;
-        }
-        if self.peek() != Some(b';') {
-            return Err(self.err(ErrorKind::UnexpectedEof));
-        }
-        let body = &self.input[start..self.pos];
-        self.pos += 1;
-        let decoded = match body {
-            "amp" => "&".to_owned(),
-            "lt" => "<".to_owned(),
-            "gt" => ">".to_owned(),
-            "quot" => "\"".to_owned(),
-            "apos" => "'".to_owned(),
-            _ if body.starts_with('#') => {
-                let num = &body[1..];
-                let cp = if let Some(hex) = num.strip_prefix('x').or_else(|| num.strip_prefix('X'))
-                {
-                    u32::from_str_radix(hex, 16)
-                } else {
-                    num.parse::<u32>()
-                }
-                .map_err(|_| self.err(ErrorKind::BadCharRef(body.to_owned())))?;
-                char::from_u32(cp)
-                    .ok_or_else(|| self.err(ErrorKind::BadCharRef(body.to_owned())))?
-                    .to_string()
-            }
-            _ => return Err(self.err(ErrorKind::UnknownEntity(body.to_owned()))),
-        };
-        Ok(decoded)
+/// Parses a canonical document: exactly one element, nothing before or
+/// after. The error's offset is where the input left the canonical
+/// grammar (for content after the root, where the root ended).
+pub fn parse(input: &str) -> Result<Element, ParseError> {
+    let mut tok = Tokenizer::new(input);
+    let root = match tok.next_token() {
+        Ok(Some(Token::Open(name))) => TreeBuilder::new().build(&mut tok, name),
+        _ => Err(NotCanonical),
+    };
+    let end = tok.pos();
+    match root {
+        Ok(root) if tok.next_token() == Ok(None) => Ok(root),
+        _ => Err(ParseError::new(end, ErrorKind::NotCanonical)),
     }
 }
 
-fn flush_text(el: &mut Element, buf: &mut String) {
-    if !buf.is_empty() {
-        el.push_child(Node::Text(std::mem::take(buf)));
+/// Parses a sequence of canonical elements — a result payload's items,
+/// a `.mqpq` `data` literal — into a [`Batch`]. Text between items is
+/// formatting; the empty sequence is the empty batch.
+pub fn parse_items(input: &str) -> Result<Batch, ParseError> {
+    let mut tok = Tokenizer::new(input);
+    let mut tb = TreeBuilder::new();
+    let mut items = Batch::new();
+    loop {
+        match tok.next_token() {
+            Ok(None) => return Ok(items),
+            Ok(Some(Token::Open(name))) => match tb.build(&mut tok, name) {
+                Ok(item) => items.push_item(item),
+                Err(_) => break,
+            },
+            Ok(Some(Token::Text(_))) => {}
+            _ => break,
+        }
     }
+    Err(ParseError::new(tok.pos(), ErrorKind::NotCanonical))
+}
+
+/// [`parse()`] without the offset.
+pub fn parse_canonical(input: &str) -> Option<Element> {
+    parse(input).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serialize;
+
+    /// `src` is refused as [`ErrorKind::NotCanonical`] at byte `at`.
+    fn rejected_at(src: &str, at: usize) {
+        let err = parse(src).expect_err(src);
+        assert_eq!(
+            (err.offset, err.kind),
+            (at, ErrorKind::NotCanonical),
+            "{src:?}"
+        );
+        assert!(parse_canonical(src).is_none());
+    }
 
     #[test]
     fn basic_element() {
@@ -363,11 +72,14 @@ mod tests {
         assert!(e.children().is_empty());
     }
 
+    /// Attributes are double-quoted; a single-quoted value is refused at
+    /// its quote.
     #[test]
     fn attributes_both_quote_styles() {
-        let e = parse(r#"<a x="1" y='two'/>"#).unwrap();
+        let e = parse(r#"<a x="1" y="two"/>"#).unwrap();
         assert_eq!(e.get_attr("x"), Some("1"));
         assert_eq!(e.get_attr("y"), Some("two"));
+        rejected_at("<a x=\"1\" y='two'/>", 10);
     }
 
     #[test]
@@ -386,83 +98,83 @@ mod tests {
         assert_eq!(e.children()[2].as_text(), Some("y"));
     }
 
+    /// The predefined entities decode; numeric character references are
+    /// refused at the first `&#`.
     #[test]
     fn entities_decoded() {
-        let e = parse("<a b=\"&lt;&amp;&quot;&apos;&gt;\">&#65;&#x42;&amp;</a>").unwrap();
+        let e = parse("<a b=\"&lt;&amp;&quot;&apos;&gt;\">&lt;&amp;&gt;</a>").unwrap();
         assert_eq!(e.get_attr("b"), Some("<&\"'>"));
-        assert_eq!(e.direct_text(), "AB&");
+        assert_eq!(e.direct_text(), "<&>");
+        rejected_at(
+            "<a b=\"&lt;&amp;&quot;&apos;&gt;\">&#65;&#x42;&amp;</a>",
+            33,
+        );
     }
 
     #[test]
     fn unknown_entity_rejected() {
-        let err = parse("<a>&nbsp;</a>").unwrap_err();
-        assert!(matches!(err.kind, ErrorKind::UnknownEntity(_)));
+        rejected_at("<a>&nbsp;</a>", 3);
     }
 
     #[test]
     fn bad_char_ref_rejected() {
-        assert!(matches!(
-            parse("<a>&#xZZ;</a>").unwrap_err().kind,
-            ErrorKind::BadCharRef(_)
-        ));
+        rejected_at("<a>&#xZZ;</a>", 3);
         // Surrogate code point is not a char.
-        assert!(matches!(
-            parse("<a>&#xD800;</a>").unwrap_err().kind,
-            ErrorKind::BadCharRef(_)
-        ));
+        rejected_at("<a>&#xD800;</a>", 3);
     }
 
+    /// A CDATA section is refused; the same text passes escaped.
     #[test]
     fn cdata_passes_raw() {
-        let e = parse("<a><![CDATA[<not> & parsed]]></a>").unwrap();
+        rejected_at("<a><![CDATA[<not> & parsed]]></a>", 4);
+        let e = parse("<a>&lt;not&gt; &amp; parsed</a>").unwrap();
         assert_eq!(e.direct_text(), "<not> & parsed");
     }
 
+    /// Comments, processing instructions and the XML declaration are
+    /// refused wherever they appear.
     #[test]
     fn comments_and_pis_skipped() {
-        let e =
-            parse("<?xml version=\"1.0\"?><!-- hi --><a><!-- in --><b/><?pi data?></a>").unwrap();
-        assert_eq!(e.child_elements().count(), 1);
+        rejected_at(
+            "<?xml version=\"1.0\"?><!-- hi --><a><!-- in --><b/><?pi data?></a>",
+            1,
+        );
+        rejected_at("<a><!-- in --><b/></a>", 4);
+        rejected_at("<a><b/><?pi data?></a>", 8);
     }
 
     #[test]
     fn mismatched_tag_rejected() {
-        let err = parse("<a><b></a></b>").unwrap_err();
-        assert!(matches!(err.kind, ErrorKind::MismatchedTag { .. }));
+        rejected_at("<a><b></a></b>", 10);
     }
 
     #[test]
     fn trailing_content_rejected() {
-        let err = parse("<a/>junk").unwrap_err();
-        assert_eq!(err.kind, ErrorKind::TrailingContent);
+        rejected_at("<a/>junk", 4);
     }
 
+    /// Nothing may follow the root, not even whitespace or a comment:
+    /// the error points where the root ended.
     #[test]
     fn trailing_whitespace_and_comment_ok() {
-        assert!(parse("<a/>  \n<!-- bye -->  ").is_ok());
+        rejected_at("<a/>  \n<!-- bye -->  ", 4);
+        rejected_at("<a>x</a>\n", 8);
     }
 
     #[test]
     fn doctype_rejected() {
-        assert!(parse("<!DOCTYPE a><a/>").is_err());
+        rejected_at("<!DOCTYPE a><a/>", 1);
     }
 
     #[test]
     fn duplicate_attribute_rejected() {
-        let err = parse(r#"<a x="1" x="2"/>"#).unwrap_err();
-        assert!(matches!(err.kind, ErrorKind::DuplicateAttribute(_)));
+        rejected_at(r#"<a x="1" x="2"/>"#, 14);
     }
 
     #[test]
     fn eof_in_tag() {
-        assert!(matches!(
-            parse("<a").unwrap_err().kind,
-            ErrorKind::UnexpectedEof
-        ));
-        assert!(matches!(
-            parse("<a><b>").unwrap_err().kind,
-            ErrorKind::UnexpectedEof
-        ));
+        rejected_at("<a", 2);
+        rejected_at("<a><b>", 6);
     }
 
     #[test]
@@ -478,14 +190,29 @@ mod tests {
         let src = r#"<plan target="129.95.50.105:9020"><select pred="price &lt; 10"><urn name="urn:ForSale:Portland-CDs"/></select></plan>"#;
         let e = parse(src).unwrap();
         let out = serialize(&e);
-        let e2 = parse(&out).unwrap();
-        assert_eq!(e, e2);
+        assert_eq!(out, src);
+        assert_eq!(parse(&out).unwrap(), e);
+    }
+
+    /// Tags carry exactly one space before each attribute and none
+    /// elsewhere; any other spacing is refused where it starts.
+    #[test]
+    fn whitespace_between_attrs_flexible() {
+        let e = parse("<a x=\"1\" y=\"2\"/>").unwrap();
+        assert_eq!(e.get_attr("x"), Some("1"));
+        assert_eq!(e.get_attr("y"), Some("2"));
+        rejected_at("<a  x = \"1\"\n y='2' />", 3);
+        rejected_at("<a x=\"1\"\ny=\"2\"/>", 8);
     }
 
     #[test]
-    fn whitespace_between_attrs_flexible() {
-        let e = parse("<a  x = \"1\"\n y='2' />").unwrap();
-        assert_eq!(e.get_attr("x"), Some("1"));
-        assert_eq!(e.get_attr("y"), Some("2"));
+    fn item_sequences_parse_as_batches() {
+        assert_eq!(parse_items("").map(|b| b.len()), Ok(0));
+        let items = parse_items("<i>1</i>\n  <i>2</i> ").unwrap();
+        assert_eq!(items.len(), 2);
+        assert_eq!(items[1].direct_text(), "2");
+        for (src, at) in [("<i a='1'/>", 4), ("<i/></j>", 8), ("<i>", 3)] {
+            assert_eq!(parse_items(src).unwrap_err().offset, at, "{src:?}");
+        }
     }
 }

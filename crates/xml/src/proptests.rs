@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use crate::node::{Element, Node};
-use crate::{parse, serialize, serialize_pretty};
+use crate::{parse, parse_items, serialize};
 
 /// Text that exercises escaping but avoids the one thing the model cannot
 /// represent: a text node adjacent to another text node (the parser
@@ -74,27 +74,6 @@ enum NodeKind {
     Text(String),
 }
 
-/// Trims every text node and drops the ones that become empty; the
-/// equivalence pretty-printing preserves.
-fn normalize_text(e: &Element) -> Element {
-    let mut out = Element::new(e.name());
-    for (n, v) in e.attrs() {
-        out.set_attr(n.clone(), v.clone());
-    }
-    for c in e.children() {
-        match c {
-            Node::Element(el) => out.push_child(Node::Element(normalize_text(el))),
-            Node::Text(t) => {
-                let t = t.trim();
-                if !t.is_empty() {
-                    out.push_child(Node::Text(t.to_owned()));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// The direct element children of the canonical document `doc`, each
 /// with its byte span, taken the way `Mqp::from_wire` slices its plan,
 /// visit and constraints fragments: `Tokenizer::pos()` before the
@@ -149,17 +128,6 @@ proptest! {
     }
 
     #[test]
-    fn pretty_roundtrips_structure(e in arb_element()) {
-        // Pretty printing inserts indentation around mixed-content text,
-        // so it is lossy for surrounding whitespace by design. The
-        // invariant it promises: reparsing and normalizing whitespace in
-        // text nodes recovers the whitespace-normalized original.
-        let pretty = serialize_pretty(&e);
-        let back = parse(&pretty).expect("pretty output must reparse");
-        prop_assert_eq!(normalize_text(&back), normalize_text(&e));
-    }
-
-    #[test]
     fn subtree_size_positive_and_monotone(e in arb_element()) {
         let size = e.subtree_size();
         prop_assert!(size >= 1);
@@ -173,23 +141,19 @@ proptest! {
         let _ = parse(&s); // must not panic
     }
 
-    /// The zero-copy canonical parser agrees node-for-node with the
-    /// lenient parser on every serializer output, and its byte-span
-    /// guarantee holds: each element's `Tokenizer::pos()` span
-    /// re-serializes to exactly its input bytes (what envelope splicing
-    /// relies on).
+    /// Generate a tree, serialize it, parse it back: the same tree,
+    /// and the byte-span guarantee holds — each element's
+    /// `Tokenizer::pos()` span re-serializes to exactly its input bytes
+    /// (what envelope splicing relies on).
     #[test]
-    fn canonical_parse_agrees_with_lenient(e in arb_element()) {
+    fn parse_recovers_the_tree_and_its_spans(e in arb_element()) {
         let s = serialize(&e);
-        let canon = crate::canon::parse_canonical(&s)
-            .expect("serializer output must canonical-parse");
-        let lenient = crate::parse_document(&s).expect("must parse leniently");
-        prop_assert_eq!(&canon, &lenient);
-        prop_assert_eq!(&canon, &e);
+        let back = parse(&s).expect("serializer output must parse");
+        prop_assert_eq!(&back, &e);
         // `child_slices` itself checks that the root spans the whole input.
-        let kids = child_slices(&s).expect("serializer output must canonical-parse");
-        prop_assert_eq!(kids.len(), canon.child_elements().count());
-        for (child, (built, slice)) in canon.child_elements().zip(&kids) {
+        let kids = child_slices(&s).expect("serializer output must parse");
+        prop_assert_eq!(kids.len(), back.child_elements().count());
+        for (child, (built, slice)) in back.child_elements().zip(&kids) {
             prop_assert_eq!(child, built);
             prop_assert_eq!(serialize(child), *slice);
             let grands = child_slices(slice).expect("a child span is itself canonical");
@@ -200,16 +164,15 @@ proptest! {
         }
     }
 
-    /// Whatever the canonical parser accepts — including inputs we never
-    /// generated ourselves — it must agree with the lenient parser and
-    /// re-serialize byte-identically. Rejections are fine (they fall
-    /// back); disagreements are not.
+    /// Whatever the reader accepts — including inputs we never
+    /// generated ourselves — re-serializes byte-identically, and the
+    /// item reader reads the same document as one item.
     #[test]
     fn canonical_never_disagrees_on_arbitrary_input(s in "[ -~<>&;/\"'=]{0,64}") {
-        if let Some(e) = crate::canon::parse_canonical(&s) {
+        if let Ok(e) = parse(&s) {
             prop_assert_eq!(serialize(&e), s.clone(), "byte-identity");
-            let lenient = crate::parse_document(&s).expect("canonical subset of lenient");
-            prop_assert_eq!(e, lenient);
+            let items = parse_items(&s).expect("a document is an item sequence");
+            prop_assert_eq!(items.to_vec(), vec![e]);
         }
     }
 

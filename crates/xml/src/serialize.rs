@@ -1,9 +1,9 @@
 //! Serialization of [`Element`] trees back to XML text.
 //!
-//! Two modes: [`serialize`] (compact, canonical — what goes on the wire
-//! and what [`Element::serialized_len`] measures) and [`serialize_pretty`]
-//! (indented, for logs and docs). Both escape `& < >` in text and
-//! additionally `" '` in attribute values, exactly mirroring the parser's
+//! One mode: [`serialize`] writes the compact canonical form — what goes
+//! on the wire, what [`Element::serialized_len`] measures and the only
+//! form [`fn@crate::parse`] reads. It escapes `& < >` in text and
+//! additionally `" '` in attribute values, exactly mirroring the reader's
 //! entity decoding so round-trips are lossless.
 
 use crate::node::{Element, Node};
@@ -11,7 +11,7 @@ use crate::node::{Element, Node};
 /// Compact serialization. Empty elements collapse to `<name/>`.
 pub fn serialize(el: &Element) -> String {
     let mut out = String::with_capacity(el.serialized_len());
-    write_element(el, &mut out);
+    serialize_into(el, &mut out);
     out
 }
 
@@ -19,19 +19,6 @@ pub fn serialize(el: &Element) -> String {
 /// block for callers that assemble larger wire messages (e.g. the plan
 /// codec) without intermediate strings.
 pub fn serialize_into(el: &Element, out: &mut String) {
-    write_element(el, out);
-}
-
-/// Indented serialization for human consumption. Text nodes are emitted
-/// inline (no reflow) so mixed content stays lossless.
-pub fn serialize_pretty(el: &Element) -> String {
-    let mut out = String::new();
-    write_pretty(el, 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn write_element(el: &Element, out: &mut String) {
     out.push('<');
     out.push_str(el.name());
     for (n, v) in el.attrs() {
@@ -48,57 +35,8 @@ fn write_element(el: &Element, out: &mut String) {
     out.push('>');
     for c in el.children() {
         match c {
-            Node::Element(e) => write_element(e, out),
+            Node::Element(e) => serialize_into(e, out),
             Node::Text(t) => escape_into(t, false, out),
-        }
-    }
-    out.push_str("</");
-    out.push_str(el.name());
-    out.push('>');
-}
-
-fn write_pretty(el: &Element, depth: usize, out: &mut String) {
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-    out.push('<');
-    out.push_str(el.name());
-    for (n, v) in el.attrs() {
-        out.push(' ');
-        out.push_str(n);
-        out.push_str("=\"");
-        escape_into(v, true, out);
-        out.push('"');
-    }
-    if el.children().is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    // Pure-text elements print on one line.
-    let only_text = el.children().iter().all(|c| matches!(c, Node::Text(_)));
-    out.push('>');
-    if only_text {
-        for c in el.children() {
-            if let Node::Text(t) = c {
-                escape_into(t, false, out);
-            }
-        }
-    } else {
-        for c in el.children() {
-            out.push('\n');
-            match c {
-                Node::Element(e) => write_pretty(e, depth + 1, out),
-                Node::Text(t) => {
-                    for _ in 0..depth + 1 {
-                        out.push_str("  ");
-                    }
-                    escape_into(t, false, out);
-                }
-            }
-        }
-        out.push('\n');
-        for _ in 0..depth {
-            out.push_str("  ");
         }
     }
     out.push_str("</");
@@ -146,24 +84,6 @@ mod tests {
         // Quotes not escaped in text (parser accepts raw quotes there).
         assert!(s.contains("\"quoted\""));
         assert_eq!(parse(&s).unwrap(), e);
-    }
-
-    #[test]
-    fn pretty_is_reparseable_after_trim() {
-        let e = Element::new("plan")
-            .attr("target", "h:1")
-            .child(Element::new("select").attr("pred", "price < 10"))
-            .child(Element::new("data").text("x & y"));
-        let pretty = serialize_pretty(&e);
-        let mut back = parse(&pretty).unwrap();
-        back.trim_whitespace();
-        assert_eq!(back, e);
-    }
-
-    #[test]
-    fn pretty_single_text_stays_inline() {
-        let e = Element::new("name").text("golf clubs");
-        assert_eq!(serialize_pretty(&e), "<name>golf clubs</name>\n");
     }
 
     #[test]
