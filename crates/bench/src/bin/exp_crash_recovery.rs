@@ -18,7 +18,9 @@
 //! Every trial additionally checks *prefix consistency*: the recovered
 //! catalog must equal a replay of exactly the first `k` ops for some
 //! `k` — never a blend, never an invented binding. Replay cost is
-//! measured over a large WAL at full scale.
+//! measured over a large WAL at full scale, where replaying ten times
+//! the records must cost at most 25 times as long (linear, not the
+//! quadratic of a registration that scans the catalog).
 //!
 //! **Phase B — recall under churn.** Two identical sim worlds (client,
 //! meta index, seller pairs) run the same power-cycle schedule — the
@@ -158,6 +160,18 @@ fn replay_cost(n: usize) -> (usize, f64) {
     let t0 = Instant::now();
     let (_, report) = dc.recover().expect("clean replay");
     (report.wal_records, t0.elapsed().as_secs_f64() * 1e3)
+}
+
+/// How many times longer replaying 50 000 records takes than replaying
+/// 5 000, each the best of three runs: about 10 when replay is linear in
+/// records, about 100 when each registration scans the catalog.
+fn replay_growth() -> f64 {
+    let best = |n| {
+        (0..3)
+            .map(|_| replay_cost(n).1)
+            .fold(f64::INFINITY, f64::min)
+    };
+    best(50_000) / best(5_000)
 }
 
 // ---------------------------------------------------------------------
@@ -330,6 +344,15 @@ fn main() {
         "\nreplay: {replay_records} WAL records in {} ms",
         fmt_ms(replay_ms)
     );
+    // Golden scale's 2 000 records are too few to tell linear from
+    // quadratic, so the growth check runs at full scale only.
+    let growth = (!golden).then(replay_growth);
+    if let Some(g) = growth {
+        println!(
+            "replay growth: 10x the records cost {}x the time (gate <= 25x)",
+            f2(g)
+        );
+    }
 
     // --- Phase B ---
     let pairs = if golden { 4 } else { 40 };
@@ -384,6 +407,10 @@ fn main() {
     assert!(
         prefix_consistent,
         "a recovered catalog was not a prefix replay"
+    );
+    assert!(
+        growth.is_none_or(|g| g <= 25.0),
+        "WAL replay grew faster than linearly in records"
     );
     assert_eq!(durable.unaccounted, 0, "durable arm leaked frames");
     assert_eq!(baseline.unaccounted, 0, "baseline arm leaked frames");

@@ -1,10 +1,11 @@
 //! The per-peer catalog store: entries, named-URN mappings, intensional
 //! statements, the binding algorithm, routing, and the route cache.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use mqp_namespace::{InterestArea, Urn};
+use mqp_namespace::{CategoryPath, InterestArea, Urn};
 
 use crate::binding::{Binding, BindingAlternative};
 use crate::entry::{CatalogEntry, Level, ServerId};
@@ -21,9 +22,23 @@ use crate::trust::TrustBook;
 /// so registration can hand the same allocation to every subscriber.
 /// Merging a re-registration copies-on-write ([`Arc::make_mut`]) only
 /// when the merge actually changes the entry.
-#[derive(Debug, Clone, Default)]
+///
+/// Two indexes over the entry positions sit beside the insertion-ordered
+/// entry list (DESIGN.md §4): a `(server, level)` slot map, so a
+/// registration finds the entry it merges into without a scan, and
+/// per-dimension coordinate postings, so binding and routing read only
+/// the entries whose coordinates can overlap the query. The list's order
+/// — what [`Catalog::entries`], snapshots and goldens observe — is the
+/// order of first registration; the indexes never reorder it.
+#[derive(Debug, Clone)]
 pub struct Catalog {
     entries: Vec<Arc<CatalogEntry>>,
+    /// `(server, level)` → position in `entries`. The std keyed hasher,
+    /// not FxHash: server ids arrive in other peers' `reg` frames, and
+    /// ids crafted to collide must not turn registration into a scan.
+    slot: HashMap<(ServerId, Level), u32>,
+    /// Overlap candidates: positions in `entries` by cell coordinate.
+    postings: Postings,
     statements: Vec<IntensionalStatement>,
     /// Named-URN mappings: `urn:ForSale:Portland-CDs` → servers (+
     /// collection ids).
@@ -40,12 +55,27 @@ pub struct Catalog {
     trust: TrustBook,
 }
 
+impl Default for Catalog {
+    /// Same as [`Catalog::new`]: the route cache is on by default.
+    fn default() -> Self {
+        Catalog::new()
+    }
+}
+
 impl Catalog {
     /// An empty catalog with the default route-cache capacity (256).
     pub fn new() -> Self {
         Catalog {
+            entries: Vec::new(),
+            slot: HashMap::new(),
+            postings: Postings::default(),
+            statements: Vec::new(),
+            urn_map: BTreeMap::new(),
+            route_cache: BTreeMap::new(),
             route_cache_cap: 256,
-            ..Default::default()
+            cache_hits: 0,
+            cache_misses: 0,
+            trust: TrustBook::new(),
         }
     }
 
@@ -69,36 +99,54 @@ impl Catalog {
     /// [`CatalogEntry`] converts implicitly.
     pub fn register(&mut self, entry: impl Into<Arc<CatalogEntry>>) {
         let entry = entry.into();
-        if let Some(existing) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.server == entry.server && e.level == entry.level)
-        {
-            let area = existing.area.union(&entry.area);
-            let authoritative = existing.authoritative || entry.authoritative;
-            let collection = entry
-                .collection
-                .clone()
-                .or_else(|| existing.collection.clone());
-            if area == existing.area
-                && authoritative == existing.authoritative
-                && collection == existing.collection
-            {
-                // Refresh with nothing new: keep sharing the allocation.
+        let pos = match self.slot.entry((entry.server.clone(), entry.level)) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                let pos = position(self.entries.len());
+                slot.insert(pos);
+                self.postings.post(pos, &entry.area, None);
+                self.entries.push(entry);
                 return;
             }
-            let e = Arc::make_mut(existing);
-            e.area = area;
-            e.authoritative = authoritative;
-            e.collection = collection;
-        } else {
-            self.entries.push(entry);
+        };
+        let existing = &mut self.entries[pos as usize];
+        let area = existing.area.union(&entry.area);
+        let authoritative = existing.authoritative || entry.authoritative;
+        let collection = entry
+            .collection
+            .clone()
+            .or_else(|| existing.collection.clone());
+        if area == existing.area
+            && authoritative == existing.authoritative
+            && collection == existing.collection
+        {
+            // Refresh with nothing new: keep sharing the allocation.
+            return;
         }
+        if area != existing.area {
+            self.postings.post(pos, &area, Some(&existing.area));
+        }
+        let e = Arc::make_mut(existing);
+        e.area = area;
+        e.authoritative = authoritative;
+        e.collection = collection;
     }
 
-    /// Removes all entries for a server (e.g. when it leaves).
+    /// Removes all entries for a server (e.g. when it leaves). The
+    /// survivors keep their order; their positions shift, so both
+    /// indexes are rebuilt in one pass over them.
     pub fn unregister(&mut self, server: &ServerId) {
+        let before = self.entries.len();
         self.entries.retain(|e| &e.server != server);
+        if self.entries.len() != before {
+            self.slot.clear();
+            self.postings = Postings::default();
+            for (pos, e) in self.entries.iter().enumerate() {
+                let pos = position(pos);
+                self.slot.insert((e.server.clone(), e.level), pos);
+                self.postings.post(pos, &e.area, None);
+            }
+        }
         self.route_cache.retain(|_, s| s != server);
     }
 
@@ -208,12 +256,7 @@ impl Catalog {
     /// Base entries whose area overlaps the query area — the servers
     /// that *might* hold pertinent items (§3.1).
     pub fn base_entries_overlapping(&self, area: &InterestArea) -> Vec<&CatalogEntry> {
-        let mut v: Vec<&CatalogEntry> = self
-            .entries
-            .iter()
-            .filter(|e| e.level == Level::Base && e.area.overlaps(area))
-            .map(|e| &**e)
-            .collect();
+        let mut v = self.overlapping(area, |level| level == Level::Base);
         // Deterministic order: most specific first, then by id.
         v.sort_by(|a, b| {
             b.area
@@ -228,11 +271,18 @@ impl Catalog {
     /// base servers, plus every alternative the intensional statements
     /// license. Alternative 0 is always the default (staleness 0).
     pub fn bind_area(&self, area: &InterestArea) -> Binding {
-        let mut default_servers: Vec<ServerId> = self
+        let default_servers = self
             .base_entries_overlapping(area)
             .iter()
             .map(|e| e.server.clone())
             .collect();
+        self.bind_servers(area, default_servers)
+    }
+
+    /// [`Catalog::bind_area`] past the catalog lookup: the binding over
+    /// `default_servers`, the overlapping base servers in
+    /// [`Catalog::base_entries_overlapping`] order.
+    fn bind_servers(&self, area: &InterestArea, mut default_servers: Vec<ServerId>) -> Binding {
         // Quarantined servers are shunned exactly like dead hops: only
         // when a non-quarantined survivor remains (a poisoned answer
         // beats no answer).
@@ -330,30 +380,31 @@ impl Catalog {
                 return Some(s.clone());
             }
         }
-        self.pick_route(area, exclude, true)
-            .or_else(|| self.pick_route(area, exclude, false))
+        let routes = self.overlapping(area, |level| {
+            matches!(level, Level::Index | Level::MetaIndex)
+        });
+        self.pick_route(&routes, area, exclude, true)
+            .or_else(|| self.pick_route(&routes, area, exclude, false))
     }
 
-    /// The catalog-entry scan behind [`Catalog::route_for`]. With
-    /// `shun` set, quarantined servers are skipped — the caller falls
-    /// back to a second pass without it, so quarantine (like the
-    /// visited-set) never strands a plan with zero next hops.
+    /// The choice behind [`Catalog::route_for`] among the overlapping
+    /// index and meta-index entries. With `shun` set, quarantined
+    /// servers are skipped — the caller falls back to a second pass
+    /// without it, so quarantine (like the visited-set) never strands a
+    /// plan with zero next hops.
     fn pick_route(
         &self,
+        routes: &[&CatalogEntry],
         area: &InterestArea,
         exclude: &[ServerId],
         shun: bool,
     ) -> Option<ServerId> {
-        self.entries
+        routes
             .iter()
-            .filter(|e| {
-                matches!(e.level, Level::Index | Level::MetaIndex)
-                    && e.area.overlaps(area)
-                    && !exclude.contains(&e.server)
-                    && !(shun && self.trust.excluded(&e.server))
-            })
+            .filter(|e| !exclude.contains(&e.server))
+            .filter(|e| !(shun && self.trust.excluded(&e.server)))
             .max_by(|a, b| {
-                let cover = |e: &&Arc<CatalogEntry>| e.area.covers(area);
+                let cover = |e: &&&CatalogEntry| e.area.covers(area);
                 cover(a)
                     .cmp(&cover(b))
                     .then(a.area.specificity().cmp(&b.area.specificity()))
@@ -362,6 +413,18 @@ impl Catalog {
                     .then(b.server.cmp(&a.server)) // reversed: smaller id wins
             })
             .map(|e| e.server.clone())
+    }
+
+    /// The entries at a level `keep` accepts whose area overlaps `area`,
+    /// in insertion order: the postings name the candidates and
+    /// [`InterestArea::overlaps`] is the exact filter.
+    fn overlapping(&self, area: &InterestArea, keep: impl Fn(Level) -> bool) -> Vec<&CatalogEntry> {
+        self.postings
+            .candidates(area)
+            .into_iter()
+            .map(|pos| &*self.entries[pos as usize])
+            .filter(|e| keep(e.level) && e.area.overlaps(area))
+            .collect()
     }
 
     /// Looks up the route cache (counts hit/miss).
@@ -398,6 +461,230 @@ impl Catalog {
 
 fn cache_key(area: &InterestArea) -> String {
     mqp_namespace::urn::encode_area(area)
+}
+
+/// An entry position as the indexes store it: `u32` keeps a posting at
+/// four bytes.
+fn position(pos: usize) -> u32 {
+    u32::try_from(pos).expect("a catalog holds fewer than 2^32 entries")
+}
+
+/// Per-dimension coordinate postings: `dims[d]` maps every coordinate an
+/// entry's cell holds in dimension `d` to the positions of those
+/// entries. A position can outlive its coordinate — a merge whose union
+/// drops a covered cell leaves that cell's postings — so a lookup yields
+/// a superset of the overlapping entries, and the caller filters exactly.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    dims: Vec<BTreeMap<CategoryPath, Vec<u32>>>,
+    /// Entries holding a zero-arity cell: it has no coordinate to post
+    /// under, and overlaps exactly the zero-arity query cells.
+    nullary: Vec<u32>,
+}
+
+impl Postings {
+    /// Posts `pos` under every coordinate of `area`'s cells, skipping
+    /// those already posted for `old`, the area it grew from.
+    fn post(&mut self, pos: u32, area: &InterestArea, old: Option<&InterestArea>) {
+        let old = old.map_or(&[][..], InterestArea::cells);
+        for cell in area.cells().iter().filter(|c| !old.contains(c)) {
+            if cell.arity() == 0 {
+                push_once(&mut self.nullary, pos);
+                continue;
+            }
+            if self.dims.len() < cell.arity() {
+                self.dims.resize_with(cell.arity(), BTreeMap::new);
+            }
+            for (d, coord) in cell.coords().iter().enumerate() {
+                if old.iter().any(|c| c.coords().get(d) == Some(coord)) {
+                    continue;
+                }
+                match self.dims[d].get_mut(coord) {
+                    Some(list) => push_once(list, pos),
+                    None => {
+                        self.dims[d].insert(coord.clone(), vec![pos]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Positions of every entry that may overlap `area`, ascending (so
+    /// in insertion order) and without repeats. Cells of different
+    /// arity never overlap, and an entry cell of arity `k` is posted in
+    /// all of dimensions `0..k`, so for each query cell any one of its
+    /// dimensions yields a complete candidate set: the one with the
+    /// fewest candidates is taken.
+    fn candidates(&self, area: &InterestArea) -> Vec<u32> {
+        let mut out = Vec::new();
+        for cell in area.cells() {
+            let coords = cell.coords();
+            if coords.is_empty() {
+                out.extend_from_slice(&self.nullary);
+                continue;
+            }
+            if coords.len() > self.dims.len() {
+                continue; // no entry holds a cell this wide
+            }
+            let (mut fewest, mut best) = (usize::MAX, 0);
+            for (d, coord) in coords.iter().enumerate() {
+                let n = self.count(d, coord, fewest);
+                if n < fewest {
+                    (fewest, best) = (n, d);
+                }
+            }
+            for list in self.lists(best, &coords[best]) {
+                out.extend_from_slice(list);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The posting lists of dimension `d` under a coordinate comparable
+    /// with `coord`: each strict ancestor (a point lookup, `*`
+    /// included), then `coord` and its descendants. Those are
+    /// contiguous under `CategoryPath`'s lexicographic order, so one
+    /// range scan covers them, stopping at the first key `coord` does
+    /// not cover.
+    fn lists<'a>(
+        &'a self,
+        d: usize,
+        coord: &'a CategoryPath,
+    ) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let map = &self.dims[d];
+        let ancestors = (1..=coord.depth()).filter_map(move |up| map.get(&coord.generalize(up)));
+        let below = map
+            .range(coord..)
+            .take_while(move |(k, _)| coord.covers(k))
+            .map(|(_, list)| list);
+        ancestors.chain(below).map(Vec::as_slice)
+    }
+
+    /// How many positions [`Postings::lists`] yields, counted no further
+    /// than `limit`.
+    fn count(&self, d: usize, coord: &CategoryPath, limit: usize) -> usize {
+        let mut n = 0;
+        for list in self.lists(d, coord) {
+            n += list.len();
+            if n >= limit {
+                break;
+            }
+        }
+        n
+    }
+}
+
+/// Appends `pos` unless it is already last: one area posts a position
+/// under a coordinate its cells share only once.
+fn push_once(list: &mut Vec<u32>, pos: u32) {
+    if list.last() != Some(&pos) {
+        list.push(pos);
+    }
+}
+
+/// The catalog before its indexes: registration, binding and routing as
+/// full scans of the entry list, kept verbatim as the oracle the indexed
+/// paths are property-tested against. Do not index it: an oracle that
+/// shares the technique it checks proves nothing.
+#[cfg(test)]
+mod linear {
+    use super::*;
+
+    /// The linear `find` [`Catalog::register`] replaced.
+    pub(super) fn register(entries: &mut Vec<Arc<CatalogEntry>>, entry: Arc<CatalogEntry>) {
+        if let Some(existing) = entries
+            .iter_mut()
+            .find(|e| e.server == entry.server && e.level == entry.level)
+        {
+            let area = existing.area.union(&entry.area);
+            let authoritative = existing.authoritative || entry.authoritative;
+            let collection = entry
+                .collection
+                .clone()
+                .or_else(|| existing.collection.clone());
+            if area == existing.area
+                && authoritative == existing.authoritative
+                && collection == existing.collection
+            {
+                return;
+            }
+            let e = Arc::make_mut(existing);
+            e.area = area;
+            e.authoritative = authoritative;
+            e.collection = collection;
+        } else {
+            entries.push(entry);
+        }
+    }
+
+    pub(super) fn base_entries_overlapping<'a>(
+        entries: &'a [Arc<CatalogEntry>],
+        area: &InterestArea,
+    ) -> Vec<&'a CatalogEntry> {
+        let mut v: Vec<&CatalogEntry> = entries
+            .iter()
+            .filter(|e| e.level == Level::Base && e.area.overlaps(area))
+            .map(|e| &**e)
+            .collect();
+        v.sort_by(|a, b| {
+            b.area
+                .specificity()
+                .cmp(&a.area.specificity())
+                .then_with(|| a.server.cmp(&b.server))
+        });
+        v
+    }
+
+    fn pick_route(
+        c: &Catalog,
+        area: &InterestArea,
+        exclude: &[ServerId],
+        shun: bool,
+    ) -> Option<ServerId> {
+        c.entries
+            .iter()
+            .filter(|e| {
+                matches!(e.level, Level::Index | Level::MetaIndex)
+                    && e.area.overlaps(area)
+                    && !exclude.contains(&e.server)
+                    && !(shun && c.trust.excluded(&e.server))
+            })
+            .max_by(|a, b| {
+                let cover = |e: &&Arc<CatalogEntry>| e.area.covers(area);
+                cover(a)
+                    .cmp(&cover(b))
+                    .then(a.area.specificity().cmp(&b.area.specificity()))
+                    .then(a.authoritative.cmp(&b.authoritative))
+                    .then((a.level == Level::Index).cmp(&(b.level == Level::Index)))
+                    .then(b.server.cmp(&a.server)) // reversed: smaller id wins
+            })
+            .map(|e| e.server.clone())
+    }
+
+    /// [`Catalog::bind_area`] with the default found by a scan.
+    pub(super) fn bind_area(c: &Catalog, area: &InterestArea) -> Binding {
+        let servers = base_entries_overlapping(&c.entries, area)
+            .iter()
+            .map(|e| e.server.clone())
+            .collect();
+        c.bind_servers(area, servers)
+    }
+
+    /// [`Catalog::route_for`] with both passes scanning.
+    pub(super) fn route_for(
+        c: &Catalog,
+        area: &InterestArea,
+        exclude: &[ServerId],
+    ) -> Option<ServerId> {
+        if let Some(s) = c.route_cache.get(&cache_key(area)) {
+            if !exclude.contains(s) && !c.trust.excluded(s) {
+                return Some(s.clone());
+            }
+        }
+        pick_route(c, area, exclude, true).or_else(|| pick_route(c, area, exclude, false))
+    }
 }
 
 #[cfg(test)]
@@ -628,5 +915,269 @@ mod tests {
         c.map_urn("urn:X:y", "s", None);
         c.add_statement("base[A]@R = base[A]@S".parse().unwrap());
         assert_eq!(c.size(), 2 + 1 + 1);
+    }
+
+    #[test]
+    fn default_agrees_with_new() {
+        assert_eq!(
+            format!("{:?}", Catalog::default()),
+            format!("{:?}", Catalog::new())
+        );
+    }
+
+    fn servers(b: &Binding) -> Vec<&str> {
+        b.alternatives.first().map_or(Vec::new(), |a| {
+            a.servers.iter().map(|(s, _)| s.as_str()).collect()
+        })
+    }
+
+    /// Asserts every indexed query path agrees with the linear oracle.
+    fn assert_matches_oracle(c: &Catalog, q: &InterestArea) {
+        assert_eq!(
+            c.base_entries_overlapping(q),
+            linear::base_entries_overlapping(c.entries(), q),
+            "base entries for {q}"
+        );
+        assert_eq!(c.bind_area(q), linear::bind_area(c, q), "binding for {q}");
+        assert_eq!(
+            c.route_for(q, &[]),
+            linear::route_for(c, q, &[]),
+            "route for {q}"
+        );
+    }
+
+    #[test]
+    fn merge_adding_a_cell_is_found_through_it() {
+        let mut c = Catalog::new();
+        c.register(CatalogEntry::base("R", area(&[&["Portland", "CDs"]])));
+        c.register(CatalogEntry::index("I", area(&[&["Portland", "CDs"]])));
+        c.register(CatalogEntry::base("R", area(&[&["Seattle", "Books"]])));
+        c.register(CatalogEntry::index("I", area(&[&["Seattle", "*"]])));
+        assert_eq!(c.entries().len(), 2);
+        let q = area(&[&["Seattle", "Books/Paperbacks"]]);
+        assert_eq!(servers(&c.bind_area(&q)), ["R"]);
+        assert_eq!(c.route_for(&q, &[]).unwrap().as_str(), "I");
+        assert_matches_oracle(&c, &q);
+    }
+
+    #[test]
+    fn reregister_after_unregister_lands_last_and_is_found() {
+        let mut c = Catalog::new();
+        for s in ["A", "B", "C"] {
+            c.register(CatalogEntry::base(s, area(&[&["Portland", "CDs"]])));
+        }
+        c.unregister(&ServerId::new("A"));
+        c.register(CatalogEntry::base("A", area(&[&["Eugene", "CDs"]])));
+        c.register(CatalogEntry::index("A", area(&[&["Eugene", "*"]])));
+        let order: Vec<&str> = c.entries().iter().map(|e| e.server.as_str()).collect();
+        assert_eq!(order, ["B", "C", "A", "A"]);
+        let q = area(&[&["Eugene", "CDs"]]);
+        assert_eq!(servers(&c.bind_area(&q)), ["A"]);
+        assert_eq!(c.route_for(&q, &[]).unwrap().as_str(), "A");
+        assert_matches_oracle(&c, &q);
+        assert_matches_oracle(&c, &area(&[&["Portland", "CDs"]]));
+    }
+
+    #[test]
+    fn top_query_returns_every_base_entry_in_oracle_order() {
+        let mut c = Catalog::new();
+        let cells: [&[&str]; 6] = [
+            &["Oregon/Portland", "Music/CDs"],
+            &["*", "Books"],
+            &["Oregon", "*"],
+            &["Washington/Seattle", "Music"],
+            &["Oregon/Portland", "Music/CDs"],
+            &["*", "*"],
+        ];
+        for (i, cell) in cells.iter().enumerate() {
+            c.register(CatalogEntry::base(format!("s{}", 5 - i), area(&[cell])));
+        }
+        c.register(CatalogEntry::index("idx", area(&[&["Oregon", "Music"]])));
+        let top = area(&[&["*", "*"]]);
+        assert_eq!(c.base_entries_overlapping(&top).len(), cells.len());
+        assert_matches_oracle(&c, &top);
+    }
+
+    /// Zero-arity and mismatched-arity cells never overlap an entry of
+    /// another arity, and nothing panics on the way: a zero-arity query
+    /// finds only zero-arity entries, exactly as the oracle does.
+    #[test]
+    fn zero_and_mismatched_arity_cells_neither_match_nor_panic() {
+        use mqp_namespace::Cell;
+        let nullary = InterestArea::of(Cell::new([]));
+        let mut c = Catalog::new();
+        c.register(CatalogEntry::base("two", area(&[&["Oregon", "CDs"]])));
+        c.register(CatalogEntry::index("one", area(&[&["Oregon"]])));
+        c.register(CatalogEntry::base("three", area(&[&["*", "*", "*"]])));
+        let queries = [
+            nullary.clone(),
+            area(&[&["Oregon"]]),
+            area(&[&["*", "*"]]),
+            area(&[&["Oregon", "CDs", "Used"]]),
+            area(&[&["*", "*", "*", "*"]]),
+            InterestArea::empty(),
+        ];
+        let found = |c: &Catalog, q: &InterestArea| -> Vec<String> {
+            c.base_entries_overlapping(q)
+                .iter()
+                .map(|e| e.server.to_string())
+                .collect()
+        };
+        let want: [&[&str]; 6] = [&[], &[], &["two"], &["three"], &[], &[]];
+        for (q, want) in queries.iter().zip(want) {
+            assert_eq!(found(&c, q), want, "query {q}");
+            assert_matches_oracle(&c, q);
+        }
+        assert_eq!(c.route_for(&queries[1], &[]).unwrap().as_str(), "one");
+        assert_eq!(c.route_for(&queries[2], &[]), None);
+
+        c.register(CatalogEntry::base("zero", nullary.clone()));
+        assert_eq!(found(&c, &nullary), ["zero"]);
+        for q in &queries {
+            assert_matches_oracle(&c, q);
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use mqp_namespace::{CategoryPath, Cell};
+        use proptest::prelude::*;
+
+        const SERVERS: [&str; 6] = ["s0", "s1", "s2", "s3", "s4", "s5"];
+
+        /// Paths over a two-letter alphabet, `*` included, so ancestors,
+        /// descendants and disjoint siblings all occur.
+        fn arb_path() -> impl Strategy<Value = CategoryPath> {
+            proptest::collection::vec(proptest::sample::select(vec!["A", "B"]), 0..3)
+                .prop_map(|segs| CategoryPath::new(segs.into_iter().map(str::to_owned)))
+        }
+
+        /// Mostly two-dimensional cells; now and then arity 0, 1 or 3.
+        fn arb_cell() -> impl Strategy<Value = Cell> {
+            (
+                proptest::sample::select(vec![0usize, 1, 2, 2, 2, 2, 2, 3]),
+                proptest::collection::vec(arb_path(), 3),
+            )
+                .prop_map(|(arity, mut coords)| {
+                    coords.truncate(arity);
+                    Cell::new(coords)
+                })
+        }
+
+        fn arb_area() -> impl Strategy<Value = InterestArea> {
+            proptest::collection::vec(arb_cell(), 0..4).prop_map(InterestArea::new)
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Register {
+                server: usize,
+                level: u8,
+                area: InterestArea,
+                authoritative: bool,
+                collection: Option<u8>,
+            },
+            Unregister(usize),
+            Quarantine(usize),
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let register = (
+                0..SERVERS.len(),
+                0u8..3,
+                arb_area(),
+                any::<bool>(),
+                proptest::option::of(0u8..2),
+            )
+                .prop_map(
+                    |(server, level, area, authoritative, collection)| Op::Register {
+                        server,
+                        level,
+                        area,
+                        authoritative,
+                        collection,
+                    },
+                )
+                .boxed();
+            prop_oneof![
+                register.clone(),
+                register.clone(),
+                register,
+                (0..SERVERS.len()).prop_map(Op::Unregister),
+                (0..SERVERS.len()).prop_map(Op::Quarantine),
+            ]
+        }
+
+        /// A query area and a visited-set to exclude.
+        fn arb_query() -> impl Strategy<Value = (InterestArea, Vec<ServerId>)> {
+            (
+                arb_area(),
+                proptest::collection::vec(
+                    (0..SERVERS.len()).prop_map(|s| ServerId::new(SERVERS[s])),
+                    0..3,
+                ),
+            )
+        }
+
+        proptest! {
+            /// After every step of an arbitrary register / unregister /
+            /// quarantine sequence, the indexed catalog holds the same
+            /// entries in the same order as the linear oracle, and
+            /// answers overlap, binding and routing queries identically
+            /// — both route passes included, since quarantine arms the
+            /// shun pass and `exclude` can empty it.
+            #[test]
+            fn index_agrees_with_linear_oracle(
+                ops in proptest::collection::vec(arb_op(), 1..24),
+                queries in proptest::collection::vec(arb_query(), 1..6),
+            ) {
+                let mut c = Catalog::new();
+                let mut oracle: Vec<Arc<CatalogEntry>> = Vec::new();
+                for (step, op) in ops.iter().enumerate() {
+                    match op {
+                        Op::Register { server, level, area, authoritative, collection } => {
+                            let entry = Arc::new(CatalogEntry {
+                                server: ServerId::new(SERVERS[*server]),
+                                level: [Level::Base, Level::Index, Level::MetaIndex][*level as usize],
+                                area: area.clone(),
+                                collection: collection.map(|k| format!("/data[@id='{k}']")),
+                                authoritative: *authoritative,
+                            });
+                            linear::register(&mut oracle, Arc::clone(&entry));
+                            c.register(entry);
+                        }
+                        Op::Unregister(server) => {
+                            let server = ServerId::new(SERVERS[*server]);
+                            oracle.retain(|e| e.server != server);
+                            c.unregister(&server);
+                        }
+                        Op::Quarantine(server) => {
+                            c.trust_mut().set_enabled(true);
+                            c.trust_mut().force_quarantine(&ServerId::new(SERVERS[*server]), step as u64);
+                        }
+                    }
+                    prop_assert_eq!(c.entries(), &oracle[..], "after step {}: {:?}", step, op);
+                    let want: Vec<_> = oracle
+                        .iter()
+                        .map(|e| crate::durable::CatalogOp::Register((**e).clone()))
+                        .chain(c.trust().records().cloned().map(crate::durable::CatalogOp::Trust))
+                        .collect();
+                    prop_assert_eq!(c.snapshot_ops(), want);
+                    for (q, exclude) in &queries {
+                        prop_assert_eq!(
+                            c.base_entries_overlapping(q),
+                            linear::base_entries_overlapping(&oracle, q),
+                            "step {} query {}", step, q
+                        );
+                        prop_assert_eq!(c.bind_area(q), linear::bind_area(&c, q), "step {} query {}", step, q);
+                        prop_assert_eq!(
+                            c.route_for(q, exclude),
+                            linear::route_for(&c, q, exclude),
+                            "step {} query {} exclude {:?}", step, q, exclude
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -58,9 +58,11 @@ impl Cell {
         Some(Cell(out))
     }
 
-    /// True if the two cells share at least one most-specific cell.
+    /// True if the two cells share at least one most-specific cell:
+    /// same arity and every coordinate pair comparable — exactly when
+    /// [`Cell::intersect`] is `Some`, without building the witness.
     pub fn overlaps(&self, other: &Cell) -> bool {
-        self.intersect(other).is_some()
+        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.comparable(b))
     }
 
     /// Generalizes every coordinate by `levels` (see

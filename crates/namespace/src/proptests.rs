@@ -1,5 +1,5 @@
 //! Property tests: the cover relation is a partial order on canonical
-//! areas, overlap is symmetric and witnessed by intersection, and the URN
+//! areas, overlap is symmetric and agrees with intersection, and the URN
 //! codec round-trips — the invariants DESIGN.md §5 commits to.
 
 use proptest::prelude::*;
@@ -17,6 +17,11 @@ fn arb_path() -> impl Strategy<Value = CategoryPath> {
 
 fn arb_cell() -> impl Strategy<Value = Cell> {
     proptest::collection::vec(arb_path(), 2..=2).prop_map(Cell::new)
+}
+
+/// Cells of arity 0 to 3, so mismatched arities meet as often as equal ones.
+fn arb_cell_any_arity() -> impl Strategy<Value = Cell> {
+    proptest::collection::vec(arb_path(), 0..4).prop_map(Cell::new)
 }
 
 fn arb_area() -> impl Strategy<Value = InterestArea> {
@@ -66,6 +71,11 @@ proptest! {
         if let Some(w) = a.intersect(&b) {
             prop_assert!(a.covers(&w) && b.covers(&w));
         }
+    }
+
+    #[test]
+    fn cell_overlap_agrees_with_intersect(a in arb_cell_any_arity(), b in arb_cell_any_arity()) {
+        prop_assert_eq!(a.overlaps(&b), a.intersect(&b).is_some(), "a={} b={}", a, b);
     }
 
     #[test]
