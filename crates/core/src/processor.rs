@@ -34,6 +34,16 @@ pub trait ServerContext {
     /// copies collections.
     fn local_url_data(&self, url: &UrlRef) -> Option<Batch>;
 
+    /// `(rows, serialized bytes)` of the items behind a URL — the
+    /// statistics the cost model and the policy read. `Some` exactly
+    /// when [`ServerContext::local_url_data`] is. The default lends the
+    /// items and measures them (the reference); a host that keeps
+    /// per-collection statistics answers without lending.
+    fn local_url_stats(&self, url: &UrlRef) -> Option<(usize, usize)> {
+        self.local_url_data(url)
+            .map(|items| (items.len(), items.iter().map(|i| i.serialized_len()).sum()))
+    }
+
     /// Binds a URN to a replacement sub-plan using the local catalog
     /// (URN → URLs / `Or` alternatives, §3.4/§4.2). Returns the
     /// replacement, a human-readable detail for provenance, and the
@@ -366,7 +376,8 @@ impl Processor {
     /// Step 5: reduce maximal locally-evaluable sub-plans (§2). Returns
     /// how many sub-plans were reduced. Rules see each candidate's byte
     /// estimate and may force evaluation or deferment; a reduction that
-    /// completes the plan is never deferred (it must leave the network).
+    /// completes the plan is never deferred (it must leave the network),
+    /// so it is never priced either.
     fn reduce(&self, mqp: &mut Mqp, ctx: &impl ServerContext, now: u64, rctx: &RuleCtx) -> usize {
         let me = ctx.id();
         let resolver = CtxResolver(ctx);
@@ -383,19 +394,7 @@ impl Processor {
                     continue;
                 }
                 let completes = self.reduction_completes_plan(mqp.plan(), &path);
-                let sub_est = local_aware_estimate(sub, ctx);
-                let replaced = wire_size(sub);
-                let decision = self
-                    .rules
-                    .decide(&self.policy, &rctx.with_bytes(sub_est.bytes));
-                let evaluate = completes
-                    || match decision.force {
-                        Some(force_eval) => force_eval,
-                        None => decision
-                            .policy
-                            .should_evaluate(sub_est, replaced, completes),
-                    };
-                if !evaluate {
+                if !completes && !self.approves(sub, ctx, rctx) {
                     // Deferment (§5.1): annotate instead of evaluating.
                     self.annotate_deferred(mqp, &path, ctx, now);
                     continue;
@@ -444,13 +443,30 @@ impl Processor {
         }
     }
 
+    /// Prices a reduction that does not complete the plan: may it be
+    /// evaluated here, or should it be deferred (§5.1)? Rules see the
+    /// estimated result bytes and may force either way; otherwise the
+    /// policy weighs them against the sub-plan's own wire size.
+    fn approves(&self, sub: &Plan, ctx: &impl ServerContext, rctx: &RuleCtx) -> bool {
+        let sub_est = local_aware_estimate(sub, ctx);
+        let decision = self
+            .rules
+            .decide(&self.policy, &rctx.with_bytes(sub_est.bytes));
+        match decision.force {
+            Some(force_eval) => force_eval,
+            None => decision
+                .policy
+                .should_evaluate(sub_est, wire_size(sub), false),
+        }
+    }
+
     /// True when `plan` can be evaluated entirely at this server: all
     /// leaves are data or local URLs, and it contains no uncommitted
     /// `Or` and no `Display`.
     fn locally_evaluable(&self, plan: &Plan, ctx: &impl ServerContext) -> bool {
         match plan {
             Plan::Data { .. } => true,
-            Plan::Url(u) => ctx.local_url_data(u).is_some(),
+            Plan::Url(u) => ctx.local_url_stats(u).is_some(),
             Plan::Urn(_) | Plan::Or(_) | Plan::Display { .. } => false,
             _ => plan
                 .children()
@@ -514,10 +530,10 @@ impl Processor {
         for up in url_paths {
             if let Some(Plan::Url(u)) = sub.get(&up) {
                 if u.meta.cardinality().is_none() {
-                    if let Some(items) = ctx.local_url_data(u) {
+                    if let Some((rows, _)) = ctx.local_url_stats(u) {
                         let mut abs = path.clone();
                         abs.0.extend(up.0.iter().copied());
-                        updates.push((abs, items.len() as u64));
+                        updates.push((abs, rows as u64));
                     }
                 }
             }
@@ -551,10 +567,9 @@ fn local_aware_estimate(sub: &Plan, ctx: &impl ServerContext) -> mqp_engine::Est
     let url_paths = annotated.find_all(&|p| matches!(p, Plan::Url(_)));
     for up in url_paths {
         if let Some(Plan::Url(u)) = annotated.get(&up) {
-            if let Some(items) = ctx.local_url_data(u) {
+            if let Some((rows, bytes)) = ctx.local_url_stats(u) {
                 let mut u2 = u.clone();
-                u2.meta.set_cardinality(items.len() as u64);
-                let bytes: usize = items.iter().map(|i| i.serialized_len()).sum();
+                u2.meta.set_cardinality(rows as u64);
                 u2.meta.set("bytes", bytes.to_string());
                 let _ = annotated.replace(&up, Plan::Url(u2));
             }
@@ -566,7 +581,7 @@ fn local_aware_estimate(sub: &Plan, ctx: &impl ServerContext) -> mqp_engine::Est
 fn count_remote_urls(plan: &Plan, ctx: &impl ServerContext) -> usize {
     plan.urls()
         .iter()
-        .filter(|u| ctx.local_url_data(u).is_none())
+        .filter(|u| ctx.local_url_stats(u).is_none())
         .count()
 }
 
@@ -895,6 +910,100 @@ mod tests {
             }
             other => panic!("expected Complete, got {other:?}"),
         }
+    }
+
+    /// A context with kept statistics, like a peer's store: it answers
+    /// `local_url_stats` from its own table and records every lend.
+    struct CountingCtx {
+        inner: TestCtx,
+        stats: HashMap<String, (usize, usize)>,
+        lends: RefCell<Vec<String>>,
+    }
+
+    impl CountingCtx {
+        fn new(inner: TestCtx) -> Self {
+            let stats = inner
+                .local
+                .iter()
+                .map(|(url, items)| {
+                    let bytes = items.iter().map(|i| i.serialized_len()).sum();
+                    (url.clone(), (items.len(), bytes))
+                })
+                .collect();
+            CountingCtx {
+                inner,
+                stats,
+                lends: RefCell::new(Vec::new()),
+            }
+        }
+    }
+
+    impl ServerContext for CountingCtx {
+        fn id(&self) -> ServerId {
+            self.inner.id()
+        }
+
+        fn local_url_data(&self, url: &UrlRef) -> Option<Batch> {
+            self.lends.borrow_mut().push(url.href.clone());
+            self.inner.local_url_data(url)
+        }
+
+        fn local_url_stats(&self, url: &UrlRef) -> Option<(usize, usize)> {
+            self.stats.get(&url.href).copied()
+        }
+
+        fn bind_urn(&self, urn: &UrnRef) -> Option<(Plan, String, u32)> {
+            self.inner.bind_urn(urn)
+        }
+
+        fn route(&self, plan: &Plan, visited: &[ServerId]) -> Option<ServerId> {
+            self.inner.route(plan, visited)
+        }
+    }
+
+    #[test]
+    fn completing_reduction_lends_each_collection_once() {
+        // Neither finding the evaluable sub-plan nor the policy lends:
+        // a completing reduction is not priced, and locality is a
+        // statistic. The only lends are the evaluation's, one per leaf.
+        let ctx = CountingCtx::new(
+            TestCtx::new("s")
+                .with_local(
+                    "mqp://s/songs",
+                    &[
+                        "<song><album>A</album></song>",
+                        "<song><album>B</album></song>",
+                    ],
+                )
+                .with_local("mqp://s/cds", cds()),
+        );
+        let plan = Plan::display(
+            "c:1",
+            Plan::join(
+                JoinCond::on("album", "title"),
+                Plan::url("mqp://s/songs"),
+                Plan::select("price < 10", Plan::url("mqp://s/cds")),
+            ),
+        );
+        let mut mqp = Mqp::new(plan);
+        match Processor::default().process(&mut mqp, &ctx) {
+            Outcome::Complete { items, .. } => assert_eq!(items.len(), 1),
+            other => panic!("expected Complete, got {other:?}"),
+        }
+        let mut lends = ctx.lends.take();
+        lends.sort();
+        assert_eq!(lends, ["mqp://s/cds", "mqp://s/songs"]);
+    }
+
+    #[test]
+    fn default_stats_measure_what_is_lent() {
+        let ctx = TestCtx::new("s").with_local("mqp://s/", cds());
+        let bytes = cds().iter().map(|s| s.len()).sum();
+        assert_eq!(
+            ctx.local_url_stats(&UrlRef::new("mqp://s/")),
+            Some((3, bytes))
+        );
+        assert_eq!(ctx.local_url_stats(&UrlRef::new("mqp://t/")), None);
     }
 
     use crate::rules::{Cond, Rule, RuleAction, RuleSet};

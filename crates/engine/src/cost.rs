@@ -76,8 +76,8 @@ pub fn estimate(plan: &Plan) -> Estimate {
         Plan::Join { left, right, .. } => {
             let l = estimate(left);
             let r = estimate(right);
-            let distinct = distinct_estimate(left)
-                .max(distinct_estimate(right))
+            let distinct = distinct_estimate(left, l.rows)
+                .max(distinct_estimate(right, r.rows))
                 .max(1.0);
             let rows = (l.rows * r.rows / distinct).min(l.rows * r.rows);
             // Tuples carry both items plus the <tuple> wrapper (~17 bytes).
@@ -125,9 +125,11 @@ fn leaf_estimate(cardinality: Option<u64>, bytes: Option<u64>) -> Estimate {
     Estimate { rows, bytes }
 }
 
-/// Distinct-value estimate for a join input: the announced `distinct`
-/// annotation when present, else rows × default fanout factor.
-fn distinct_estimate(plan: &Plan) -> f64 {
+/// Distinct-value estimate for a join input of `rows` estimated rows:
+/// the announced `distinct` annotation when present, else rows ×
+/// default fanout factor. Taking the caller's `rows` keeps `estimate`
+/// one walk per input, not one per join level above it.
+fn distinct_estimate(plan: &Plan, rows: f64) -> f64 {
     let announced = match plan {
         Plan::Url(u) => u.meta.distinct(),
         Plan::Urn(u) => u.meta.distinct(),
@@ -136,7 +138,7 @@ fn distinct_estimate(plan: &Plan) -> f64 {
     };
     match announced {
         Some(d) => d as f64,
-        None => estimate(plan).rows.max(1.0) / DEFAULT_JOIN_FANOUT.recip().min(10.0),
+        None => rows.max(1.0) / DEFAULT_JOIN_FANOUT.recip().min(10.0),
     }
 }
 
@@ -189,6 +191,35 @@ mod tests {
         let e = estimate(&j);
         assert!(e.rows <= 9.0);
         assert!(e.rows > 0.0);
+    }
+
+    #[test]
+    fn left_deep_join_chain_estimate_is_pinned() {
+        // ((data3 ⋈ a) ⋈ b) ⋈ data3, with `a` annotated and `b` on the
+        // remote defaults. Every value is exact in f64:
+        //   data3 ⋈ a: 3·100 / max(0.3, 10)     =  30 rows × (15 + 50 + 17) B
+        //   … ⋈ b:     30·1000 / max(3, 100)    = 300 rows × (82 + 128 + 17) B
+        //   … ⋈ data3: 300·3 / max(30, 0.3)     =  30 rows × (227 + 15 + 17) B
+        let mut a = UrlRef::new("http://a/");
+        a.meta.set_cardinality(100);
+        a.meta.set("bytes", "5000");
+        let on = || JoinCond::on("p", "p");
+        let chain = Plan::join(
+            on(),
+            Plan::join(
+                on(),
+                Plan::join(on(), data3(), Plan::Url(a)),
+                Plan::url("http://b/"),
+            ),
+            data3(),
+        );
+        assert_eq!(
+            estimate(&chain),
+            Estimate {
+                rows: 30.0,
+                bytes: 30.0 * 259.0,
+            }
+        );
     }
 
     #[test]

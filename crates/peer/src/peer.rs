@@ -391,6 +391,11 @@ impl Peer {
         ServerContext::route(self, plan, &avoid)
     }
 
+    /// True when `url` addresses this peer, so its data is local.
+    fn holds(&self, url: &UrlRef) -> bool {
+        ServerId::from_url(&url.href).is_some_and(|host| host == self.id)
+    }
+
     /// Decodes the `area` annotation on a URL, if present.
     fn url_area(url: &UrlRef) -> Option<InterestArea> {
         let spec = url.meta.get("area")?;
@@ -408,8 +413,7 @@ impl ServerContext for Peer {
     }
 
     fn local_url_data(&self, url: &UrlRef) -> Option<mqp_xml::Batch> {
-        let host = ServerId::from_url(&url.href)?;
-        if host != self.id {
+        if !self.holds(url) {
             return None;
         }
         // Area-scoped references (from interest-area bindings) return
@@ -419,6 +423,18 @@ impl ServerContext for Peer {
             return Some(self.store.items_overlapping(&area));
         }
         self.store.items_for(url.collection.as_ref())
+    }
+
+    /// The same scoping as `local_url_data`, answered from the store's
+    /// kept statistics instead of lent items.
+    fn local_url_stats(&self, url: &UrlRef) -> Option<(usize, usize)> {
+        if !self.holds(url) {
+            return None;
+        }
+        if let Some(area) = Self::url_area(url) {
+            return Some(self.store.stats_overlapping(&area));
+        }
+        self.store.stats_for(url.collection.as_ref())
     }
 
     fn bind_urn(&self, urn: &UrnRef) -> Option<(Plan, String, u32)> {
@@ -536,6 +552,18 @@ mod tests {
         // Other host: not local.
         let other = UrlRef::new("mqp://elsewhere/");
         assert!(p.local_url_data(&other).is_none());
+        // General XPath over every collection's items.
+        let general = UrlRef::with_collection("mqp://seller-1/", "item[price < 10]");
+        assert_eq!(p.local_url_data(&general).unwrap().len(), 2);
+
+        // The kept statistics agree with measuring what is lent, case
+        // for case (and are `None` exactly where lending is).
+        for url in [&bare, &scoped, &by_collection, &other, &general] {
+            let lent = p
+                .local_url_data(url)
+                .map(|b| (b.len(), b.iter().map(Element::serialized_len).sum()));
+            assert_eq!(p.local_url_stats(url), lent, "{}", url.href);
+        }
     }
 
     #[test]

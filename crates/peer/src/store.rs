@@ -20,10 +20,25 @@ pub struct Collection {
     pub items: Batch,
 }
 
+/// A stored collection and its serialized size, kept current by every
+/// mutation so statistics never re-measure the items.
+#[derive(Debug, Clone)]
+struct Stored {
+    collection: Collection,
+    /// Σ `serialized_len` over `collection.items`.
+    bytes: usize,
+}
+
+impl Stored {
+    fn stats(&self) -> (usize, usize) {
+        (self.collection.items.len(), self.bytes)
+    }
+}
+
 /// A peer's local collections.
 #[derive(Debug, Clone, Default)]
 pub struct LocalStore {
-    collections: BTreeMap<String, Collection>,
+    collections: BTreeMap<String, Stored>,
 }
 
 impl LocalStore {
@@ -34,7 +49,9 @@ impl LocalStore {
 
     /// Adds (or replaces) a collection.
     pub fn put(&mut self, collection: Collection) {
-        self.collections.insert(collection.name.clone(), collection);
+        let bytes = measure(&collection.items).1;
+        self.collections
+            .insert(collection.name.clone(), Stored { collection, bytes });
     }
 
     /// Appends items to an existing collection (creating it with the
@@ -45,31 +62,37 @@ impl LocalStore {
         area: &InterestArea,
         items: impl IntoIterator<Item = Element>,
     ) {
-        let c = self
+        let s = self
             .collections
             .entry(name.to_owned())
-            .or_insert_with(|| Collection {
-                name: name.to_owned(),
-                area: area.clone(),
-                items: Batch::new(),
+            .or_insert_with(|| Stored {
+                collection: Collection {
+                    name: name.to_owned(),
+                    area: area.clone(),
+                    items: Batch::new(),
+                },
+                bytes: 0,
             });
+        let c = &mut s.collection;
         c.area = c.area.union(area);
-        c.items.extend(items);
+        let bytes = &mut s.bytes;
+        c.items
+            .extend(items.into_iter().inspect(|i| *bytes += i.serialized_len()));
     }
 
     /// A collection by name.
     pub fn get(&self, name: &str) -> Option<&Collection> {
-        self.collections.get(name)
+        self.collections.get(name).map(|s| &s.collection)
     }
 
     /// All collections, in name order.
     pub fn collections(&self) -> impl Iterator<Item = &Collection> {
-        self.collections.values()
+        self.collections.values().map(|s| &s.collection)
     }
 
     /// Total number of items across collections.
     pub fn len(&self) -> usize {
-        self.collections.values().map(|c| c.items.len()).sum()
+        self.collections().map(|c| c.items.len()).sum()
     }
 
     /// True when the store holds nothing.
@@ -79,8 +102,7 @@ impl LocalStore {
 
     /// Union of all collection areas: the peer's *base interest area*.
     pub fn area(&self) -> InterestArea {
-        self.collections
-            .values()
+        self.collections()
             .fold(InterestArea::empty(), |acc, c| acc.union(&c.area))
     }
 
@@ -97,7 +119,7 @@ impl LocalStore {
         match collection {
             None => {
                 let mut out = Batch::with_capacity(self.len());
-                for c in self.collections.values() {
+                for c in self.collections() {
                     out.extend_shared(&c.items);
                 }
                 Some(out)
@@ -110,7 +132,7 @@ impl LocalStore {
                 }
                 // General: evaluate against <data><collection …>items…</…></data>.
                 let mut doc = Element::new("data");
-                for c in self.collections.values() {
+                for c in self.collections() {
                     for i in c.items.iter() {
                         doc.push_child(mqp_xml::Node::Element(i.clone()));
                     }
@@ -124,13 +146,45 @@ impl LocalStore {
     /// Items whose collection area overlaps `area` (lent handles).
     pub fn items_overlapping(&self, area: &InterestArea) -> Batch {
         let mut out = Batch::new();
-        for c in self.collections.values() {
+        for c in self.collections() {
             if c.area.overlaps(area) {
                 out.extend_shared(&c.items);
             }
         }
         out
     }
+
+    /// `(rows, serialized bytes)` of what [`LocalStore::items_for`]
+    /// would lend, read from the kept statistics; only a general XPath
+    /// still selects, then measures.
+    pub(crate) fn stats_for(&self, collection: Option<&Path>) -> Option<(usize, usize)> {
+        match collection {
+            None => Some(sum(self.collections.values().map(Stored::stats))),
+            Some(path) => match collection_id(path) {
+                Some(name) => self.collections.get(&name).map(Stored::stats),
+                None => self.items_for(collection).map(|b| measure(&b)),
+            },
+        }
+    }
+
+    /// `(rows, serialized bytes)` of what
+    /// [`LocalStore::items_overlapping`] would lend.
+    pub(crate) fn stats_overlapping(&self, area: &InterestArea) -> (usize, usize) {
+        sum(self
+            .collections
+            .values()
+            .filter(|s| s.collection.area.overlaps(area))
+            .map(Stored::stats))
+    }
+}
+
+/// `(rows, serialized bytes)` of a batch, measured item by item.
+fn measure(items: &Batch) -> (usize, usize) {
+    (items.len(), items.iter().map(Element::serialized_len).sum())
+}
+
+fn sum(stats: impl Iterator<Item = (usize, usize)>) -> (usize, usize) {
+    stats.fold((0, 0), |(r, b), (rows, bytes)| (r + rows, b + bytes))
 }
 
 /// Extracts `NAME` from the canonical `/data[@id='NAME']` reference.
@@ -226,5 +280,62 @@ mod tests {
         );
         assert_eq!(s.get("cds").unwrap().items.len(), 3);
         assert!(s.get("cds").unwrap().area.overlaps(&more));
+    }
+
+    /// Every statistics query equals measuring the batch its lending
+    /// twin returns.
+    fn assert_stats_agree(s: &LocalStore) {
+        let paths = [
+            None,
+            Some("/data[@id='cds']"),
+            Some("/data[@id='chairs']"),
+            Some("/data[@id='nope']"),
+            Some("item[price < 10]"),
+        ];
+        for p in paths {
+            let path = p.map(|p| Path::parse(p).unwrap());
+            let lent = s.items_for(path.as_ref()).map(|b| measure(&b));
+            assert_eq!(s.stats_for(path.as_ref()), lent, "{p:?}");
+        }
+        for area in [
+            InterestArea::parse(&[&["USA/OR", "Music"]]),
+            InterestArea::parse(&[&["USA", "*"]]),
+            InterestArea::parse(&[&["France", "*"]]),
+        ] {
+            let lent = measure(&s.items_overlapping(&area));
+            assert_eq!(s.stats_overlapping(&area), lent, "{area}");
+        }
+    }
+
+    #[test]
+    fn stats_agree_with_lending() {
+        let mut s = store();
+        assert_stats_agree(&s);
+        assert_eq!(s.stats_for(None).unwrap().0, 3);
+
+        // A collection grown by `extend`, and one created by it.
+        s.extend(
+            "cds",
+            &InterestArea::parse(&[&["USA/OR/Eugene", "Music/CDs"]]),
+            [parse("<item><title>C</title><price>3</price></item>").unwrap()],
+        );
+        s.extend(
+            "lamps",
+            &InterestArea::parse(&[&["USA/OR/Portland", "Furniture/Lamps"]]),
+            [parse("<item><title>desk lamp</title></item>").unwrap()],
+        );
+        assert_stats_agree(&s);
+        assert_eq!(s.stats_for(None).unwrap().0, 5);
+
+        // A collection replaced by `put`: its old size is forgotten.
+        s.put(Collection {
+            name: "cds".to_owned(),
+            area: InterestArea::parse(&[&["USA/OR/Portland", "Music/CDs"]]),
+            items: vec![parse("<item><title>Z</title><price>1</price></item>").unwrap()].into(),
+        });
+        assert_stats_agree(&s);
+        let z = "<item><title>Z</title><price>1</price></item>".len();
+        let cds = Path::parse("/data[@id='cds']").unwrap();
+        assert_eq!(s.stats_for(Some(&cds)), Some((1, z)));
     }
 }
