@@ -101,7 +101,7 @@ impl CatalogOp {
     pub fn encode(&self) -> String {
         match self {
             CatalogOp::Register(e) => {
-                let mut s = e.to_wire("reg");
+                let mut s = e.to_wire();
                 // The record keeps its length: without a collection the
                 // entry's empty last line is left off (and read back as
                 // absent), so seeded fault offsets into a log stay put.
@@ -159,7 +159,7 @@ impl CatalogOp {
         let (head, rest) = payload.split_once('\n').unwrap_or((payload, ""));
         let mut words = head.split_whitespace();
         match words.next() {
-            Some("reg") => CatalogEntry::from_wire("reg", payload).map(CatalogOp::Register),
+            Some("reg") => CatalogEntry::from_wire(payload).map(CatalogOp::Register),
             Some("unreg") => match rest {
                 "" => Err("unreg: missing server".into()),
                 s => Ok(CatalogOp::Unregister(ServerId::new(s))),
@@ -582,8 +582,8 @@ impl SharedDisk {
 // The durable catalog
 // ----------------------------------------------------------------------
 
-/// What recovery found and did — surfaced to drivers as
-/// `Effect::Recovered` so harnesses can report it.
+/// What recovery found and did: how much of the snapshot and WAL
+/// replayed, where a torn tail cut replay short, and what survived.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Records replayed from the snapshot.

@@ -169,20 +169,20 @@ impl CatalogEntry {
         self
     }
 
-    /// The entry's text form, shared by the `reg`/`rereg` wire frames
-    /// and the WAL's `reg` record: `<tag> <level> <authoritative>
+    /// The entry's text form, shared by the `reg` wire frame and the
+    /// WAL's `reg` record: `reg <level> <authoritative>
     /// <has-collection>`, then the server, the encoded area and the
     /// collection, one per line. The collection line is always written,
     /// empty without a collection, and goes last because an XPath may
     /// hold anything, newlines included.
-    pub fn to_wire(&self, tag: &str) -> String {
+    pub fn to_wire(&self) -> String {
         let collection = self.collection.as_deref().unwrap_or("");
         debug_assert!(
             !self.server.as_str().contains('\n'),
             "server id must be single-line"
         );
         format!(
-            "{tag} {} {} {}\n{}\n{}\n{collection}",
+            "reg {} {} {}\n{}\n{}\n{collection}",
             self.level.name(),
             u8::from(self.authoritative),
             u8::from(self.collection.is_some()),
@@ -191,16 +191,15 @@ impl CatalogEntry {
         )
     }
 
-    /// Parses [`CatalogEntry::to_wire`]'s output under the same `tag`;
-    /// without a collection the empty last line may be absent, as the
-    /// WAL writes it. Errors name the field that failed: a WAL decode
-    /// error truncates recovery at that record, so the message reaches
-    /// operator-facing reports.
-    pub fn from_wire(tag: &str, text: &str) -> Result<CatalogEntry, String> {
+    /// Parses [`CatalogEntry::to_wire`]'s output; without a collection
+    /// the empty last line may be absent, as the WAL writes it. Errors
+    /// name the field that failed: a WAL decode error truncates recovery
+    /// at that record, so the message reaches operator-facing reports.
+    pub fn from_wire(text: &str) -> Result<CatalogEntry, String> {
         let (head, body) = text.split_once('\n').ok_or("reg: missing server")?;
         let mut words = head.split(' ');
-        if words.next() != Some(tag) {
-            return Err(format!("reg: not a {tag} record"));
+        if words.next() != Some("reg") {
+            return Err("reg: not a reg record".into());
         }
         let level = words
             .next()
@@ -291,7 +290,7 @@ mod tests {
             CatalogEntry::base("s", area.clone()).with_collection("/data[@id='245']\n[2]"),
             CatalogEntry::base("s", area.clone()).with_collection(""),
         ] {
-            assert_eq!(CatalogEntry::from_wire("reg", &e.to_wire("reg")), Ok(e));
+            assert_eq!(CatalogEntry::from_wire(&e.to_wire()), Ok(e));
         }
         let spec = encode_area(&area);
         for bad in [
@@ -305,10 +304,7 @@ mod tests {
             format!("reg super 0 0\ns\n{spec}\n"),
             format!("rereg base 0 0\ns\n{spec}\n"), // another record's tag
         ] {
-            assert!(
-                CatalogEntry::from_wire("reg", &bad).is_err(),
-                "accepted {bad:?}"
-            );
+            assert!(CatalogEntry::from_wire(&bad).is_err(), "accepted {bad:?}");
         }
     }
 }

@@ -33,6 +33,7 @@ use mqp_algebra::predicate::{AggFunc, Predicate};
 use mqp_catalog::Preference;
 use mqp_core::Policy;
 use mqp_namespace::Urn;
+use mqp_xml::canon::MAX_DEPTH;
 use mqp_xml::xpath::Path;
 
 use crate::cursor::Cursor;
@@ -86,7 +87,7 @@ impl CompiledQuery {
 /// diagnostic.
 pub fn parse_query(src: &str) -> Result<CompiledQuery, Diagnostic> {
     let mut cur = Cursor::new(src)?;
-    let (plan, acc) = parse_pipeline(&mut cur)?;
+    let (plan, acc) = parse_pipeline(&mut cur, 0)?;
     let policy = parse_clauses(&mut cur)?;
     cur.expect_eof()?;
     let spans = acc
@@ -113,8 +114,9 @@ fn nest(mut child: SpanAcc, idx: usize) -> SpanAcc {
     child
 }
 
-fn parse_pipeline(cur: &mut Cursor) -> Result<(Plan, SpanAcc), Diagnostic> {
-    let (mut plan, mut spans) = parse_head(cur)?;
+/// Parses a pipeline nested inside `depth` parenthesized heads.
+fn parse_pipeline(cur: &mut Cursor, depth: usize) -> Result<(Plan, SpanAcc), Diagnostic> {
+    let (mut plan, mut spans) = parse_head(cur, depth)?;
     while cur.eat_punct('|') {
         let (kw, kw_span) = cur.expect_word("a stage (select, project, topn, agg, display)")?;
         spans = nest(spans, 0);
@@ -216,8 +218,19 @@ fn parse_pipeline(cur: &mut Cursor) -> Result<(Plan, SpanAcc), Diagnostic> {
     Ok((plan, spans))
 }
 
-fn parse_head(cur: &mut Cursor) -> Result<(Plan, SpanAcc), Diagnostic> {
+fn parse_head(cur: &mut Cursor, depth: usize) -> Result<(Plan, SpanAcc), Diagnostic> {
     let (kw, kw_span) = cur.expect_word("a source (urn, url, data, join, union, or)")?;
+    // `join`, `union` and `or` recurse once per level. A plan nested
+    // past the XML reader's cap could never be sent, so it is refused
+    // here, long before the recursion could exhaust the stack.
+    let inner = depth + 1;
+    if matches!(kw.as_str(), "join" | "union" | "or") && inner > MAX_DEPTH {
+        return Err(Diagnostic::at(
+            cur.src(),
+            kw_span,
+            format!("`{kw}` nests deeper than {MAX_DEPTH} levels"),
+        ));
+    }
     let mut spans = SpanAcc::new();
     let mut own = Vec::new();
     let plan = match kw.as_str() {
@@ -266,9 +279,9 @@ fn parse_head(cur: &mut Cursor) -> Result<(Plan, SpanAcc), Diagnostic> {
         }
         "join" => {
             cur.expect_punct('(')?;
-            let (left, left_spans) = parse_pipeline(cur)?;
+            let (left, left_spans) = parse_pipeline(cur, inner)?;
             cur.expect_punct(',')?;
-            let (right, right_spans) = parse_pipeline(cur)?;
+            let (right, right_spans) = parse_pipeline(cur, inner)?;
             cur.expect_punct(')')?;
             cur.expect_keyword("on")?;
             let (l, l_span) = cur.expect_str("the left join path")?;
@@ -295,7 +308,7 @@ fn parse_head(cur: &mut Cursor) -> Result<(Plan, SpanAcc), Diagnostic> {
             cur.expect_punct('(')?;
             let mut subs = Vec::new();
             loop {
-                let (sub, sub_spans) = parse_pipeline(cur)?;
+                let (sub, sub_spans) = parse_pipeline(cur, inner)?;
                 spans.extend(nest(sub_spans, subs.len()));
                 subs.push(sub);
                 if !cur.eat_punct(',') {
@@ -309,7 +322,7 @@ fn parse_head(cur: &mut Cursor) -> Result<(Plan, SpanAcc), Diagnostic> {
             cur.expect_punct('(')?;
             let mut alts = Vec::new();
             loop {
-                let (sub, sub_spans) = parse_pipeline(cur)?;
+                let (sub, sub_spans) = parse_pipeline(cur, inner)?;
                 spans.extend(nest(sub_spans, alts.len()));
                 let staleness = if cur.eat_word("stale") {
                     let (s, s_span) = cur.expect_number("a staleness bound in minutes")?;

@@ -70,6 +70,25 @@ fn unknown_stage() {
     );
 }
 
+/// Nesting is capped at the XML reader's 64 levels: 64 nested heads
+/// compile, and the 65th is refused at its keyword. 100 000 of them
+/// return the same diagnostic instead of overflowing the stack.
+#[test]
+fn nesting_past_the_reader_cap() {
+    let nested = |depth: usize| {
+        let url = "url \"mqp://s/\"";
+        format!("{}{url}{}", "union(".repeat(depth), ")".repeat(depth))
+    };
+    assert!(parse_query(&nested(64)).is_ok());
+    let diag = "error: `union` nests deeper than 64 levels\n  --> line 1, column 385\n";
+    for depth in [100_000, 65] {
+        assert!(
+            query_diag(&nested(depth)).starts_with(diag),
+            "depth {depth}"
+        );
+    }
+}
+
 #[test]
 fn unexpected_trailing_input() {
     assert_eq!(

@@ -3,7 +3,7 @@
 //!
 //! The connection state machine in `mqp_peer::tcp` moves a link to
 //! `Backoff` whenever a connect attempt fails or an established
-//! connection drops; [`Backoff::next_delay`] answers "how long until
+//! connection drops; `Backoff::next_delay` answers "how long until
 //! the next attempt". Delays double from `base` up to `cap`, and each
 //! is jittered by ±25% (a splitmix64 draw keyed off the seed and the
 //! attempt number) so a hundred peers cut off by the same restart do
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 /// Jittered exponential backoff: `base * 2^attempt`, capped at `cap`,
 /// ±25% jitter. Deterministic for a given `(seed, attempt)` pair.
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     seed: u64,
@@ -33,7 +33,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 impl Backoff {
     /// A fresh backoff: first delay ≈ `base`, growing to ≈ `cap`.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Self {
         Backoff {
             base,
             cap,
@@ -43,14 +43,14 @@ impl Backoff {
     }
 
     /// Consecutive failures so far (resets on success).
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.attempt
     }
 
     /// The delay before the next attempt, advancing the attempt
     /// counter. Doubling is saturating, so a long outage settles at
     /// `cap` ± jitter instead of overflowing.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(20); // 2^20 * base is far past any sane cap
         self.attempt = self.attempt.saturating_add(1);
         let raw = self
@@ -65,14 +65,15 @@ impl Backoff {
     }
 
     /// A connection succeeded: the next failure starts over at `base`.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
     }
 }
 
-/// A [`Backoff`] plus the bookkeeping every retrying resource ends up
-/// reimplementing around it: "am I allowed to try yet", "how many
-/// failures in a row", and "is the budget exhausted". Shared by the TCP
+/// Jittered exponential backoff plus the bookkeeping every retrying
+/// resource ends up reimplementing around it: "am I allowed to try
+/// yet", "how many failures in a row", and "is the budget exhausted".
+/// Shared by the TCP
 /// link reconnect state machine (`mqp_peer::tcp`) and the durable
 /// catalog's WAL fsync/reopen path (`mqp_catalog::durable`), so the
 /// pacing and give-up policy live in exactly one place.
@@ -129,11 +130,6 @@ impl Retrier {
     /// Budget exhausted (only with `max_attempts > 0`).
     pub fn is_dead(&self) -> bool {
         self.dead
-    }
-
-    /// Consecutive failures so far.
-    pub fn attempts(&self) -> u32 {
-        self.backoff.attempts()
     }
 
     /// Synchronous retry loop for a blocking resource (the WAL
@@ -277,13 +273,13 @@ mod tests {
         let mut r = Retrier::new(Duration::from_micros(10), Duration::from_micros(100), 3, 2);
         assert!(r.ready());
         assert!(!r.failure(), "first failure must not exhaust a 2-budget");
-        assert_eq!(r.attempts(), 1);
+        assert_eq!(r.backoff.attempts(), 1);
         assert!(r.failure(), "second failure exhausts the budget");
         assert!(r.is_dead());
         assert!(!r.ready());
         r.success();
         assert!(!r.is_dead());
-        assert_eq!(r.attempts(), 0);
+        assert_eq!(r.backoff.attempts(), 0);
         assert!(r.ready());
         // Unbounded budget never dies.
         let mut open = Retrier::new(Duration::from_micros(1), Duration::from_micros(2), 9, 0);
@@ -306,7 +302,7 @@ mod tests {
             }
         });
         assert_eq!(got, Ok(3));
-        assert_eq!(r.attempts(), 0, "success resets the budget");
+        assert_eq!(r.backoff.attempts(), 0, "success resets the budget");
 
         let mut always = 0;
         let got: Result<(), &str> = r.run_blocking(|| {

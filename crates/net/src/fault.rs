@@ -45,13 +45,12 @@ pub struct ChurnEvent {
     pub up: bool,
 }
 
-/// Seeded disk-fault knobs riding on a [`FaultPlan`]: consumed by
-/// `mqp_catalog::durable::FaultyDisk` (via the peer layer) when a churn
-/// experiment wants each crash to also exercise the durable catalog's
-/// recovery path. The wire simulator itself never reads these — disk
-/// faults change what a crashed node *remembers*, not what the network
-/// delivers — so a plan whose only active knob is `disk` still counts
-/// as a no-op for [`SimNet`](crate::SimNet).
+/// Seeded disk-fault knobs, consumed by
+/// `mqp_catalog::durable::FaultyDisk` when a crash experiment wants
+/// each crash to also exercise the durable catalog's recovery path.
+/// They live beside the wire faults but never reach the simulator:
+/// disk faults change what a crashed node *remembers*, not what the
+/// network delivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DiskFaults {
     /// Mixed into each node's disk RNG (derive per-node seeds from it).
@@ -81,9 +80,6 @@ pub struct FaultPlan {
     pub duplicate: f64,
     /// Crash/join schedule, applied in `(at, node)` order.
     pub churn: Vec<ChurnEvent>,
-    /// Disk faults for crashed nodes' durable state (never touches the
-    /// wire; see [`DiskFaults`]).
-    pub disk: Option<DiskFaults>,
 }
 
 impl FaultPlan {
@@ -96,7 +92,6 @@ impl FaultPlan {
             jitter_frac: 0.0,
             duplicate: 0.0,
             churn: Vec::new(),
-            disk: None,
         }
     }
 
@@ -121,12 +116,6 @@ impl FaultPlan {
             "duplication probability out of range"
         );
         self.duplicate = p;
-        self
-    }
-
-    /// Installs disk faults for crashed nodes' durable state.
-    pub fn with_disk_faults(mut self, disk: DiskFaults) -> Self {
-        self.disk = Some(disk);
         self
     }
 
@@ -173,17 +162,6 @@ impl FaultPlan {
         events.sort_by_key(|e| (e.at, e.node, e.up));
         self.churn = events;
         self
-    }
-
-    /// True when no *wire* knob is active (the plan is a no-op for the
-    /// network). Disk faults deliberately do not count: they are read
-    /// by the durability layer, never by the simulator, so a disk-only
-    /// plan must not perturb delivery traces.
-    pub fn is_noop(&self) -> bool {
-        self.loss == 0.0
-            && self.jitter_frac == 0.0
-            && self.duplicate == 0.0
-            && self.churn.is_empty()
     }
 }
 
@@ -272,22 +250,6 @@ mod tests {
         assert_eq!(p.loss, 0.25);
         assert_eq!(p.jitter_frac, 1.5);
         assert_eq!(p.duplicate, 0.1);
-        assert!(!p.is_noop());
-        assert!(FaultPlan::new(7).is_noop());
-    }
-
-    #[test]
-    fn disk_faults_ride_along_without_touching_the_wire() {
-        let p = FaultPlan::new(7).with_disk_faults(DiskFaults {
-            seed: 3,
-            torn_tail: true,
-            corrupt_read: true,
-            sync_fail_period: 4,
-        });
-        assert_eq!(p.disk.unwrap().sync_fail_period, 4);
-        // A disk-only plan is still a wire no-op: delivery traces must
-        // not change because crashed nodes gained durable state.
-        assert!(p.is_noop());
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //!   `ThreadedCluster` drives the same sans-IO peer protocol on real
 //!   OS threads.
 //! * [`backoff`] — the shared pieces every real-socket driver needs:
-//!   jittered exponential [`Backoff`] for reconnect pacing, the
-//!   [`Retrier`] state machine wrapping it (attempt budget + pacing
-//!   deadline + dead state, shared by TCP link reconnect and the
-//!   durable catalog's WAL fsync retries), and [`SocketStats`],
+//!   the [`Retrier`] state machine (jittered exponential backoff for
+//!   reconnect pacing, attempt budget, pacing deadline, dead state;
+//!   shared by TCP link reconnect and the durable catalog's WAL fsync
+//!   retries), and [`SocketStats`],
 //!   sender-side frame accounting with an exact balance identity (the
 //!   socket-path analogue of
 //!   [`NetStats::balances`](stats::NetStats::balances)). Used by
@@ -45,7 +45,7 @@ pub mod stats;
 pub mod threaded;
 pub mod topology;
 
-pub use backoff::{Backoff, Retrier, SocketStats};
+pub use backoff::{Retrier, SocketStats};
 pub use fault::{ChurnEvent, DiskFaults, FaultPlan};
 pub use sim::{Delivery, NodeId, SimNet};
 pub use stats::NetStats;

@@ -95,19 +95,9 @@ impl<P> SimNet<P> {
         self.faults = Some(FaultState::new(plan));
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| &f.plan)
-    }
-
     /// The simulated clock (µs): time of the last delivery (or 0).
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Accumulated statistics.

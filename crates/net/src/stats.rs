@@ -76,7 +76,7 @@ impl NetStats {
     }
 
     /// Mean messages received per node.
-    pub fn mean_received(&self) -> f64 {
+    fn mean_received(&self) -> f64 {
         if self.per_node.is_empty() {
             return 0.0;
         }

@@ -36,21 +36,6 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    /// This endpoint's node id.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// Number of nodes in the transport.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// True if the transport has no nodes (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
     /// Sends wire bytes to `to`. Returns `false` if the destination's
     /// endpoint has been dropped (node "down").
     pub fn send(&self, to: NodeId, payload: Vec<u8>) -> bool {

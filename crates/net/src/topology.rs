@@ -73,7 +73,7 @@ impl Topology {
     }
 
     /// The cluster a node belongs to (0 for uniform topologies).
-    pub fn cluster_of(&self, node: NodeId) -> usize {
+    fn cluster_of(&self, node: NodeId) -> usize {
         match self.kind {
             Kind::Uniform { .. } => 0,
             Kind::Clustered { clusters, .. } => node % clusters,
@@ -81,7 +81,7 @@ impl Topology {
     }
 
     /// Propagation latency between two nodes in microseconds.
-    pub fn latency(&self, from: NodeId, to: NodeId) -> u64 {
+    fn latency(&self, from: NodeId, to: NodeId) -> u64 {
         assert!(from < self.n && to < self.n, "node out of range");
         if from == to {
             return 0;
@@ -101,7 +101,7 @@ impl Topology {
     }
 
     /// Total delivery time for a message of `bytes` bytes.
-    pub fn transit_time(&self, from: NodeId, to: NodeId, bytes: usize) -> u64 {
+    pub(crate) fn transit_time(&self, from: NodeId, to: NodeId, bytes: usize) -> u64 {
         let prop = self.latency(from, to);
         match self.bandwidth {
             Some(bw) if from != to => prop + (bytes as f64 / bw).ceil() as u64,

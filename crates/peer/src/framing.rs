@@ -99,11 +99,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet returned as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Pops the next complete payload, if one is buffered.
     ///
     /// * `Ok(Some(payload))` — one frame, prefix stripped.
@@ -164,7 +159,7 @@ mod tests {
         let mut d = FrameDecoder::new();
         d.push(&encode_frame(b"hello frame"));
         assert_eq!(drain(&mut d), vec![b"hello frame".to_vec()]);
-        assert_eq!(d.pending(), 0);
+        assert_eq!((d.buf.len() - d.pos), 0);
         assert_eq!(d.next(), Ok(None));
     }
 
@@ -200,7 +195,7 @@ mod tests {
         // Poisoned: pushes are ignored, next() keeps erroring.
         d.push(&encode_frame(b"fine"));
         assert_eq!(d.next(), Err(FrameError::Poisoned));
-        assert_eq!(d.pending(), 0);
+        assert_eq!((d.buf.len() - d.pos), 0);
     }
 
     #[test]
@@ -236,7 +231,7 @@ mod tests {
             assert_eq!(got[0], i as u8);
             assert_eq!(got.len(), 300);
         }
-        assert_eq!(d.pending(), 0);
+        assert_eq!((d.buf.len() - d.pos), 0);
     }
 }
 
@@ -278,7 +273,7 @@ mod proptests {
                 }
             }
             prop_assert_eq!(got, payloads);
-            prop_assert_eq!(d.pending(), 0);
+            prop_assert_eq!((d.buf.len() - d.pos), 0);
         }
 
         /// A corrupt length header (zero or oversized) is rejected
@@ -311,7 +306,7 @@ mod proptests {
                 d.push(&encode_frame(p));
                 prop_assert_eq!(d.next(), Err(FrameError::Poisoned));
             }
-            prop_assert_eq!(d.pending(), 0);
+            prop_assert_eq!((d.buf.len() - d.pos), 0);
         }
 
         /// Truncation is never mistaken for corruption: any strict

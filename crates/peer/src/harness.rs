@@ -16,16 +16,15 @@
 //!   expires or is acked on its own, and a second completion of the
 //!   same query is absorbed here, as at the host's front-end.
 //!
-//! One documented difference from the host: with [`SimHarness::retry`]
-//! unset no node ever arms a watch, so the harness keeps the acks
-//! nobody waits for off the simulated network.
+//! Which frames earn an ack is the node's decision, not the harness's:
+//! without [`SimHarness::retry`] no node emits one.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use mqp_catalog::{CatalogEntry, ServerId};
+use mqp_catalog::CatalogEntry;
 use mqp_core::{QueryId, QueryOutcome};
-use mqp_net::{FaultPlan, NodeId, SimNet, Topology};
+use mqp_net::{NodeId, SimNet, Topology};
 
 use crate::node::{Directory, Effect, PeerNode};
 use crate::peer::Peer;
@@ -47,7 +46,7 @@ pub enum SimMsg {
 
 /// How a lazy harness builds the peer for a node the first time it is
 /// touched (submitted at, or delivered a message).
-pub type PeerFactory = Box<dyn FnMut(NodeId) -> Peer>;
+type PeerFactory = Box<dyn FnMut(NodeId) -> Peer>;
 
 /// A population of peers on a simulated network.
 ///
@@ -70,8 +69,10 @@ pub struct SimHarness {
     /// When true, a completed query teaches the client's route cache
     /// which server finished it (§3.4 caching).
     pub cache_learning: bool,
-    /// Timeout/retry policy; `None` (the default) preserves the
-    /// fire-and-forget behavior where a lost MQP strands its query.
+    /// Timeout/retry policy, installed on every node: the policy is
+    /// cluster-wide. `None` (the default) preserves the fire-and-forget
+    /// behavior where a lost MQP strands its query; a node without a
+    /// policy neither watches nor acks.
     pub retry: Option<RetryPolicy>,
 }
 
@@ -162,22 +163,10 @@ impl SimHarness {
         self.nodes.iter().flatten().count()
     }
 
-    /// Installs a fault plan on the underlying network; returns `self`
-    /// for chaining.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.net.set_fault_plan(plan);
-        self
-    }
-
     /// Installs a retry policy; returns `self` for chaining.
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
-    }
-
-    /// Node id of a peer.
-    pub fn node_of(&self, id: &ServerId) -> Option<NodeId> {
-        self.directory.node_of(id)
     }
 
     /// Peer by node id. Panics on a lazy harness if the node has not
@@ -192,14 +181,6 @@ impl SimHarness {
     /// Mutable peer by node id (materializes lazily).
     pub fn peer_mut(&mut self, node: NodeId) -> &mut Peer {
         self.ensure(node).peer_mut()
-    }
-
-    /// Protocol node by node id (driver-level access for tests and
-    /// custom hosts). Panics on an unmaterialized lazy node.
-    pub fn node(&self, node: NodeId) -> &PeerNode {
-        self.nodes[node]
-            .as_ref()
-            .expect("node not materialized; touch it via peer_mut first")
     }
 
     /// Number of peers.
@@ -324,7 +305,7 @@ impl SimHarness {
 
     /// Restarts the peer at `node`: interface up, catalog recovered
     /// from its journal (prefix-consistent replay), surviving bindings
-    /// re-announced as `rereg` frames.
+    /// re-announced as `reg` frames.
     pub fn restart_node(&mut self, node: NodeId) {
         self.net.recover(node);
         let now = self.net.now();
@@ -345,20 +326,12 @@ impl SimHarness {
         for effect in effects {
             match effect {
                 Effect::Send { to, bytes } => self.send_frame(node, to, bytes),
-                Effect::Ack { to, qid } => {
-                    if to == node {
-                        // In place, as `Tcp` short-circuits self-sends.
-                        self.ensure(node).on_ack(node, qid);
-                    } else if self.retry.is_some() {
-                        self.send_frame(node, to, Frame::Ack { qid }.encode());
-                    } // else no watch exists to disarm (module docs)
-                }
+                Effect::Ack { to, qid } => self.send_frame(node, to, Frame::Ack { qid }.encode()),
                 Effect::SetTimer { at } => {
                     let delay = at.saturating_sub(self.net.now());
                     self.net.schedule(node, delay, SimMsg::Tick);
                 }
                 Effect::Retried { .. } => self.net.stats_mut().retries += 1,
-                Effect::Register(_) | Effect::Recovered(_) => {}
                 Effect::Complete(outcome) => {
                     if self.pending.remove(&outcome.qid) {
                         self.completed.push(outcome);
@@ -555,23 +528,22 @@ mod tests {
         use mqp_net::{ChurnEvent, FaultPlan};
         // Seller-1 is down from the start but rejoins at t = 300ms;
         // the retry loop keeps knocking and eventually gets through.
-        let mut h = world()
-            .with_retry(RetryPolicy {
-                timeout_us: 250_000,
-                max_retries: 5,
-            })
-            .with_fault_plan(FaultPlan::new(1).with_churn(vec![
-                ChurnEvent {
-                    at: 1,
-                    node: 2,
-                    up: false,
-                },
-                ChurnEvent {
-                    at: 300_000,
-                    node: 2,
-                    up: true,
-                },
-            ]));
+        let mut h = world().with_retry(RetryPolicy {
+            timeout_us: 250_000,
+            max_retries: 5,
+        });
+        h.net.set_fault_plan(FaultPlan::new(1).with_churn(vec![
+            ChurnEvent {
+                at: 1,
+                node: 2,
+                up: false,
+            },
+            ChurnEvent {
+                at: 300_000,
+                node: 2,
+                up: true,
+            },
+        ]));
         let plan = Plan::select(
             "price < 10",
             Plan::Urn(mqp_algebra::plan::UrnRef::new(Urn::area(pdx_cds()))),
@@ -602,8 +574,8 @@ mod tests {
         use mqp_net::{ChurnEvent, FaultPlan};
         let run = |plan: FaultPlan| {
             let mut h = SimHarness::new(Topology::uniform(4, 10_000), fixture::world())
-                .with_retry(RetryPolicy::default())
-                .with_fault_plan(plan);
+                .with_retry(RetryPolicy::default());
+            h.net.set_fault_plan(plan);
             h.submit(0, fixture::cheap_cds());
             h.run(10_000);
             assert_eq!(h.net.in_flight(), 0);
@@ -664,7 +636,7 @@ mod durable_tests {
 
         // Restart: prefix-consistent replay restores both the seller's
         // own base entry and its knowledge of the meta-index, and the
-        // surviving bindings go back out as rereg frames (real,
+        // surviving bindings go back out as reg frames (real,
         // counted traffic).
         let sent_before = h.net.stats().messages_sent;
         h.restart_node(2);
@@ -675,7 +647,7 @@ mod durable_tests {
             h.net.stats().messages_sent > sent_before,
             "recovery must re-announce over the network"
         );
-        h.run(100); // deliver the rereg frames (idempotent at meta)
+        h.run(100); // deliver the re-announcements (idempotent at meta)
 
         // The recovered peer serves again, audit-clean.
         h.submit(0, cheap_cds());
@@ -686,7 +658,7 @@ mod durable_tests {
         assert_eq!(second.audit_clean, Some(true));
         assert!(
             h.net.stats().balances(h.net.in_flight()),
-            "accounting identity must hold with rereg traffic: {:?}",
+            "accounting identity must hold with re-announcement traffic: {:?}",
             h.net.stats()
         );
     }
@@ -696,7 +668,8 @@ mod durable_tests {
         use mqp_net::{ChurnEvent, FaultPlan};
         // Seller-1 power-cycles on the fault plan's clock instead of by
         // hand; the run loop's churn drain must crash and recover it.
-        let mut h = durable_world().with_fault_plan(FaultPlan::new(7).with_churn(vec![
+        let mut h = durable_world();
+        h.net.set_fault_plan(FaultPlan::new(7).with_churn(vec![
             ChurnEvent {
                 at: 200_000,
                 node: 2,
@@ -735,6 +708,7 @@ mod lazy_tests {
     use super::*;
     use crate::fixture::{ns, pdx_cds};
     use mqp_algebra::plan::Plan;
+    use mqp_catalog::ServerId;
     use mqp_namespace::Urn;
     use mqp_xml::parse;
 

@@ -2,7 +2,8 @@
 //! generic over a [`Transport`], plus the [`Cluster`] handle and the
 //! [`Client`] front-end every real driver shares (DESIGN.md §8).
 //!
-//! Acks travel as `ack` frames, retry deadlines bound the receive wait
+//! The host executes effects and decides nothing: acks the node emits
+//! travel as `ack` frames, retry deadlines bound the receive wait
 //! against the wall clock, and completions reach the front-end over a
 //! results channel (driver plumbing, not peer traffic). A driver adds
 //! only a way to move frames: [`Mesh`](crate::cluster::Mesh) or
@@ -219,9 +220,9 @@ impl<T: Transport> Worker<T> {
                     let _ = self.outcomes.send(outcome);
                 }
                 Effect::Retried { .. } => Counters::add(&self.counters.retries, 1),
-                // The node's watch list is the timer state (the loop polls
-                // `next_deadline`); the other two are applied peer-side.
-                Effect::SetTimer { .. } | Effect::Register(_) | Effect::Recovered(_) => {}
+                // The node's watch list is the timer state: the loop
+                // polls `next_deadline`.
+                Effect::SetTimer { .. } => {}
             }
         }
     }
@@ -302,7 +303,7 @@ impl<T: Transport> Cluster<T> {
 
     /// Brings a killed peer back. A durable peer first recovers its
     /// catalog from the journal (prefix-consistent replay) and
-    /// re-announces the surviving bindings as `rereg` frames, which
+    /// re-announces the surviving bindings as `reg` frames, which
     /// leave like any other; watches that expired while down fire on
     /// the first tick after. A no-op if the peer is up.
     pub fn restart(&self, i: NodeId) {

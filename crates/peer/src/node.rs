@@ -6,20 +6,24 @@
 //! [`PeerNode::on_tick`], [`PeerNode::submit`]) and execute the
 //! [`Effect`]s it returns.
 //!
+//! The node makes every protocol decision, acks included: it acks a
+//! tracked frame only under a retry policy (without one nobody watches,
+//! so nobody waits), and a frame it delivered to itself is settled in
+//! place, never acked over a transport.
+//!
 //! Three hosts run this one core (DESIGN.md §8): the deterministic
 //! simulator ([`SimHarness`](crate::harness::SimHarness)) and the
 //! wall-clock host under its two transports,
 //! [`ThreadedCluster`](crate::cluster::ThreadedCluster) and
 //! [`TcpCluster`](crate::tcp::TcpCluster). They differ only in how they
 //! move bytes and keep time; none injects knowledge a node does not
-//! hold itself.
+//! hold itself, and none decides anything.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrlRef};
 use mqp_algebra::predicate::AggFunc;
-use mqp_catalog::durable::RecoveryReport;
 use mqp_catalog::{classify, CatalogEntry, Level, Observation, ServerId};
 use mqp_core::{Action, Mqp, Outcome, QueryId, QueryOutcome, VisitRecord};
 use mqp_namespace::InterestArea;
@@ -109,7 +113,7 @@ impl Directory {
     }
 
     /// Transport address of a peer.
-    pub fn node_of(&self, id: &ServerId) -> Option<NodeId> {
+    pub(crate) fn node_of(&self, id: &ServerId) -> Option<NodeId> {
         if let Some(&n) = self.index.get(id) {
             return Some(n);
         }
@@ -125,7 +129,7 @@ impl Directory {
 
     /// Peer name at an address. Tail names are generated on demand, so
     /// this returns an owned (cheaply cloned, interned) id.
-    pub fn id_of(&self, node: NodeId) -> ServerId {
+    pub(crate) fn id_of(&self, node: NodeId) -> ServerId {
         if let Some(id) = self.named.get(node) {
             return id.clone();
         }
@@ -171,11 +175,9 @@ pub enum Effect {
         /// Absolute deadline on the driving clock (µs).
         at: u64,
     },
-    /// This node accepted a catalog registration (observability only —
-    /// the entry is already applied to the node's own catalog).
-    Register(CatalogEntry),
     /// Acknowledge to node `to` that its tracked forward of `qid` was
-    /// received here. Hosts ship it as an `ack` frame.
+    /// received here. Hosts ship it as an `ack` frame. The node emits
+    /// one only under a retry policy, and never to itself.
     Ack {
         /// The original sender being acknowledged.
         to: NodeId,
@@ -188,11 +190,6 @@ pub enum Effect {
         /// The retried query.
         qid: QueryId,
     },
-    /// This node came back from a crash: its durable catalog replayed
-    /// to a prefix-consistent state (the report says how much survived)
-    /// and the accompanying `Send` effects re-announce its bindings as
-    /// `rereg` frames. Observability only.
-    Recovered(RecoveryReport),
 }
 
 /// One armed retry watch: an unacknowledged forward (MQP or result
@@ -279,11 +276,6 @@ impl PeerNode {
         }
     }
 
-    /// This node's transport address.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// The wrapped peer.
     pub fn peer(&self) -> &Peer {
         &self.peer
@@ -294,25 +286,23 @@ impl PeerNode {
         &mut self.peer
     }
 
-    /// The directory.
-    pub fn directory(&self) -> &Directory {
-        &self.directory
-    }
-
-    /// Installs (or clears) the timeout/retry policy.
+    /// Installs (or clears) the timeout/retry policy. The policy is
+    /// cluster-wide: every node of one cluster runs the same one. A node
+    /// without a policy neither arms watches nor acks, since no node
+    /// watches for its acks either.
     pub fn set_retry(&mut self, policy: Option<RetryPolicy>) {
         self.retry = policy;
     }
 
     /// Enables §3.4 route-cache learning for queries this node submits.
-    pub fn set_cache_learning(&mut self, on: bool) {
+    pub(crate) fn set_cache_learning(&mut self, on: bool) {
         self.cache_learning = on;
     }
 
     /// Earliest armed watch deadline, if any — hosts without a
     /// scheduled-timer transport (the threaded worker loop) use this to
     /// bound their receive timeout.
-    pub fn next_deadline(&self) -> Option<u64> {
+    pub(crate) fn next_deadline(&self) -> Option<u64> {
         self.watches.iter().map(|w| w.deadline).min()
     }
 
@@ -334,15 +324,14 @@ impl PeerNode {
 
     /// Restart after a crash: recovers the catalog from the journal
     /// (prefix-consistent replay) and re-announces this peer's own
-    /// surviving bindings as untracked [`Frame::Rereg`] frames to every
-    /// index/meta-index server the recovered catalog knows, plus the
-    /// bootstrap route. Ends with [`Effect::Recovered`] carrying the
-    /// recovery report. Without a journal: nothing to replay, no
+    /// surviving bindings as untracked [`Frame::Register`] frames to
+    /// every index/meta-index server the recovered catalog knows, plus
+    /// the bootstrap route. Without a journal: nothing to replay, no
     /// effects — the same recovery state machine, degenerate case.
     pub fn recover(&mut self, now: u64) -> Vec<Effect> {
-        let Some(report) = self.peer.recover_catalog() else {
+        if !self.peer.recover_catalog() {
             return Vec::new();
-        };
+        }
         self.peer.set_clock(now);
         let me = self.peer.id().clone();
         let mine: Vec<CatalogEntry> = self
@@ -378,11 +367,10 @@ impl PeerNode {
             for entry in &mine {
                 effects.push(Effect::Send {
                     to: node,
-                    bytes: Frame::Rereg(entry.clone()).encode(),
+                    bytes: Frame::Register(entry.clone()).encode(),
                 });
             }
         }
-        effects.push(Effect::Recovered(report));
         effects
     }
 
@@ -434,19 +422,16 @@ impl PeerNode {
             return Vec::new();
         };
         match frame {
-            // A re-registration after crash recovery merges exactly like
-            // a first registration; the distinct tag only matters to
-            // traffic accounting.
-            Frame::Register(entry) | Frame::Rereg(entry) => {
+            // A re-announcement after crash recovery is a registration
+            // like any other.
+            Frame::Register(entry) => {
                 let subject = entry.server.clone();
-                let conflict = self
-                    .peer
-                    .register_entry_from(entry.clone(), from as u64, now);
-                let mut effects = vec![Effect::Register(entry)];
-                if let Some((area_key, claimants)) = conflict {
-                    effects.extend(self.open_verification(&subject, &area_key, &claimants, now));
+                match self.peer.register_entry_from(entry, from as u64, now) {
+                    Some((area_key, claimants)) => {
+                        self.open_verification(&subject, &area_key, &claimants, now)
+                    }
+                    None => Vec::new(),
                 }
-                effects
             }
             Frame::Ack { qid } => {
                 self.on_ack(from, qid);
@@ -475,14 +460,49 @@ impl PeerNode {
             // Stop and hello are host-level (driver control and stream
             // handshake); a node receiving either does nothing.
             Frame::Stop | Frame::Hello { .. } => Vec::new(),
-            Frame::Result(rf) => self.handle_result(from, rf, now),
-            Frame::Mqp(mf) => self.handle_mqp(from, mf, now),
+            Frame::Result(rf) => self.acked(from, Some(rf.qid), |n, fx| {
+                n.handle_result(rf, now, fx);
+            }),
+            // An envelope nobody here can process was not delivered: no
+            // ack, so a watching sender re-routes as for a lost frame.
+            Frame::Mqp(mf) => match Mqp::from_wire(&mf.envelope) {
+                Ok(mqp) => self.acked(from, mf.qid, |n, fx| n.handle_mqp(mqp, mf, now, fx)),
+                Err(_) => Vec::new(),
+            },
         }
+    }
+
+    /// Handles a delivered frame that carries query id `qid` from
+    /// `from`, with the ack it earns. A remote sender is acked first,
+    /// and only under a retry policy: without one no sender watches. A
+    /// frame this node sent itself earns no ack; the watch it aimed at
+    /// itself is disarmed once `handle` has run, so a self-aimed watch
+    /// `handle` armed for the same query goes too, as an ack arriving
+    /// through a transport on the frame's heels would have done.
+    fn acked(
+        &mut self,
+        from: NodeId,
+        qid: Option<QueryId>,
+        handle: impl FnOnce(&mut Self, &mut Vec<Effect>),
+    ) -> Vec<Effect> {
+        let mut effects = Vec::new();
+        match qid {
+            Some(qid) if from != self.node && self.retry.is_some() => {
+                effects.push(Effect::Ack { to: from, qid });
+                handle(self, &mut effects);
+            }
+            Some(qid) if from == self.node => {
+                handle(self, &mut effects);
+                self.on_ack(from, qid);
+            }
+            _ => handle(self, &mut effects),
+        }
+        effects
     }
 
     /// Node `acker` confirmed receipt of this node's tracked forward of
     /// `qid`: disarm the watch if it was indeed aimed at `acker`.
-    pub fn on_ack(&mut self, acker: NodeId, qid: QueryId) {
+    fn on_ack(&mut self, acker: NodeId, qid: QueryId) {
         self.watches.retain(|w| !(w.qid == qid && w.to == acker));
     }
 
@@ -724,16 +744,12 @@ impl PeerNode {
         self.peer.apply_trust_round(&verdicts, now);
     }
 
-    fn handle_result(&mut self, from: NodeId, rf: ResultFrame, now: u64) -> Vec<Effect> {
-        let mut effects = vec![Effect::Ack {
-            to: from,
-            qid: rf.qid,
-        }];
+    fn handle_result(&mut self, rf: ResultFrame, now: u64, effects: &mut Vec<Effect>) {
         // A verification probe answer is protocol-internal: absorb it
         // into its round instead of surfacing a client completion.
         if let Some(probe) = self.verify.remove(&rf.qid) {
             self.absorb_probe(probe, &rf, now);
-            return effects;
+            return;
         }
         // §3.4 cache learning, applied once — when the first result for
         // a query this node submitted arrives.
@@ -763,20 +779,9 @@ impl PeerNode {
             failure,
             rf.audit_clean,
         )));
-        effects
     }
 
-    fn handle_mqp(&mut self, from: NodeId, mf: MqpFrame, now: u64) -> Vec<Effect> {
-        // An envelope nobody here can process was not delivered: no
-        // ack, so a watching sender re-routes as for a lost frame.
-        let Ok(mut mqp) = Mqp::from_wire(&mf.envelope) else {
-            return Vec::new();
-        };
-        let mut effects = Vec::new();
-        // The forward arrived: acknowledge so the sender disarms.
-        if let Some(qid) = mf.qid {
-            effects.push(Effect::Ack { to: from, qid });
-        }
+    fn handle_mqp(&mut self, mut mqp: Mqp, mf: MqpFrame, now: u64, effects: &mut Vec<Effect>) {
         self.peer.set_clock(now);
         let outcome = self.peer.process(&mut mqp);
         match outcome {
@@ -816,7 +821,7 @@ impl PeerNode {
                             }),
                             0,
                             now,
-                            &mut effects,
+                            effects,
                         );
                     }
                     (_, qid) => {
@@ -847,7 +852,7 @@ impl PeerNode {
                         if let Some(qid) = mf.qid {
                             effects.push(failed(qid, mf.meter, now, reason));
                         }
-                        return effects;
+                        return;
                     }
                 };
                 let mut meter = mf.meter;
@@ -863,7 +868,7 @@ impl PeerNode {
                     }),
                     0,
                     now,
-                    &mut effects,
+                    effects,
                 );
             }
             Outcome::Stuck { reason } => {
@@ -872,7 +877,6 @@ impl PeerNode {
                 }
             }
         }
-        effects
     }
 }
 
@@ -982,16 +986,11 @@ mod tests {
         };
         assert_eq!(*to, 0);
         let fx = n.on_message(0, bytes, 100);
-        // Ack to self (harmless) + result self-send.
-        let send = fx
-            .iter()
-            .find_map(|e| match e {
-                Effect::Send { to, bytes } => Some((*to, bytes.clone())),
-                _ => None,
-            })
-            .expect("result send");
-        assert_eq!(send.0, 0);
-        let fx = n.on_message(0, &send.1, 250);
+        // The result goes to this node itself: no ack, no watch.
+        let [Effect::Send { to: 0, bytes }] = &fx[..] else {
+            panic!("expected the result self-send, got {fx:?}");
+        };
+        let fx = n.on_message(0, bytes, 250);
         let done = fx
             .iter()
             .find_map(|e| match e {
@@ -1059,6 +1058,62 @@ mod tests {
         assert_eq!(a.next_deadline(), None);
     }
 
+    /// The node decides acks. Without a retry policy nothing is acked:
+    /// no sender watches. With one, a remote sender gets one `Ack`; a
+    /// tracked frame the node sent itself earns none, and the watch it
+    /// aimed at itself is disarmed in place.
+    #[test]
+    fn acks_only_remote_senders_under_a_policy() {
+        let dir = directory(&["a", "b"]);
+        let forward = |qid: u64| {
+            Frame::Mqp(MqpFrame {
+                qid: Some(QueryId::new(qid)),
+                meter: Meter::default(),
+                envelope: Mqp::new(Plan::display("b#1", Plan::url("mqp://a/"))).to_wire(),
+            })
+            .encode()
+        };
+        let acks = |fx: &[Effect]| -> Vec<Effect> {
+            fx.iter()
+                .filter(|e| matches!(e, Effect::Ack { .. }))
+                .cloned()
+                .collect()
+        };
+        let mut a = seller_node(0, &dir);
+        assert_eq!(acks(&a.on_message(1, &forward(1), 5)), vec![]);
+
+        a.set_retry(Some(RetryPolicy::default()));
+        let fx = a.on_message(1, &forward(2), 10);
+        let qid = QueryId::new(2);
+        assert_eq!(acks(&fx), vec![Effect::Ack { to: 1, qid }]);
+        assert_eq!(fx[0], Effect::Ack { to: 1, qid }, "the ack goes first");
+
+        // A tracked result this node sends itself.
+        let qid = QueryId::new(3);
+        let result = Frame::Result(ResultFrame {
+            qid,
+            meter: Meter::default(),
+            audit_clean: None,
+            bound_by: None,
+            items: String::new(),
+        });
+        let mut fx = Vec::new();
+        a.tracked_send(Some(qid), 0, result, 0, 20, &mut fx);
+        let [Effect::SetTimer { .. }, Effect::Send { to: 0, bytes }] = &fx[..] else {
+            panic!("expected a watched self-send, got {fx:?}");
+        };
+        assert!(a.watches.iter().any(|w| w.qid == qid && w.to == 0));
+        let fx = a.on_message(0, bytes, 30);
+        assert_eq!(acks(&fx), vec![]);
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, Effect::Complete(o) if o.qid == qid)));
+        assert!(
+            a.watches.iter().all(|w| w.qid != qid),
+            "self watch disarmed"
+        );
+    }
+
     /// An ack from the watched hop disarms; an ack from anyone else
     /// does not.
     #[test]
@@ -1103,6 +1158,7 @@ mod tests {
     fn malformed_envelope_is_dropped_unacknowledged() {
         let dir = directory(&["a", "b"]);
         let mut a = seller_node(0, &dir);
+        a.set_retry(Some(RetryPolicy::default()));
         let good = Mqp::new(Plan::display("b#4", Plan::url("mqp://a/"))).to_wire();
         let frame = |envelope: &str| {
             Frame::Mqp(MqpFrame {
@@ -1206,15 +1262,18 @@ mod tests {
         assert!(why.contains("does not reparse"), "{why}");
     }
 
-    /// Registration frames apply to the catalog and surface as effects.
+    /// A registration frame lands in the catalog; with no conflict to
+    /// verify, the node has nothing for its host to do.
     #[test]
-    fn registration_applies_and_reports() {
+    fn registration_applies_to_the_catalog() {
         let dir = directory(&["a", "b"]);
         let mut a = PeerNode::new(0, Peer::new("a", ns()), Arc::clone(&dir));
         let entry = CatalogEntry::base("b", pdx_cds());
         let fx = a.on_message(1, &Frame::Register(entry.clone()).encode(), 5);
-        assert_eq!(fx, vec![Effect::Register(entry.clone())]);
-        assert_eq!(a.peer().catalog().entries().len(), 1);
+        assert_eq!(fx, vec![]);
+        let entries = a.peer().catalog().entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!(*entries[0], entry);
     }
 
     /// A result payload that does not decode fails the query; it must
@@ -1223,6 +1282,7 @@ mod tests {
     fn torn_result_payload_fails_the_query() {
         let dir = directory(&["a", "b"]);
         let mut a = PeerNode::new(0, Peer::new("a", ns()), Arc::clone(&dir));
+        a.set_retry(Some(RetryPolicy::default()));
         let mut outcome = |items: &str| {
             let frame = Frame::Result(ResultFrame {
                 qid: QueryId::new(3),
@@ -1391,17 +1451,25 @@ mod tests {
                 .level_of(&ServerId::new("hijack")),
             TrustLevel::Quarantined
         );
-        // Power loss at the verifier, then recovery from the journal.
+        // Power loss at the verifier, then recovery from the journal:
+        // every registration comes back.
+        let entries = |n: &PeerNode| -> Vec<CatalogEntry> {
+            let entries = n.peer().catalog().entries();
+            entries.iter().map(|e| (**e).clone()).collect()
+        };
+        let before = entries(&nodes[0]);
+        assert_eq!(before.len(), 3);
         nodes[0].crash();
-        let fx = nodes[0].recover(5_000);
-        assert!(fx.iter().any(|e| matches!(e, Effect::Recovered(_))));
+        assert!(entries(&nodes[0]).is_empty());
+        nodes[0].recover(5_000);
+        assert_eq!(entries(&nodes[0]), before);
         let book = nodes[0].peer().catalog().trust();
         assert!(book.is_enabled(), "defense must re-arm after recovery");
         assert_eq!(
             book.level_of(&ServerId::new("hijack")),
             TrustLevel::Quarantined
         );
-        // And the hijacker cannot launder itself with a fresh rereg:
+        // And the hijacker cannot launder itself by registering again:
         // the replayed strikes keep outweighing it.
         register_at_verifier(&mut nodes, 3, hijack, 6_000);
         assert_eq!(

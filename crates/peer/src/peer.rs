@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrlRef, UrnRef};
-use mqp_catalog::durable::{CatalogOp, DurableCatalog, RecoveryReport};
+use mqp_catalog::durable::{CatalogOp, DurableCatalog};
 use mqp_catalog::{Catalog, CatalogEntry, ConflictClass, Level, ServerId, TrustLevel};
 use mqp_core::{Action, Cond, Policy, Processor, RuleCtx, ServerContext, VisitRecord};
 use mqp_namespace::{CategoryPath, InterestArea, Namespace, Urn};
@@ -76,13 +76,8 @@ impl Peer {
     }
 
     /// The bootstrap route, if configured.
-    pub fn default_route(&self) -> Option<&ServerId> {
+    pub(crate) fn default_route(&self) -> Option<&ServerId> {
         self.default_route.as_ref()
-    }
-
-    /// The namespace this peer knows (category-server role, §3.5).
-    pub fn namespace(&self) -> &Namespace {
-        &self.namespace
     }
 
     /// The local store.
@@ -100,11 +95,6 @@ impl Peer {
         &self.catalog
     }
 
-    /// The processor.
-    pub fn processor(&self) -> &Processor {
-        &self.processor
-    }
-
     /// Installs hot-reloaded policy rules on the processor (the
     /// `policy` wire frame lands here). The base [`Policy`] and the
     /// compile cache are untouched; an empty set restores pure
@@ -114,7 +104,7 @@ impl Peer {
     }
 
     /// Sets the simulated clock (harness use).
-    pub fn set_clock(&self, us: u64) {
+    pub(crate) fn set_clock(&self, us: u64) {
         self.clock_us.set(us);
     }
 
@@ -124,8 +114,8 @@ impl Peer {
 
     /// Turns on catalog durability over `journal`, seeding it with a
     /// snapshot of whatever the catalog already holds. From here on,
-    /// registrations arriving through [`Peer::register_entry`],
-    /// [`Peer::add_collection`] and [`Peer::publish_urn`] are journaled;
+    /// registrations arriving over the wire, [`Peer::add_collection`]
+    /// and [`Peer::publish_urn`] are journaled;
     /// direct [`Peer::catalog_mut`] mutations are deliberately not (the
     /// volatile escape hatch for caches and test scaffolding).
     pub fn enable_durability(&mut self, mut journal: DurableCatalog) {
@@ -133,11 +123,6 @@ impl Peer {
         // whatever prefix survives, which is the contract anyway.
         let _ = journal.seed(&self.catalog);
         self.durable = Some(journal);
-    }
-
-    /// The catalog journal, if durability is on.
-    pub fn durable(&self) -> Option<&DurableCatalog> {
-        self.durable.as_ref()
     }
 
     /// Journals one op (best-effort past the fsync retry budget:
@@ -151,8 +136,8 @@ impl Peer {
     }
 
     /// Registers an entry in the catalog, journaling it when durable —
-    /// the path `reg`/`rereg` frames take at the receiving peer.
-    pub fn register_entry(&mut self, entry: CatalogEntry) {
+    /// the path `reg` frames take at the receiving peer.
+    fn register_entry(&mut self, entry: CatalogEntry) {
         self.catalog.register(entry.clone());
         self.journal(CatalogOp::Register(entry));
     }
@@ -162,7 +147,7 @@ impl Peer {
     /// dropped; returns `true`. Without one this is a no-op returning
     /// `false` — the legacy kill models an interface outage, with
     /// protocol state surviving in memory.
-    pub fn crash_volatile(&mut self) -> bool {
+    pub(crate) fn crash_volatile(&mut self) -> bool {
         let Some(d) = self.durable.as_mut() else {
             return false;
         };
@@ -172,11 +157,12 @@ impl Peer {
     }
 
     /// Crash recovery: replays snapshot + WAL into a fresh catalog,
-    /// truncating at the first torn record (prefix consistency). `None`
+    /// truncating at the first torn record (prefix consistency). `false`
     /// when durability is off or the disk is unreadable.
-    pub fn recover_catalog(&mut self) -> Option<RecoveryReport> {
-        let d = self.durable.as_mut()?;
-        let (catalog, report) = d.recover().ok()?;
+    pub(crate) fn recover_catalog(&mut self) -> bool {
+        let Some(Ok((catalog, _))) = self.durable.as_mut().map(DurableCatalog::recover) else {
+            return false;
+        };
         self.catalog = catalog;
         // Re-arm the defense: the recovered book carries the journaled
         // trust records, but `enabled` is peer configuration, not
@@ -184,7 +170,7 @@ impl Peer {
         if self.defense {
             self.catalog.trust_mut().set_enabled(true);
         }
-        Some(report)
+        true
     }
 
     // ------------------------------------------------------------------
@@ -200,17 +186,12 @@ impl Peer {
         self.catalog.trust_mut().set_enabled(true);
     }
 
-    /// Whether the defense is armed.
-    pub fn defense_enabled(&self) -> bool {
-        self.defense
-    }
-
     /// Registers an entry that arrived from transport node `registrar`,
     /// recording provenance in the trust book when the defense is armed.
     /// Returns the contested area key and its full claimant set when the
     /// registration leaves a base-level area with multiple claimants —
     /// the trigger for a verification round.
-    pub fn register_entry_from(
+    pub(crate) fn register_entry_from(
         &mut self,
         entry: CatalogEntry,
         registrar: u64,
@@ -237,7 +218,7 @@ impl Peer {
     /// Applies one verification round's verdicts to the trust book and
     /// journals every record whose level transitioned, so quarantine
     /// survives crash/recovery (the binding-laundering fix).
-    pub fn apply_trust_round(
+    pub(crate) fn apply_trust_round(
         &mut self,
         verdicts: &[(ServerId, ConflictClass)],
         now: u64,
@@ -255,7 +236,7 @@ impl Peer {
 
     /// Administrative quarantine (the `quarantine` policy action),
     /// journaled like any other trust transition.
-    pub fn quarantine_server(&mut self, server: &ServerId, now: u64) -> bool {
+    pub(crate) fn quarantine_server(&mut self, server: &ServerId, now: u64) -> bool {
         if !self.catalog.trust_mut().force_quarantine(server, now) {
             return false;
         }
@@ -269,7 +250,7 @@ impl Peer {
     /// claimant: `(quarantine, verify)`. Without any `trust-below` rule
     /// installed the built-in default applies — verify, never summarily
     /// quarantine.
-    pub fn trust_decision(&self, subject: &ServerId) -> (bool, bool) {
+    pub(crate) fn trust_decision(&self, subject: &ServerId) -> (bool, bool) {
         let rules = self.processor.rules();
         let has_trust_rules = rules
             .rules
@@ -378,7 +359,7 @@ impl Peer {
     /// `exclude` (the next-hop presumed crashed). Falls back to the
     /// catalog's alternatives for the plan's interest areas — the
     /// mobility argument of §2: any peer can re-route an in-flight MQP.
-    pub fn route_excluding(
+    pub(crate) fn route_excluding(
         &self,
         plan: &Plan,
         visited: &[ServerId],

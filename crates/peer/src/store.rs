@@ -86,7 +86,7 @@ impl LocalStore {
     }
 
     /// All collections, in name order.
-    pub fn collections(&self) -> impl Iterator<Item = &Collection> {
+    fn collections(&self) -> impl Iterator<Item = &Collection> {
         self.collections.values().map(|s| &s.collection)
     }
 
@@ -115,7 +115,7 @@ impl LocalStore {
     /// item handles (reference-count bumps). Only the general-XPath
     /// arm, which selects arbitrary *sub*-elements, materializes — a
     /// sub-element has no handle of its own.
-    pub fn items_for(&self, collection: Option<&Path>) -> Option<Batch> {
+    pub(crate) fn items_for(&self, collection: Option<&Path>) -> Option<Batch> {
         match collection {
             None => {
                 let mut out = Batch::with_capacity(self.len());
@@ -144,7 +144,7 @@ impl LocalStore {
     }
 
     /// Items whose collection area overlaps `area` (lent handles).
-    pub fn items_overlapping(&self, area: &InterestArea) -> Batch {
+    pub(crate) fn items_overlapping(&self, area: &InterestArea) -> Batch {
         let mut out = Batch::new();
         for c in self.collections() {
             if c.area.overlaps(area) {

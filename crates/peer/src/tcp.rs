@@ -43,7 +43,7 @@ const JITTER_SEED: u64 = 0x5eed_50c7;
 /// clusters from a handful to several hundred peers.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Retry policy installed on every peer (None: no watches).
+    /// Retry policy installed on every peer (None: no watches, no acks).
     pub retry: Option<RetryPolicy>,
     /// Consecutive failed connects before a link gives up and drops
     /// frames as `dropped_disconnected` instead of queueing (0: never

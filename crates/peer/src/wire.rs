@@ -3,8 +3,10 @@
 //!
 //! A frame is one header line (kind + per-query meter) followed by the
 //! payload bytes — the serialized MQP envelope for `mqp`, the
-//! concatenated result items for `res`, the catalog entry for `reg`.
-//! Every frame is plain UTF-8 so any peer can parse it without
+//! concatenated result items for `res`, the catalog entry for `reg`
+//! (a first registration and a recovered peer's re-announcement alike).
+//! An `ack` travels only between nodes under a retry policy; which
+//! frames earn one is the receiving node's decision. Every frame is plain UTF-8 so any peer can parse it without
 //! pre-shared binary schemas, matching the MQP envelope itself. A
 //! frame's size is the length of its encoding, on every driver.
 
@@ -71,13 +73,9 @@ pub enum Frame {
     /// A completed result returning to the client.
     Result(ResultFrame),
     /// Catalog registration (a base/index server announcing itself,
-    /// §3.2/§3.3).
+    /// §3.2/§3.3, or a restarted peer re-announcing the bindings its
+    /// journal kept).
     Register(CatalogEntry),
-    /// Re-registration after crash recovery: a restarted peer replaying
-    /// its WAL announces its surviving bindings again. Semantically a
-    /// [`Frame::Register`] (receivers merge identically) under a
-    /// distinct tag so experiments can count recovery traffic.
-    Rereg(CatalogEntry),
     /// Delivery acknowledgement for the watched forward of `qid`.
     Ack {
         /// The acknowledged query.
@@ -185,8 +183,7 @@ impl Frame {
                     f.items
                 )
             }
-            Frame::Register(e) => e.to_wire("reg"),
-            Frame::Rereg(e) => e.to_wire("rereg"),
+            Frame::Register(e) => e.to_wire(),
             Frame::Ack { qid } => format!("ack {qid}\n"),
             Frame::Submit { qid, plan } => format!("sub {qid}\n{plan}"),
             Frame::Policy(rules) => {
@@ -247,8 +244,7 @@ impl Frame {
                     items: payload.to_owned(),
                 }))
             }
-            "reg" => CatalogEntry::from_wire("reg", text).map(Frame::Register),
-            "rereg" => CatalogEntry::from_wire("rereg", text).map(Frame::Rereg),
+            "reg" => CatalogEntry::from_wire(text).map(Frame::Register),
             "ack" => {
                 if tokens.len() < 2 {
                     return Err(format!("truncated ack header {header:?}"));
@@ -369,14 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn rereg_frame_roundtrips_and_charges_like_reg() {
-        let entry = CatalogEntry::base("seller-1", area()).with_collection("/data[@id='1']");
-        let re = Frame::Rereg(entry.clone()).encode();
-        assert_eq!(Frame::kind(&re), "rereg");
-        assert_eq!(Frame::decode(&re).unwrap(), Frame::Rereg(entry));
-    }
-
-    #[test]
     fn policy_frame_roundtrips_and_charges_like_reg() {
         use mqp_catalog::Preference;
         use mqp_core::rules::{Cond, Rule, RuleAction};
@@ -430,7 +418,7 @@ mod tests {
         // server line is not empty.
         assert!(Frame::decode(b"reg base 0 0\nS\n(a)\n").is_ok());
         assert!(Frame::decode(b"reg base yes 0\nS\n(a)\n").is_err());
-        assert!(Frame::decode(b"rereg base 0 2\nS\n(a)\n").is_err());
+        assert!(Frame::decode(b"rereg base 0 0\nS\n(a)\n").is_err());
         assert!(Frame::decode(b"reg base 0 0\n\n(a)\n").is_err());
         assert!(Frame::decode(b"reg\nS\n(a)\n").is_err());
     }

@@ -153,7 +153,7 @@ fn churn_mid_stream_loses_nothing() {
 /// A *durable* peer models process death, not just an interface cut:
 /// the kill wipes its in-memory catalog, and the restart replays the
 /// WAL (prefix-consistent), re-announces the surviving bindings as
-/// `rereg` frames through the normal transport accounting, and serves
+/// `reg` frames through the normal transport accounting, and serves
 /// queries audit-clean again.
 #[test]
 fn durable_peer_recovers_registrations_across_kill_restart() {
@@ -176,7 +176,7 @@ fn durable_peer_recovers_registrations_across_kill_restart() {
     cluster.kill(SELLER_0);
     settle();
     cluster.restart(SELLER_0);
-    settle(); // recovery replay + rereg frames to meta
+    settle(); // recovery replay + re-announcements to meta
 
     let qid = client.submit(0, &plan);
     let done = client.collect(1, Duration::from_secs(30));
@@ -188,11 +188,11 @@ fn durable_peer_recovers_registrations_across_kill_restart() {
     assert_eq!(titles, ["A"], "recovered seller must serve its own data");
     assert_eq!(q.audit_clean, Some(true));
     let stats = cluster.shutdown(&mut client);
-    // The rereg announcements are real frames through the normal
+    // The re-announcements are real frames through the normal
     // enqueue path, so the sender-side identity must still be exact.
     assert!(
         stats.balances(0),
-        "unbalanced with rereg traffic: {stats:?}"
+        "unbalanced with re-announcement traffic: {stats:?}"
     );
 }
 

@@ -36,7 +36,7 @@ use crate::node::{Element, Node};
 /// walker over a [`Tokenizer`] — tree building, [`skip_subtree`], the
 /// plan and envelope decoders — stays far inside a 2 MiB thread stack
 /// (the plan decoder overflows one near 200 levels in a debug build).
-const MAX_DEPTH: usize = 64;
+pub const MAX_DEPTH: usize = 64;
 
 fn is_name_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_' || b == b':' || b >= 0x80
