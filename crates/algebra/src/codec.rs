@@ -325,8 +325,7 @@ pub fn from_wire(s: &str) -> Result<Plan, CodecError> {
     let Token::Open(name) = next(&mut tok)? else {
         return Err(not_canonical(&tok));
     };
-    let mut tb = TreeBuilder::new();
-    let plan = plan_from_tokens(&mut tok, &mut ItemSink::Build(&mut tb), name)?;
+    let plan = plan_from_tokens(&mut tok, &mut TreeBuilder::new(), name)?;
     let end = tok.pos();
     match tok.next_token() {
         Ok(None) => Ok(plan),
@@ -348,45 +347,13 @@ fn next<'a>(tok: &mut Tokenizer<'a>) -> Result<Token<'a>, CodecError> {
     }
 }
 
-/// What [`plan_from_tokens`] should do with verbatim data items: build
-/// them as XML trees, or validate-and-skip them. `Skip` makes the
-/// decoder a *validator* — it accepts exactly the same inputs (the
-/// skip/build equivalence is property-tested here and in `mqp-xml`)
-/// while doing none of the item allocation, which is how the envelope
-/// layer validates its `<original>` section without materializing it.
-pub enum ItemSink<'a> {
-    /// Materialize items through this builder.
-    Build(&'a mut TreeBuilder),
-    /// Validate items but build nothing (data leaves decode with empty
-    /// item lists — use only when the decoded plan is discarded).
-    Skip,
-}
-
-impl ItemSink<'_> {
-    fn item(
-        &mut self,
-        tok: &mut Tokenizer<'_>,
-        name: &str,
-        out: &mut mqp_xml::Batch,
-    ) -> Result<(), CodecError> {
-        match self {
-            ItemSink::Build(tb) => {
-                out.push_item(tb.build(tok, name).map_err(|_| not_canonical(tok))?)
-            }
-            ItemSink::Skip => mqp_xml::skip_subtree(tok, name).map_err(|_| not_canonical(tok))?,
-        }
-        Ok(())
-    }
-}
-
 /// Decodes the operator element whose `Open(name)` token was just
 /// consumed: attributes, then children (stray text at operator level is
-/// ignored; data items are verbatim and routed through `items`), then
-/// the closing tag. Leaves the tokenizer just past the element, so a
-/// caller can slice its bytes with [`Tokenizer::pos`].
+/// ignored; data items are verbatim and built through `tb`), then the
+/// closing tag. Leaves the tokenizer just past the element.
 pub fn plan_from_tokens(
     tok: &mut Tokenizer<'_>,
-    items: &mut ItemSink<'_>,
+    tb: &mut TreeBuilder,
     name: &str,
 ) -> Result<Plan, CodecError> {
     // Attributes arrive before we know the children.
@@ -427,7 +394,9 @@ pub fn plan_from_tokens(
             if !self_closed {
                 loop {
                     match next(tok)? {
-                        Token::Open(n) => items.item(tok, n, &mut out)?,
+                        Token::Open(n) => {
+                            out.push_item(tb.build(tok, n).map_err(|_| not_canonical(tok))?)
+                        }
                         Token::Text(_) => {} // formatting, not an item
                         Token::Close("data") => break,
                         _ => return Err(not_canonical(tok)),
@@ -479,9 +448,9 @@ pub fn plan_from_tokens(
             match next(tok)? {
                 Token::Open(n) => {
                     if is_or {
-                        or_alts.push(alt_from_tokens(tok, items, n)?);
+                        or_alts.push(alt_from_tokens(tok, tb, n)?);
                     } else {
-                        kids.push(plan_from_tokens(tok, items, n)?);
+                        kids.push(plan_from_tokens(tok, tb, n)?);
                     }
                 }
                 Token::Text(_) => {}
@@ -588,7 +557,7 @@ fn finish_leaf(
 
 fn alt_from_tokens(
     tok: &mut Tokenizer<'_>,
-    items: &mut ItemSink<'_>,
+    tb: &mut TreeBuilder,
     name: &str,
 ) -> Result<OrAlt, CodecError> {
     if name != "alt" {
@@ -627,7 +596,7 @@ fn alt_from_tokens(
                     if plan.is_some() {
                         return Err(one_input());
                     }
-                    plan = Some(plan_from_tokens(tok, items, n)?);
+                    plan = Some(plan_from_tokens(tok, tb, n)?);
                 }
                 Token::Text(_) => {}
                 Token::Close("alt") => break,

@@ -512,7 +512,7 @@ impl Plan {
     }
 
     /// Renders the plan as an indented operator tree for logs/examples.
-    pub fn render_tree(&self) -> String {
+    fn render_tree(&self) -> String {
         let mut out = String::new();
         self.render_into(0, &mut out);
         out
@@ -584,25 +584,6 @@ impl fmt::Display for Plan {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct NodePath(pub Vec<usize>);
 
-impl NodePath {
-    /// The root address.
-    pub fn root() -> Self {
-        NodePath(Vec::new())
-    }
-
-    /// Extends the address by one child index.
-    pub fn then(&self, i: usize) -> NodePath {
-        let mut v = self.0.clone();
-        v.push(i);
-        NodePath(v)
-    }
-
-    /// True if `self` is `other` or an ancestor of it.
-    pub fn is_prefix_of(&self, other: &NodePath) -> bool {
-        self.0.len() <= other.0.len() && self.0[..] == other.0[..self.0.len()]
-    }
-}
-
 impl fmt::Display for NodePath {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.0.is_empty() {
@@ -655,7 +636,7 @@ mod tests {
     #[test]
     fn node_path_addressing() {
         let p = figure3_plan();
-        let root = p.get(&NodePath::root()).unwrap();
+        let root = p.get(&NodePath::default()).unwrap();
         assert_eq!(root.op_name(), "display");
         let outer = p.get(&NodePath(vec![0])).unwrap();
         assert_eq!(outer.op_name(), "join");
@@ -745,14 +726,10 @@ mod tests {
     }
 
     #[test]
-    fn node_path_prefix() {
-        let a = NodePath(vec![0, 1]);
+    fn node_path_display() {
         let b = NodePath(vec![0, 1, 2]);
-        assert!(a.is_prefix_of(&b));
-        assert!(!b.is_prefix_of(&a));
-        assert!(NodePath::root().is_prefix_of(&a));
         assert_eq!(b.to_string(), "/0/1/2");
-        assert_eq!(NodePath::root().to_string(), "/");
+        assert_eq!(NodePath::default().to_string(), "/");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! exactly — property-tested from the lang side. [`Plan::render`] is
 //! the method form.
 //!
-//! Unlike [`Plan::render_tree`] (an indented operator log), this form
+//! Unlike the plan's `Display` form (an indented operator log), this form
 //! is concrete syntax: strings are quoted and escaped, predicate /
 //! path / URN text round-trips through their own `Display` forms, and
 //! data leaves embed their serialized items verbatim.
@@ -48,7 +48,7 @@ impl Plan {
 
 /// Escapes a string literal body: backslash, quote, and the three
 /// whitespace controls. Everything else is verbatim.
-pub fn escape(s: &str) -> String {
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

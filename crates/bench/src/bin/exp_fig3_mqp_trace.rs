@@ -18,7 +18,7 @@ fn main() {
         "client".to_string(),
         "submit".to_string(),
         mqp.plan().node_count().to_string(),
-        mqp.wire_size().to_string(),
+        mqp.to_wire().len().to_string(),
         mqp.plan().urns().len().to_string(),
         mqp.plan().urls().len().to_string(),
     ]);
@@ -49,7 +49,7 @@ fn main() {
                 action
             },
             mqp.plan().node_count().to_string(),
-            mqp.wire_size().to_string(),
+            mqp.to_wire().len().to_string(),
             mqp.plan().urns().len().to_string(),
             mqp.plan().urls().len().to_string(),
         ]);

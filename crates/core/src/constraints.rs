@@ -51,14 +51,14 @@ impl Constraints {
     }
 
     /// May the MQP be sent to (or processed by) `server`?
-    pub fn server_allowed(&self, server: &ServerId) -> bool {
+    pub(crate) fn server_allowed(&self, server: &ServerId) -> bool {
         self.allowed_servers.is_empty() || self.allowed_servers.contains(server)
     }
 
     /// May the resource named `urn` be bound now, given the set of URNs
     /// still unbound in the plan? Binding `then` is blocked while any
     /// rule's `first` remains unbound (and is a different resource).
-    pub fn may_bind(&self, urn: &str, still_unbound: &[String]) -> bool {
+    pub(crate) fn may_bind(&self, urn: &str, still_unbound: &[String]) -> bool {
         for (first, then) in &self.bind_after {
             if then == urn && first != urn && still_unbound.iter().any(|u| u == first) {
                 return false;
@@ -69,7 +69,7 @@ impl Constraints {
 
     /// Serializes to the `<constraints>` element (omitted from
     /// envelopes when empty).
-    pub fn to_xml(&self) -> Element {
+    pub(crate) fn to_xml(&self) -> Element {
         let mut e = Element::new("constraints");
         for s in &self.allowed_servers {
             e.push_child(Node::Element(
@@ -87,7 +87,7 @@ impl Constraints {
     }
 
     /// Parses the `<constraints>` element.
-    pub fn from_xml(e: &Element) -> Option<Constraints> {
+    pub(crate) fn from_xml(e: &Element) -> Option<Constraints> {
         if e.name() != "constraints" {
             return None;
         }

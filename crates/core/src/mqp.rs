@@ -13,104 +13,48 @@
 //! </mqp>
 //! ```
 //!
-//! ## Incremental re-serialization
-//!
-//! The Figure-2 loop re-parses and re-serializes the envelope at every
-//! hop, so each section's wire bytes are cached and spliced instead of
-//! rebuilt (DESIGN.md §7):
-//!
-//! * the **plan** fragment is invalidated by a dirty bit whenever the
-//!   plan is touched through [`Mqp::plan_mut`];
-//! * the **original** never changes after construction;
-//! * **provenance** is append-only, so cached `<visit/>` fragments stay
-//!   valid and only new records serialize;
-//! * [`Mqp::from_wire`] seeds all of these straight from the incoming
-//!   bytes, which is sound because it decodes canonical XML only (the
-//!   wire grammar; anything else is a [`CodecError`]) and the canonical
-//!   tokenizer guarantees each element's byte span re-serializes to
-//!   itself.
-//!
-//! Invariants (property-tested in `tests/properties.rs`):
-//! [`Mqp::wire_size`] is always exactly `to_wire().len()`, and for any
-//! envelope whose sections were produced by this codec — every
-//! programmatically built envelope, and everything travelling the wire
-//! path, since peers only emit [`Mqp::to_wire`] — `to_wire()` is
-//! byte-identical to serializing [`Mqp::to_xml`]. (An envelope parsed
-//! from *foreign* canonical XML that spells a section differently than
-//! this codec would — say `pred="a&lt;1"` where our predicate printer
-//! writes `a &lt; 1` — forwards those received bytes verbatim, which
-//! is deliberate: faithful forwarding, still reparsing to the same
-//! plan.)
+//! An [`Mqp`] is a plain value: the Figure-2 loop parses it, changes it
+//! and writes it out again, and [`Mqp::to_wire`] writes every section
+//! afresh on each call (DESIGN.md §7 records why no section is cached).
+//! Invariant (property-tested in `tests/properties.rs`): for every
+//! envelope, `to_wire()` is byte-identical to serializing
+//! [`Mqp::to_xml`], and what [`Mqp::from_wire`] accepts writes back in
+//! that spelling and reparses equal.
 
-use std::cell::{OnceCell, RefCell};
-use std::fmt;
-
-use mqp_algebra::codec::{self, plan_from_tokens, plan_to_xml, write_plan, CodecError, ItemSink};
+use mqp_algebra::codec::{plan_from_tokens, plan_to_xml, write_plan, CodecError};
 use mqp_algebra::plan::Plan;
-use mqp_xml::{Element, Node, Token, Tokenizer, TreeBuilder};
+use mqp_xml::{serialize_into, Element, Node, Token, Tokenizer, TreeBuilder};
 
 use crate::constraints::Constraints;
 use crate::provenance::VisitRecord;
 
-/// Cached wire fragments (see module docs). Interior-mutable so
-/// `to_wire(&self)` can memoize; never observable — every accessor
-/// yields the same bytes a cold cache would.
-///
-/// One slot is more than a memo: for an envelope parsed from wire
-/// bytes, `original` holds the *only* copy of the original plan —
-/// validated at parse time, decoded into `Mqp::original_plan` the
-/// first time someone (the §5.1 audit) actually asks. Intermediate
-/// hops never pay to materialize a section they never read.
-#[derive(Clone, Default)]
-struct WireCache {
-    /// Serialized current plan (the single child of `<plan>`); `None`
-    /// when the plan is dirty.
-    plan: RefCell<Option<String>>,
-    /// Serialized original plan (the single child of `<original>`).
-    /// Never invalidated: the original is immutable.
-    original: RefCell<Option<String>>,
-    /// Serialized `<visit …/>` fragments for a prefix of the
-    /// provenance list (append-only, so a prefix never goes stale).
-    visits: RefCell<Vec<String>>,
-    /// Serialized `<constraints>…</constraints>` element.
-    constraints: RefCell<Option<String>>,
-}
-
 /// A mutant query plan in flight.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Mqp {
     /// The current (partially evaluated) plan.
     plan: Plan,
     /// The original plan as submitted by the client, if carried.
-    /// Either this cell or `cache.original` is populated when an
-    /// original is carried (see [`WireCache`]); both empty means the
-    /// envelope travels without one.
-    original_plan: OnceCell<Plan>,
+    original: Option<Plan>,
     /// The visit history.
     provenance: Vec<VisitRecord>,
     /// Ordering/transfer policies (§5.2).
     constraints: Constraints,
-    cache: WireCache,
 }
 
 impl Mqp {
     /// Wraps a fresh client plan; keeps a copy as the original.
     pub fn new(plan: Plan) -> Self {
-        let original_plan = OnceCell::new();
-        original_plan.set(plan.clone()).expect("fresh cell");
         Mqp {
-            original_plan,
+            original: Some(plan.clone()),
             plan,
             provenance: Vec::new(),
             constraints: Constraints::none(),
-            cache: WireCache::default(),
         }
     }
 
     /// Attaches §5.2 constraints; returns `self` for chaining.
     pub fn with_constraints(mut self, constraints: Constraints) -> Self {
         self.constraints = constraints;
-        *self.cache.constraints.borrow_mut() = None;
         self
     }
 
@@ -119,10 +63,9 @@ impl Mqp {
     pub fn without_original(plan: Plan) -> Self {
         Mqp {
             plan,
-            original_plan: OnceCell::new(),
+            original: None,
             provenance: Vec::new(),
             constraints: Constraints::none(),
-            cache: WireCache::default(),
         }
     }
 
@@ -131,44 +74,14 @@ impl Mqp {
         &self.plan
     }
 
-    /// Mutable access to the plan. Marks the cached plan fragment dirty
-    /// — the next serialization rebuilds (only) the `<plan>` section.
+    /// Mutable access to the plan.
     pub fn plan_mut(&mut self) -> &mut Plan {
-        *self.cache.plan.borrow_mut() = None;
         &mut self.plan
-    }
-
-    /// Plan access that does *not* invalidate the cached wire fragment.
-    /// The processor uses this for pipeline stages that report whether
-    /// they changed anything, pairing it with
-    /// [`Mqp::invalidate_plan_cache`] so a pure-forward hop keeps its
-    /// splice-only serialization.
-    pub(crate) fn plan_untracked_mut(&mut self) -> &mut Plan {
-        &mut self.plan
-    }
-
-    /// Marks the cached plan fragment dirty (see
-    /// [`Mqp::plan_untracked_mut`]).
-    pub(crate) fn invalidate_plan_cache(&self) {
-        *self.cache.plan.borrow_mut() = None;
     }
 
     /// The original plan as submitted by the client, if carried.
-    ///
-    /// For an envelope parsed from wire bytes this is where the
-    /// `<original>` section is first materialized (it was only
-    /// *validated* during parsing); the decode is memoized, and
-    /// envelopes that are merely forwarded never pay for it.
     pub fn original(&self) -> Option<&Plan> {
-        if self.original_plan.get().is_none() {
-            let wire = self.cache.original.borrow();
-            let frag = wire.as_deref()?;
-            let plan = codec::from_wire(frag)
-                .expect("original section was token-validated when the envelope was parsed");
-            drop(wire);
-            let _ = self.original_plan.set(plan);
-        }
-        self.original_plan.get()
+        self.original.as_ref()
     }
 
     /// The visit history, oldest first.
@@ -181,8 +94,7 @@ impl Mqp {
         &self.constraints
     }
 
-    /// Appends a provenance record. (Provenance is append-only, which
-    /// is what lets its serialized fragments be cached.)
+    /// Appends a provenance record.
     pub fn record(&mut self, visit: VisitRecord) {
         self.provenance.push(visit);
     }
@@ -207,15 +119,15 @@ impl Mqp {
             .unwrap_or(0)
     }
 
-    /// Serializes the envelope to XML. (The tree form is the spec the
-    /// spliced [`Mqp::to_wire`] is property-tested against; the wire
-    /// path itself never builds it.)
+    /// Serializes the envelope to XML. (The tree form is the spec
+    /// [`Mqp::to_wire`] is property-tested against; the wire path itself
+    /// never builds it.)
     pub fn to_xml(&self) -> Element {
         let mut e = Element::new("mqp");
         e.push_child(Node::Element(
             Element::new("plan").child(plan_to_xml(&self.plan)),
         ));
-        if let Some(orig) = self.original() {
+        if let Some(orig) = &self.original {
             e.push_child(Node::Element(
                 Element::new("original").child(plan_to_xml(orig)),
             ));
@@ -231,51 +143,40 @@ impl Mqp {
         e
     }
 
-    /// Serializes to the compact wire string, splicing cached fragments
-    /// for every section that did not change since the envelope was
-    /// parsed (byte-identical to `serialize(&self.to_xml())`).
+    /// Serializes to the compact wire string, writing each section once
+    /// (byte-identical to `serialize(&self.to_xml())`).
     pub fn to_wire(&self) -> String {
-        self.ensure_fragments();
-        let plan = self.cache.plan.borrow();
-        let original = self.cache.original.borrow();
-        let visits = self.cache.visits.borrow();
-        let constraints = self.cache.constraints.borrow();
-        let plan = plan.as_deref().expect("ensured");
-        let orig = original.as_deref();
-        let cons = (!self.constraints.is_empty()).then(|| constraints.as_deref().expect("ensured"));
-        let mut out = String::with_capacity(assembled_len(plan, orig, &visits, cons));
+        let mut out = String::with_capacity(256);
         out.push_str("<mqp><plan>");
-        out.push_str(plan);
+        write_plan(&self.plan, &mut out);
         out.push_str("</plan>");
-        if let Some(o) = orig {
+        if let Some(orig) = &self.original {
             out.push_str("<original>");
-            out.push_str(o);
+            write_plan(orig, &mut out);
             out.push_str("</original>");
         }
-        if visits.is_empty() {
+        if self.provenance.is_empty() {
             out.push_str("<provenance/>");
         } else {
             out.push_str("<provenance>");
-            for v in visits.iter() {
-                out.push_str(v);
+            for v in &self.provenance {
+                serialize_into(&v.to_xml(), &mut out);
             }
             out.push_str("</provenance>");
         }
-        if let Some(c) = cons {
-            out.push_str(c);
+        if !self.constraints.is_empty() {
+            serialize_into(&self.constraints.to_xml(), &mut out);
         }
         out.push_str("</mqp>");
         out
     }
 
     /// Parses from the wire string in one walk of the zero-copy
-    /// tokenizer: the current plan decodes straight from tokens (no
-    /// intermediate XML tree), the `<original>` section is *validated
-    /// but not materialized* (its bytes become the cached fragment,
-    /// decoded lazily by [`Mqp::original`]), and every section's byte
-    /// span seeds the splice cache. The input must be canonical XML, as
-    /// everything [`Mqp::to_wire`] writes is; the error says where it
-    /// is not, or which section or operator is malformed.
+    /// tokenizer: the current and original plans decode straight from
+    /// tokens (no intermediate XML tree for operators). The input must
+    /// be canonical XML, as everything [`Mqp::to_wire`] writes is; the
+    /// error says where it is not, or which section or operator is
+    /// malformed.
     pub fn from_wire(s: &str) -> Result<Mqp, CodecError> {
         let bad = |m: &str| CodecError::Malformed(m.to_owned());
         let mut tok = Tokenizer::new(s);
@@ -286,73 +187,22 @@ impl Mqp {
         }
         open_end(&mut tok, "mqp")?;
         let mut tb = TreeBuilder::new();
-        let mut plan: Option<Plan> = None;
-        let mut plan_frag: Option<&str> = None;
-        let mut seen_plan = false;
-        let mut original_frag: Option<&str> = None;
-        let mut seen_original = false;
+        // `Some(section)` once the section was read; the section holds
+        // `None` when it carried no plan element.
+        let mut plan: Option<Option<Plan>> = None;
+        let mut original: Option<Option<Plan>> = None;
         let mut seen_provenance = false;
         let mut visits: Vec<VisitRecord> = Vec::new();
-        let mut visit_frags: Vec<&str> = Vec::new();
         let mut constraints: Option<Constraints> = None;
-        let mut constraints_frag: Option<&str> = None;
         loop {
-            let section_start = tok.pos();
             match next(&mut tok)? {
                 Token::Close("mqp") => break,
                 Token::Text(_) => {} // stray text between sections
-                Token::Open("plan") if !seen_plan => {
-                    seen_plan = true;
-                    open_end(&mut tok, "plan")?;
-                    loop {
-                        let inner_start = tok.pos();
-                        match next(&mut tok)? {
-                            Token::Open(n) => {
-                                if plan.is_none() {
-                                    plan = Some(plan_from_tokens(
-                                        &mut tok,
-                                        &mut ItemSink::Build(&mut tb),
-                                        n,
-                                    )?);
-                                    plan_frag = Some(&s[inner_start..tok.pos()]);
-                                } else {
-                                    // The first element child is the
-                                    // plan; skip (and validate) extras.
-                                    mqp_xml::skip_subtree(&mut tok, n)
-                                        .map_err(|_| not_canonical(&tok))?;
-                                }
-                            }
-                            Token::Text(_) => {}
-                            Token::Close("plan") => break,
-                            _ => return Err(not_canonical(&tok)),
-                        }
-                    }
+                Token::Open("plan") if plan.is_none() => {
+                    plan = Some(plan_section(&mut tok, &mut tb, "plan")?);
                 }
-                Token::Open("original") if !seen_original => {
-                    seen_original = true;
-                    open_end(&mut tok, "original")?;
-                    loop {
-                        let inner_start = tok.pos();
-                        match next(&mut tok)? {
-                            Token::Open(n) => {
-                                if original_frag.is_none() {
-                                    // Validate without materializing:
-                                    // the skip-mode decoder accepts
-                                    // exactly what the build-mode one
-                                    // does, so the lazy decode in
-                                    // `original()` cannot fail.
-                                    plan_from_tokens(&mut tok, &mut ItemSink::Skip, n)?;
-                                    original_frag = Some(&s[inner_start..tok.pos()]);
-                                } else {
-                                    mqp_xml::skip_subtree(&mut tok, n)
-                                        .map_err(|_| not_canonical(&tok))?;
-                                }
-                            }
-                            Token::Text(_) => {}
-                            Token::Close("original") => break,
-                            _ => return Err(not_canonical(&tok)),
-                        }
-                    }
+                Token::Open("original") if original.is_none() => {
+                    original = Some(plan_section(&mut tok, &mut tb, "original")?);
                 }
                 Token::Open("provenance") if !seen_provenance => {
                     seen_provenance = true;
@@ -363,7 +213,6 @@ impl Mqp {
                     };
                     if !self_closed {
                         loop {
-                            let visit_start = tok.pos();
                             match next(&mut tok)? {
                                 Token::Open(n) => {
                                     let el =
@@ -372,7 +221,6 @@ impl Mqp {
                                         VisitRecord::from_xml(&el)
                                             .ok_or_else(|| bad("bad <visit> record"))?,
                                     );
-                                    visit_frags.push(&s[visit_start..tok.pos()]);
                                 }
                                 Token::Text(_) => {}
                                 Token::Close("provenance") => break,
@@ -387,7 +235,6 @@ impl Mqp {
                         .map_err(|_| not_canonical(&tok))?;
                     constraints =
                         Some(Constraints::from_xml(&el).ok_or_else(|| bad("bad <constraints>"))?);
-                    constraints_frag = Some(&s[section_start..tok.pos()]);
                 }
                 // Unknown sections are skipped (and validated).
                 Token::Open(n) => {
@@ -401,64 +248,31 @@ impl Mqp {
             return Err(CodecError::NotCanonical { at: end }); // content after the root
         }
         Ok(Mqp {
-            plan: plan.ok_or_else(|| bad("missing <plan>"))?,
-            original_plan: OnceCell::new(),
+            plan: plan.flatten().ok_or_else(|| bad("missing <plan>"))?,
+            original: original.flatten(),
             provenance: visits,
             constraints: constraints.unwrap_or_else(Constraints::none),
-            cache: WireCache {
-                plan: RefCell::new(plan_frag.map(str::to_owned)),
-                original: RefCell::new(original_frag.map(str::to_owned)),
-                visits: RefCell::new(visit_frags.iter().map(|f| (*f).to_owned()).collect()),
-                constraints: RefCell::new(constraints_frag.map(str::to_owned)),
-            },
         })
     }
+}
 
-    /// Byte size of the envelope on the wire — what the network charges
-    /// per hop. Always exactly `to_wire().len()`.
-    pub fn wire_size(&self) -> usize {
-        self.ensure_fragments();
-        let plan = self.cache.plan.borrow();
-        let original = self.cache.original.borrow();
-        let visits = self.cache.visits.borrow();
-        let constraints = self.cache.constraints.borrow();
-        assembled_len(
-            plan.as_deref().expect("ensured"),
-            original.as_deref(),
-            &visits,
-            (!self.constraints.is_empty()).then(|| constraints.as_deref().expect("ensured")),
-        )
-    }
-
-    /// Fills every cache slot that is currently cold.
-    fn ensure_fragments(&self) {
-        {
-            let mut plan = self.cache.plan.borrow_mut();
-            if plan.is_none() {
-                let mut s = String::with_capacity(128);
-                write_plan(&self.plan, &mut s);
-                *plan = Some(s);
-            }
-        }
-        if let Some(orig) = self.original_plan.get() {
-            let mut original = self.cache.original.borrow_mut();
-            if original.is_none() {
-                let mut s = String::with_capacity(128);
-                write_plan(orig, &mut s);
-                *original = Some(s);
-            }
-        }
-        {
-            let mut visits = self.cache.visits.borrow_mut();
-            for v in &self.provenance[visits.len()..] {
-                visits.push(mqp_xml::serialize(&v.to_xml()));
-            }
-        }
-        if !self.constraints.is_empty() {
-            let mut cons = self.cache.constraints.borrow_mut();
-            if cons.is_none() {
-                *cons = Some(mqp_xml::serialize(&self.constraints.to_xml()));
-            }
+/// Reads a `<plan>` or `<original>` section whose open tag was just
+/// consumed: its first element child is the plan, and further element
+/// children are validated and skipped.
+fn plan_section(
+    tok: &mut Tokenizer<'_>,
+    tb: &mut TreeBuilder,
+    section: &str,
+) -> Result<Option<Plan>, CodecError> {
+    open_end(tok, section)?;
+    let mut plan = None;
+    loop {
+        match next(tok)? {
+            Token::Open(n) if plan.is_none() => plan = Some(plan_from_tokens(tok, tb, n)?),
+            Token::Open(n) => mqp_xml::skip_subtree(tok, n).map_err(|_| not_canonical(tok))?,
+            Token::Text(_) => {}
+            Token::Close(c) if c == section => return Ok(plan),
+            _ => return Err(not_canonical(tok)),
         }
     }
 }
@@ -485,50 +299,6 @@ fn open_end(tok: &mut Tokenizer<'_>, section: &str) -> Result<(), CodecError> {
         _ => Err(CodecError::Malformed(format!(
             "<{section}> must have content and no attributes"
         ))),
-    }
-}
-
-/// Length of the assembled envelope for the given fragments.
-fn assembled_len(
-    plan: &str,
-    original: Option<&str>,
-    visits: &[String],
-    constraints: Option<&str>,
-) -> usize {
-    let mut n = "<mqp>".len() + "<plan>".len() + plan.len() + "</plan>".len() + "</mqp>".len();
-    if let Some(o) = original {
-        n += "<original>".len() + o.len() + "</original>".len();
-    }
-    n += if visits.is_empty() {
-        "<provenance/>".len()
-    } else {
-        "<provenance>".len() + visits.iter().map(String::len).sum::<usize>() + "</provenance>".len()
-    };
-    if let Some(c) = constraints {
-        n += c.len();
-    }
-    n
-}
-
-impl PartialEq for Mqp {
-    fn eq(&self, other: &Self) -> bool {
-        // Caches are memoization, not state (comparing originals may
-        // materialize a lazily-held section on either side).
-        self.plan == other.plan
-            && self.original() == other.original()
-            && self.provenance == other.provenance
-            && self.constraints == other.constraints
-    }
-}
-
-impl fmt::Debug for Mqp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Mqp")
-            .field("plan", &self.plan)
-            .field("original", &self.original())
-            .field("provenance", &self.provenance)
-            .field("constraints", &self.constraints)
-            .finish()
     }
 }
 
@@ -571,12 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_matches() {
-        let m = sample();
-        assert_eq!(m.wire_size(), m.to_wire().len());
-    }
-
-    #[test]
     fn to_wire_matches_tree_serialization() {
         let m = sample();
         assert_eq!(m.to_wire(), mqp_xml::serialize(&m.to_xml()));
@@ -584,16 +348,15 @@ mod tests {
 
     #[test]
     fn reparsed_envelope_reserializes_identically() {
-        // The seeded-cache path: from_wire on canonical bytes must
-        // splice back to the identical wire string.
+        // from_wire on canonical bytes writes back the identical wire
+        // string.
         let wire = sample().to_wire();
         let back = Mqp::from_wire(&wire).unwrap();
         assert_eq!(back.to_wire(), wire);
-        assert_eq!(back.wire_size(), wire.len());
     }
 
     #[test]
-    fn plan_mutation_invalidates_cached_fragment() {
+    fn plan_mutation_reaches_the_wire() {
         let mut m = Mqp::from_wire(&sample().to_wire()).unwrap();
         *m.plan_mut() = Plan::display("client:9020", Plan::data([]));
         assert_eq!(m.to_wire(), mqp_xml::serialize(&m.to_xml()));
@@ -611,7 +374,6 @@ mod tests {
             staleness: 0,
         });
         assert_eq!(m.to_wire(), mqp_xml::serialize(&m.to_xml()));
-        assert_eq!(m.wire_size(), m.to_wire().len());
     }
 
     #[test]
@@ -719,27 +481,24 @@ mod tests {
     }
 
     #[test]
-    fn foreign_spelling_is_forwarded_verbatim() {
+    fn foreign_spelling_is_rewritten_canonically() {
         // Canonical XML that spells a section differently than our
         // codec would (visit attributes in a foreign order): the
-        // received bytes are spliced onward verbatim — deliberate
-        // faithful forwarding (see module docs) — while reparsing
-        // still yields the same envelope.
+        // envelope is written back in the codec's spelling, and that
+        // reparses to the same envelope.
         let wire = "<mqp><plan><data cardinality=\"0\"/></plan><provenance>\
                     <visit action=\"forwarded\" server=\"s\" detail=\"\" at=\"0\" staleness=\"0\"/>\
                     </provenance></mqp>";
         let m = Mqp::from_wire(wire).unwrap();
-        assert_eq!(m.to_wire(), wire);
-        assert_eq!(m.wire_size(), wire.len());
-        assert_ne!(m.to_wire(), mqp_xml::serialize(&m.to_xml()));
+        assert_ne!(m.to_wire(), wire);
+        assert_eq!(m.to_wire(), mqp_xml::serialize(&m.to_xml()));
         assert_eq!(Mqp::from_wire(&m.to_wire()).unwrap(), m);
     }
 
     #[test]
     fn non_canonical_input_still_parses_and_reserializes_canonically() {
         // The one slack the section walk has: an empty `<provenance>`
-        // written long form decodes, and re-serializes canonically
-        // because the provenance wrapper is assembled, not spliced.
+        // written long form decodes, and re-serializes canonically.
         let m = Mqp::new(Plan::data([]));
         let wire = m.to_wire();
         let spaced = wire.replace("<provenance/>", "<provenance></provenance>");

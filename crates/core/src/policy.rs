@@ -65,7 +65,7 @@ impl Policy {
     /// * always, when the reduction shrinks the shipped plan (the
     ///   estimated result is no larger than what it replaces);
     /// * otherwise only below the [`Policy::defer_bytes`] threshold.
-    pub fn should_evaluate(
+    pub(crate) fn should_evaluate(
         &self,
         sub: Estimate,
         replaced_bytes: usize,
@@ -90,7 +90,7 @@ impl Policy {
     /// choice is a pure function of `(preference, max_staleness, alts)`
     /// and is identical across the sim, threaded, and TCP drivers. DSL
     /// `choose` actions rely on this stability.
-    pub fn choose_or(&self, alts: &[OrAlt]) -> usize {
+    pub(crate) fn choose_or(&self, alts: &[OrAlt]) -> usize {
         let fanout = |p: &Plan| p.urls().len() + p.urns().len();
         let staleness = |a: &OrAlt| a.staleness.unwrap_or(0);
         let eligible: Vec<usize> = match self.max_staleness {

@@ -188,27 +188,15 @@ impl Processor {
         acted |= self.bind_urns(mqp, ctx, now) > 0;
 
         // 2. Cheap normalizations: select pushdown + consolidation.
-        //    (Untracked access + explicit invalidation so a no-op pass
-        //    keeps the cached wire fragment — the splice-only hop.
-        //    Invalidation keys on `changed`, not the count: the
-        //    consolidation can reposition a data leaf while
-        //    simplifying zero nodes away.)
-        let (normalized, plan_changed) = rewrite::normalize_tracked(mqp.plan_untracked_mut());
-        if plan_changed {
-            mqp.invalidate_plan_cache();
-        }
-        acted |= normalized > 0;
+        acted |= rewrite::normalize(mqp.plan_mut()) > 0;
 
         // 3. Commit Or nodes whose chosen alternative is locally
         //    evaluable (A | B → A, §4.2).
         acted |= self.commit_ready_ors(mqp, ctx, now, &rctx) > 0;
 
         // 4. Absorption where profitable (§2).
-        let absorbed = rewrite::absorb(mqp.plan_untracked_mut(), &|p| {
-            self.locally_evaluable(p, ctx)
-        });
+        let absorbed = rewrite::absorb(mqp.plan_mut(), &|p| self.locally_evaluable(p, ctx));
         if absorbed > 0 {
-            mqp.invalidate_plan_cache();
             acted = true;
             mqp.record(VisitRecord {
                 server: me.clone(),
@@ -842,9 +830,8 @@ mod tests {
     #[test]
     fn forwarded_envelope_reserializes_rewrites_that_report_zero() {
         // Consolidation repositions a lone data leaf inside a union
-        // while counting zero simplifications; the spliced wire must
-        // still reflect the post-rewrite plan (stale-fragment
-        // regression: invalidation keys on *changed*, not the count).
+        // while counting zero simplifications; the forwarded wire still
+        // reflects the post-rewrite plan.
         let ctx = TestCtx::new("relay").with_next("next");
         let plan = Plan::display(
             "client#1",

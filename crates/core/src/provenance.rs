@@ -48,7 +48,7 @@ impl Action {
     }
 
     /// Parses the wire name.
-    pub fn parse(s: &str) -> Option<Action> {
+    fn parse(s: &str) -> Option<Action> {
         Some(match s {
             "bound" => Action::Bound,
             "resolved" => Action::Resolved,
@@ -87,7 +87,7 @@ pub struct VisitRecord {
 
 impl VisitRecord {
     /// Serializes to the `<visit/>` element used inside MQP envelopes.
-    pub fn to_xml(&self) -> Element {
+    pub(crate) fn to_xml(&self) -> Element {
         Element::new("visit")
             .attr("server", self.server.as_str())
             .attr("action", self.action.name())
@@ -97,7 +97,7 @@ impl VisitRecord {
     }
 
     /// Parses a `<visit/>` element.
-    pub fn from_xml(e: &Element) -> Option<VisitRecord> {
+    pub(crate) fn from_xml(e: &Element) -> Option<VisitRecord> {
         Some(VisitRecord {
             server: ServerId::new(e.get_attr("server")?),
             action: Action::parse(e.get_attr("action")?)?,

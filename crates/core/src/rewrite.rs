@@ -12,7 +12,7 @@ use mqp_engine::estimate;
 /// Pushes `Select` through `Union` and `Or`:
 /// `σ(A ∪ B) → σ(A) ∪ σ(B)` (Figure 4(a)) and
 /// `σ(A | B) → σ(A) | σ(B)`. Returns how many pushes happened.
-pub fn push_select_down(plan: &mut Plan) -> usize {
+fn push_select_down(plan: &mut Plan) -> usize {
     let mut count = 0;
     // Rewrite this node while it keeps matching, then recurse.
     loop {
@@ -69,45 +69,12 @@ pub fn push_select_down(plan: &mut Plan) -> usize {
 /// constant `Data` leaves of a union into one (the *consolidation* of
 /// §6: "rewriting a plan so that locally evaluable sub-plans come
 /// together"). Returns how many nodes were simplified away.
-pub fn consolidate(plan: &mut Plan) -> usize {
-    consolidate_tracked(plan).0
-}
-
-/// Like [`consolidate`], additionally reporting whether the plan
-/// changed *at all*. The two are not the same: repositioning a lone
-/// data leaf to the front of a union (or renormalizing its
-/// annotations) mutates the plan without simplifying any node away, so
-/// the count stays 0. Callers that maintain serialization caches keyed
-/// on plan identity must use the `bool`, never the count.
-pub fn consolidate_tracked(plan: &mut Plan) -> (usize, bool) {
+fn consolidate(plan: &mut Plan) -> usize {
     let mut count = 0;
-    let mut changed = false;
     for c in plan.children_mut() {
-        let (n, ch) = consolidate_tracked(c);
-        count += n;
-        changed |= ch;
+        count += consolidate(c);
     }
     if let Plan::Union(inputs) = plan {
-        // Exact no-op detection: skip the rebuild when it would
-        // reproduce the union byte-for-byte — no nested unions to
-        // flatten, no single input to inline, and at most one data
-        // leaf that already sits in front with the canonical
-        // `cardinality`-only annotations the rebuild would give it.
-        let nested = inputs.iter().any(|i| matches!(i, Plan::Union(_)));
-        let n_data = inputs
-            .iter()
-            .filter(|i| matches!(i, Plan::Data { .. }))
-            .count();
-        let untouched = !nested
-            && inputs.len() != 1
-            && (n_data == 0
-                || (n_data == 1
-                    && matches!(&inputs[0], Plan::Data { items, meta }
-                        if is_canonical_data_meta(meta, items.len()))));
-        if untouched {
-            return (count, changed);
-        }
-        changed = true;
         // Flatten nested unions.
         let mut flat: Vec<Plan> = Vec::with_capacity(inputs.len());
         for i in std::mem::take(inputs) {
@@ -144,36 +111,6 @@ pub fn consolidate_tracked(plan: &mut Plan) -> (usize, bool) {
         } else {
             *plan = Plan::Union(rest);
         }
-    }
-    (count, changed)
-}
-
-/// True when `meta` is exactly what `Plan::data` would regenerate for
-/// `len` items — the condition under which consolidation's rebuild of
-/// a data leaf is a no-op.
-fn is_canonical_data_meta(meta: &mqp_algebra::plan::Annotations, len: usize) -> bool {
-    meta.iter().count() == 1
-        && meta
-            .get("cardinality")
-            .is_some_and(|v| v == len.to_string())
-}
-
-/// Commits every `Or` node to the alternative `choose` picks
-/// (`A | B → A`, §4.2). `choose` receives the alternatives and returns
-/// an index. Returns how many `Or` nodes were committed.
-pub fn commit_or(plan: &mut Plan, choose: &impl Fn(&[OrAlt]) -> usize) -> usize {
-    let mut count = 0;
-    if let Plan::Or(alts) = plan {
-        let idx = choose(alts).min(alts.len().saturating_sub(1));
-        let chosen = std::mem::take(alts)
-            .into_iter()
-            .nth(idx)
-            .expect("or non-empty");
-        *plan = chosen.plan;
-        count += 1;
-    }
-    for c in plan.children_mut() {
-        count += commit_or(c, choose);
     }
     count
 }
@@ -368,25 +305,13 @@ fn profitable(a: &Plan, b: &Plan) -> bool {
 /// Runs the cheap normalizations (select pushdown + consolidation) to a
 /// fixpoint. Returns total rewrites applied.
 pub fn normalize(plan: &mut Plan) -> usize {
-    normalize_tracked(plan).0
-}
-
-/// Like [`normalize`], additionally reporting whether the plan changed
-/// at all (see [`consolidate_tracked`] for why the count alone cannot
-/// answer that). The processor pairs this with its serialization-cache
-/// invalidation so a genuinely untouched plan keeps its cached wire
-/// fragment — and a repositioned one never splices stale bytes.
-pub fn normalize_tracked(plan: &mut Plan) -> (usize, bool) {
     let mut total = 0;
-    let mut changed = false;
     loop {
-        let pushed = push_select_down(plan);
-        let (consolidated, cons_changed) = consolidate_tracked(plan);
-        total += pushed + consolidated;
-        changed |= pushed > 0 || cons_changed;
-        if pushed + consolidated == 0 {
-            return (total, changed);
+        let applied = push_select_down(plan) + consolidate(plan);
+        if applied == 0 {
+            return total;
         }
+        total += applied;
     }
 }
 
@@ -474,26 +399,6 @@ mod tests {
         let mut p = Plan::union([Plan::data(items(&["<i/>"]))]);
         consolidate(&mut p);
         assert!(matches!(p, Plan::Data { .. }));
-    }
-
-    #[test]
-    fn commit_or_rewrites_to_choice() {
-        let mut p = Plan::select(
-            "true",
-            Plan::Or(vec![
-                OrAlt::stale(Plan::url("mqp://r/"), 30),
-                OrAlt::new(Plan::url("mqp://s/")),
-            ]),
-        );
-        let n = commit_or(&mut p, &|_| 1);
-        assert_eq!(n, 1);
-        match &p {
-            Plan::Select { input, .. } => match input.as_ref() {
-                Plan::Url(u) => assert_eq!(u.href, "mqp://s/"),
-                other => panic!("expected url, got {other}"),
-            },
-            other => panic!("expected select, got {other}"),
-        }
     }
 
     /// Collects the base (non-`tuple`) items of a result, flattening

@@ -113,7 +113,7 @@ pub struct RuleCtx {
 
 impl RuleCtx {
     /// Copy of this ctx with the candidate-reduction byte estimate set.
-    pub fn with_bytes(&self, bytes: f64) -> RuleCtx {
+    pub(crate) fn with_bytes(&self, bytes: f64) -> RuleCtx {
         RuleCtx {
             bytes: Some(bytes),
             ..self.clone()
@@ -150,7 +150,7 @@ pub struct Decision {
 /// Matches `pat` against `text` where `*` in the pattern matches any
 /// (possibly empty) run of characters. Deterministic greedy-with-
 /// backtracking scan; no other metacharacters.
-pub fn glob_match(pat: &str, text: &str) -> bool {
+fn glob_match(pat: &str, text: &str) -> bool {
     let p: Vec<char> = pat.chars().collect();
     let t: Vec<char> = text.chars().collect();
     let (mut pi, mut ti) = (0usize, 0usize);

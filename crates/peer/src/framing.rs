@@ -309,6 +309,36 @@ mod proptests {
             prop_assert_eq!((d.buf.len() - d.pos), 0);
         }
 
+        /// Arbitrary bytes, pushed in arbitrary splits, never panic the
+        /// decoder: every call answers a frame, "incomplete" or an
+        /// error, and once it has answered an error it stays poisoned.
+        #[test]
+        fn arbitrary_bytes_in_any_split_never_panic(
+            stream in proptest::collection::vec(0u8..=255, 0..4096),
+            cuts in proptest::collection::vec(0u16..=u16::MAX, 0..12),
+        ) {
+            let mut points: Vec<usize> = cuts
+                .iter()
+                .map(|&c| c as usize % (stream.len() + 1))
+                .collect();
+            points.sort_unstable();
+            let mut d = FrameDecoder::new();
+            let mut failed = false;
+            let mut prev = 0;
+            for p in points.into_iter().chain([stream.len()]) {
+                d.push(&stream[prev..p]);
+                prev = p;
+                loop {
+                    match d.next() {
+                        Ok(Some(frame)) => prop_assert!(!failed && !frame.is_empty()),
+                        Ok(None) => break,
+                        Err(_) if failed => break,
+                        Err(_) => failed = true,
+                    }
+                }
+            }
+        }
+
         /// Truncation is never mistaken for corruption: any strict
         /// prefix of a valid stream decodes a prefix of the frames and
         /// then reports "incomplete", not an error.

@@ -305,8 +305,12 @@ impl Tcp {
                         match conn.from {
                             None => match Frame::decode(&payload) {
                                 // First frame on a connection must be the
-                                // hello that attributes the rest.
-                                Ok(Frame::Hello { node, .. }) => conn.from = Some(node),
+                                // hello that attributes the rest, naming a
+                                // node of this cluster: an ack owed to any
+                                // other would index past the address table.
+                                Ok(Frame::Hello { node, .. }) if node < self.addrs.len() => {
+                                    conn.from = Some(node)
+                                }
                                 _ => {
                                     dead = true;
                                     break;
@@ -562,6 +566,50 @@ mod tests {
         assert_eq!(deep[0].qid, QueryId::new(78));
         let why = deep[0].failure.as_deref().unwrap_or_default();
         assert!(why.contains("malformed result payload"), "{why}");
+
+        let qid = client.submit(0, &cheap_cds());
+        let done = client.collect(1, Duration::from_secs(10));
+        assert_eq!(done.len(), 1, "meta stopped serving");
+        assert_eq!(done[0].qid, qid);
+        assert_eq!(titles(&done[0]), ["A", "C"]);
+        assert_eq!(done[0].audit_clean, Some(true));
+        drop(raw);
+        let stats = cluster.shutdown(&mut client);
+        assert!(stats.balances(0), "unbalanced: {stats:?}");
+    }
+
+    /// A hello naming a node outside the cluster cuts the connection.
+    /// Under a retry policy the tracked `mqp` frame behind it would earn
+    /// an ack to that node, and dialing it would index past the address
+    /// table and kill the worker thread. The peer goes on serving.
+    #[test]
+    fn out_of_range_hello_is_refused() {
+        const META: NodeId = 1;
+        let cfg = TcpConfig {
+            retry: Some(RetryPolicy::default()),
+            ..TcpConfig::default()
+        };
+        let (cluster, mut client) = TcpCluster::with_config(world(), cfg);
+        let addr = addr_slot(&client.transport.addrs, META).expect("meta listens");
+        let hello = Frame::Hello {
+            node: 1 << 40,
+            id: ServerId::new("stranger"),
+        };
+        let tracked = Frame::Mqp(MqpFrame {
+            qid: Some(QueryId::new(77)),
+            meter: Meter::default(),
+            envelope: Mqp::new(cheap_cds()).to_wire(),
+        });
+        let before = cluster.stats().frames_received;
+        let mut raw = TcpStream::connect(addr).expect("dial meta");
+        for payload in [hello.encode(), tracked.encode()] {
+            raw.write_all(&encode_frame(&payload)).expect("raw write");
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while cluster.stats().frames_received < before + 1 {
+            assert!(Instant::now() < deadline, "meta never read the hello");
+            std::thread::sleep(Duration::from_millis(5));
+        }
 
         let qid = client.submit(0, &cheap_cds());
         let done = client.collect(1, Duration::from_secs(10));

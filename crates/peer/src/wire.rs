@@ -408,18 +408,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn garbage_is_an_error_not_a_panic() {
-        assert!(Frame::decode(b"").is_err());
-        assert!(Frame::decode(b"nope 1\n").is_err());
-        assert!(Frame::decode(b"mqp x\n").is_err());
-        assert!(Frame::decode(&[0xFF, 0xFE]).is_err());
-        // A registration is read strictly: flags are 0 or 1, the
-        // server line is not empty.
-        assert!(Frame::decode(b"reg base 0 0\nS\n(a)\n").is_ok());
-        assert!(Frame::decode(b"reg base yes 0\nS\n(a)\n").is_err());
-        assert!(Frame::decode(b"rereg base 0 0\nS\n(a)\n").is_err());
-        assert!(Frame::decode(b"reg base 0 0\n\n(a)\n").is_err());
-        assert!(Frame::decode(b"reg\nS\n(a)\n").is_err());
+    proptest::proptest! {
+        /// Arbitrary bytes, bare and behind every frame tag, decode to
+        /// `Ok` or `Err` — never a panic.
+        #[test]
+        fn garbage_is_an_error_not_a_panic(
+            bytes in proptest::collection::vec(0u8..=255, 0..4096),
+        ) {
+            let _ = Frame::kind(&bytes);
+            let _ = Frame::decode(&bytes);
+            for tag in ["mqp", "res", "reg", "ack", "sub", "policy", "stop", "hello"] {
+                let _ = Frame::decode(&[tag.as_bytes(), b" ", &bytes].concat());
+            }
+            assert!(Frame::decode(b"").is_err());
+            assert!(Frame::decode(b"nope 1\n").is_err());
+            assert!(Frame::decode(b"mqp x\n").is_err());
+            assert!(Frame::decode(&[0xFF, 0xFE]).is_err());
+            // A registration is read strictly: flags are 0 or 1, the
+            // server line is not empty.
+            assert!(Frame::decode(b"reg base 0 0\nS\n(a)\n").is_ok());
+            assert!(Frame::decode(b"reg base yes 0\nS\n(a)\n").is_err());
+            assert!(Frame::decode(b"rereg base 0 0\nS\n(a)\n").is_err());
+            assert!(Frame::decode(b"reg base 0 0\n\n(a)\n").is_err());
+            assert!(Frame::decode(b"reg\nS\n(a)\n").is_err());
+        }
     }
 }
