@@ -13,7 +13,11 @@ use mqp_xml::xpath::{Op, Path};
 use mqp_xml::Element;
 
 /// A selection predicate over one item.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is structural over `(path, op, value)`: a comparison's
+/// `num` is read from its `value`, so it adds nothing to compare — and
+/// a `'NaN'` literal still equals itself.
+#[derive(Debug, Clone)]
 pub enum Predicate {
     /// Always true (scan).
     True,
@@ -25,6 +29,9 @@ pub enum Predicate {
         op: Op,
         /// Literal right-hand side.
         value: String,
+        /// `value.trim().parse::<f64>()`, read once when the predicate
+        /// is built so the per-item test parses only the item's side.
+        num: Option<f64>,
     },
     /// Conjunction.
     And(Vec<Predicate>),
@@ -34,52 +41,69 @@ pub enum Predicate {
     Not(Box<Predicate>),
 }
 
+impl PartialEq for Predicate {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Predicate::True, Predicate::True) => true,
+            (
+                Predicate::Cmp {
+                    path, op, value, ..
+                },
+                Predicate::Cmp {
+                    path: p2,
+                    op: o2,
+                    value: v2,
+                    ..
+                },
+            ) => path == p2 && op == o2 && value == v2,
+            (Predicate::And(a), Predicate::And(b)) | (Predicate::Or(a), Predicate::Or(b)) => a == b,
+            (Predicate::Not(a), Predicate::Not(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
 impl Predicate {
     /// Builds a comparison predicate; panics on a malformed path literal
-    /// (intended for statically known paths).
+    /// or on a literal holding both `'` and `"`, which the text form
+    /// cannot quote (intended for statically known predicates).
     pub fn cmp(path: &str, op: Op, value: impl Into<String>) -> Predicate {
-        Predicate::Cmp {
-            path: Path::parse(path).expect("malformed predicate path"),
+        let value = value.into();
+        assert!(
+            !(value.contains('\'') && value.contains('"')),
+            "predicate literal holds both quote kinds"
+        );
+        cmp_of(
+            Path::parse(path).expect("malformed predicate path"),
             op,
-            value: value.into(),
-        }
+            value,
+        )
     }
 
     /// Evaluates the predicate against one item. A comparison holds if
     /// *any* value selected by the path satisfies it (XPath existential
-    /// semantics).
+    /// semantics); it is numeric when both sides parse as numbers
+    /// ([`Op::apply`]'s rule), with the literal's side parsed once, at
+    /// build time. Value extraction borrows single-text fields
+    /// ([`Path::any_value`]), so the test allocates nothing per item.
     pub fn eval(&self, item: &Element) -> bool {
         match self {
             Predicate::True => true,
-            Predicate::Cmp { path, op, value } => {
-                path.any_value(item, &mut |v| op.apply(v.trim(), value))
-            }
+            Predicate::Cmp {
+                path,
+                op,
+                value,
+                num,
+            } => path.any_value(item, &mut |v| {
+                let t = v.trim();
+                match (num, t.parse::<f64>()) {
+                    (Some(r), Ok(l)) => op.apply_num(l, *r),
+                    _ => op.apply_str(t, value),
+                }
+            }),
             Predicate::And(ps) => ps.iter().all(|p| p.eval(item)),
             Predicate::Or(ps) => ps.iter().any(|p| p.eval(item)),
             Predicate::Not(p) => !p.eval(item),
-        }
-    }
-
-    /// One-time compile pass: pre-parses each comparison literal so the
-    /// per-item test skips the literal re-parse [`Op::apply`] would do,
-    /// and shares the (already interned-name) paths. Compiling is cheap
-    /// — a handful of nodes per predicate — and the result is reused
-    /// across every item of a batch, and across hops via the per-peer
-    /// compile cache.
-    pub fn compile(&self) -> CompiledPredicate {
-        match self {
-            Predicate::True => CompiledPredicate::True,
-            Predicate::Cmp { path, op, value } => CompiledPredicate::Cmp {
-                path: path.clone(),
-                op: *op,
-                value: value.clone(),
-                num: value.trim().parse::<f64>().ok(),
-            },
-            Predicate::And(ps) => {
-                CompiledPredicate::And(ps.iter().map(Predicate::compile).collect())
-            }
-            Predicate::Or(ps) => CompiledPredicate::Or(ps.iter().map(Predicate::compile).collect()),
-            Predicate::Not(p) => CompiledPredicate::Not(Box::new(p.compile())),
         }
     }
 
@@ -132,70 +156,19 @@ impl FromStr for Predicate {
     }
 }
 
-/// The compiled form of a [`Predicate`] (see [`Predicate::compile`]):
-/// interned-name path matchers plus pre-parsed numeric literals. Built
-/// once per plan, applied per item with no allocation — value
-/// extraction goes through [`Path::any_value`], which borrows
-/// single-text fields instead of collecting a `Vec<String>`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CompiledPredicate {
-    /// Always true (scan).
-    True,
-    /// `path op literal` with the literal's numeric parse memoized.
-    Cmp {
-        /// Field path, relative to the item element.
-        path: Path,
-        /// Comparison operator.
-        op: Op,
-        /// Literal right-hand side (string form, for the lexicographic
-        /// arm).
-        value: String,
-        /// `value.trim().parse::<f64>()`, computed once at compile time.
-        num: Option<f64>,
-    },
-    /// Conjunction.
-    And(Vec<CompiledPredicate>),
-    /// Disjunction.
-    Or(Vec<CompiledPredicate>),
-    /// Negation.
-    Not(Box<CompiledPredicate>),
-}
-
-impl CompiledPredicate {
-    /// Evaluates against one item; behaviorally identical to
-    /// [`Predicate::eval`] on the source predicate (property-tested in
-    /// `mqp-engine`).
-    pub fn eval(&self, item: &Element) -> bool {
-        match self {
-            CompiledPredicate::True => true,
-            CompiledPredicate::Cmp {
-                path,
-                op,
-                value,
-                num,
-            } => path.any_value(item, &mut |v| {
-                let t = v.trim();
-                // Numeric iff both sides parse (Op::apply's rule), with
-                // the literal side already parsed.
-                match (num, t.parse::<f64>()) {
-                    (Some(r), Ok(l)) => op.apply_num(l, *r),
-                    _ => op.apply_str(t, value),
-                }
-            }),
-            CompiledPredicate::And(ps) => ps.iter().all(|p| p.eval(item)),
-            CompiledPredicate::Or(ps) => ps.iter().any(|p| p.eval(item)),
-            CompiledPredicate::Not(p) => !p.eval(item),
-        }
-    }
-}
-
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Predicate::True => write!(f, "true"),
-            Predicate::Cmp { path, op, value } => {
-                if value.parse::<f64>().is_ok() {
+            Predicate::Cmp {
+                path, op, value, ..
+            } => {
+                // Bare only when the parser's number rule reads it back;
+                // otherwise quoted with the kind the literal lacks.
+                if is_bare_number(value) {
                     write!(f, "{path} {op} {value}")
+                } else if value.contains('\'') {
+                    write!(f, "{path} {op} \"{value}\"")
                 } else {
                     write!(f, "{path} {op} '{value}'")
                 }
@@ -364,7 +337,7 @@ impl<'a> PredParser<'a> {
         };
         self.skip_ws();
         let value = self.parse_literal()?;
-        Ok(Predicate::Cmp { path, op, value })
+        Ok(cmp_of(path, op, value))
     }
 
     fn parse_literal(&mut self) -> Result<String, String> {
@@ -382,10 +355,7 @@ impl<'a> PredParser<'a> {
             }
         }
         let start = self.pos;
-        while self
-            .rest()
-            .starts_with(|c: char| c.is_ascii_digit() || ".+-eE".contains(c))
-        {
+        while self.rest().starts_with(is_number_char) {
             self.pos += 1;
         }
         if self.pos == start {
@@ -396,6 +366,26 @@ impl<'a> PredParser<'a> {
             .map_err(|_| format!("bad numeric literal {lit:?}"))?;
         Ok(lit.to_owned())
     }
+}
+
+fn cmp_of(path: Path, op: Op, value: String) -> Predicate {
+    let num = value.trim().parse().ok();
+    Predicate::Cmp {
+        path,
+        op,
+        value,
+        num,
+    }
+}
+
+/// A character of an unquoted literal.
+fn is_number_char(c: char) -> bool {
+    c.is_ascii_digit() || ".+-eE".contains(c)
+}
+
+/// Whether [`PredParser::parse_literal`] reads `value` back unquoted.
+fn is_bare_number(value: &str) -> bool {
+    !value.is_empty() && value.chars().all(is_number_char) && value.parse::<f64>().is_ok()
 }
 
 /// Aggregate functions (the paper uses `count` for verification queries
@@ -504,12 +494,22 @@ mod tests {
             "price < 10 and name != 'junk'",
             "(a = 1 or b = 2) and not c >= 3",
             "x/y/z <= 4.5",
+            "name = \"O'Brien\"",
+            "name = 'NaN'",
+            "name = 'inf'",
+            "a = \"x' or b = 'y\"",
         ] {
             let p = Predicate::parse(src).unwrap();
             let shown = p.to_string();
             let back = Predicate::parse(&shown).unwrap_or_else(|e| panic!("{src} -> {shown}: {e}"));
             assert_eq!(back, p, "{src} -> {shown}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "both quote kinds")]
+    fn cmp_rejects_a_literal_with_both_quote_kinds() {
+        let _ = Predicate::cmp("a", Op::Eq, "x'\"y");
     }
 
     #[test]

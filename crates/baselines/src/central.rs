@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use mqp_net::{FaultPlan, NodeId, SimNet, Topology};
+use mqp_net::{NodeId, SimNet, Topology};
 
 use crate::common::DiscoveryResult;
 
@@ -37,7 +37,7 @@ pub struct CentralIndex {
 }
 
 /// The index node's id.
-pub const INDEX_NODE: NodeId = 0;
+pub(crate) const INDEX_NODE: NodeId = 0;
 
 impl CentralIndex {
     /// Builds a central-index deployment over the topology.
@@ -49,23 +49,9 @@ impl CentralIndex {
         }
     }
 
-    /// Installs a fault plan on the underlying network. A lost publish
-    /// silently un-indexes the key; a lost query or reply returns an
-    /// empty answer — the client has no one else to ask (§1's single
-    /// point of failure, now also a single point of loss).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.net.set_fault_plan(plan);
-        self
-    }
-
     /// Network statistics so far.
     pub fn stats(&self) -> &mqp_net::NetStats {
         self.net.stats()
-    }
-
-    /// Fails the index node (the single point of failure).
-    pub fn fail_index(&mut self) {
-        self.net.fail(INDEX_NODE);
     }
 
     /// Publishes `key` from `node`: one message to the index.
@@ -162,7 +148,7 @@ mod tests {
     #[test]
     fn index_failure_kills_search() {
         let mut c = world(5);
-        c.fail_index();
+        c.net.fail(INDEX_NODE); // the single point of failure
         let r = c.query(4, "cds");
         assert!(r.holders.is_empty());
     }

@@ -111,11 +111,6 @@ impl Chord {
         self.net.stats()
     }
 
-    /// The node responsible for a key.
-    pub fn successor(&self, key: &str) -> NodeId {
-        successor_of(&self.ring, fnv1a(key))
-    }
-
     /// Publishes `key` at `holder`: routes a store to the successor,
     /// counting the messages it costs. Under faults the store can be
     /// lost (the key is simply not indexed — a recall hit the churn
@@ -287,8 +282,8 @@ mod tests {
     fn successor_is_consistent() {
         let c = world(32);
         for key in ["cds", "chairs", "golf"] {
-            let s1 = c.successor(key);
-            let s2 = c.successor(key);
+            let s1 = successor_of(&c.ring, fnv1a(key));
+            let s2 = successor_of(&c.ring, fnv1a(key));
             assert_eq!(s1, s2);
             assert!(s1 < 32);
         }

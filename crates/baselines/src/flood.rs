@@ -128,11 +128,6 @@ impl Flooding {
         self.net.stats()
     }
 
-    /// The overlay neighbors of a node.
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.neighbors[node]
-    }
-
     /// Publishes a key at a node (local only — pure P2P keeps no
     /// remote index).
     pub fn publish(&mut self, node: NodeId, key: &str) {
@@ -222,9 +217,9 @@ mod tests {
     fn overlay_is_symmetric_and_connected_enough() {
         let f = world(20, 3);
         for v in 0..20 {
-            assert!(f.neighbors(v).len() >= 3);
-            for &u in f.neighbors(v) {
-                assert!(f.neighbors(u).contains(&v));
+            assert!(f.neighbors[v].len() >= 3);
+            for &u in &f.neighbors[v] {
+                assert!(f.neighbors[u].contains(&v));
             }
         }
     }
@@ -233,7 +228,7 @@ mod tests {
     fn nearby_content_found() {
         let mut f = world(10, 3);
         // Put the key on a direct neighbor of node 0.
-        let nb = f.neighbors(0)[0];
+        let nb = f.neighbors[0][0];
         f.publish(nb, "cds");
         let r = f.query(0, "cds", 2);
         assert_eq!(r.holders, vec![nb]);
@@ -289,9 +284,9 @@ mod tests {
     fn sparse_overlay_symmetric_and_queries_work() {
         let mut f = Flooding::sparse(Topology::uniform(500, 1_000), 4, 11);
         for v in 0..500 {
-            assert!(f.neighbors(v).len() >= 4, "node {v} under-connected");
-            for &u in &f.neighbors(v).to_vec() {
-                assert!(f.neighbors(u).contains(&v), "{u} !~ {v}");
+            assert!(f.neighbors[v].len() >= 4, "node {v} under-connected");
+            for &u in &f.neighbors[v] {
+                assert!(f.neighbors[u].contains(&v), "{u} !~ {v}");
             }
         }
         for node in (25..500).step_by(25) {

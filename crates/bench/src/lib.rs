@@ -86,7 +86,7 @@ pub mod probe {
 
     /// Resident set size of this process in bytes (`VmRSS` from
     /// `/proc/self/status`); `None` off Linux.
-    pub fn rss_bytes() -> Option<u64> {
+    pub(crate) fn rss_bytes() -> Option<u64> {
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
         let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
         let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
@@ -96,7 +96,7 @@ pub mod probe {
     /// Forces every peer in a lazy scale world into existence (the
     /// honest denominator for a bytes-per-peer measurement) and returns
     /// how many exist afterwards.
-    pub fn materialize_all(w: &mut ScaleWorld) -> usize {
+    pub(crate) fn materialize_all(w: &mut ScaleWorld) -> usize {
         for node in 0..w.harness.len() {
             w.harness.peer_mut(node);
         }
@@ -107,7 +107,7 @@ pub mod probe {
     /// `n` nodes until `target_events` scheduler events have been
     /// processed, then lets the queue drain. Returns the exact event
     /// count (deterministic) and the wall seconds it took (not).
-    pub fn scheduler_soak(n: usize, window: usize, target_events: u64) -> (u64, f64) {
+    pub(crate) fn scheduler_soak(n: usize, window: usize, target_events: u64) -> (u64, f64) {
         let mut net: SimNet<u32> = SimNet::new(Topology::uniform(n, 1_000));
         let t0 = Instant::now();
         for i in 0..window {

@@ -27,7 +27,7 @@ pub struct BindingAlternative {
 impl BindingAlternative {
     /// Number of distinct servers this alternative visits — the latency
     /// proxy of §4.3 ("the need to visit two sites rather than one").
-    pub fn fanout(&self) -> usize {
+    pub(crate) fn fanout(&self) -> usize {
         self.servers.len()
     }
 }
@@ -36,7 +36,7 @@ impl BindingAlternative {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Binding {
     /// The query area being bound.
-    pub area: InterestArea,
+    pub(crate) area: InterestArea,
     /// The alternatives; index 0 is the *default* binding (the plain
     /// union of overlapping base servers, always current).
     pub alternatives: Vec<BindingAlternative>,
@@ -56,17 +56,12 @@ pub enum Preference {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BindChoice {
     /// Index into [`Binding::alternatives`].
-    pub index: usize,
+    pub(crate) index: usize,
     /// The chosen alternative (cloned for convenience).
     pub alternative: BindingAlternative,
 }
 
 impl Binding {
-    /// True when the catalog knew nothing for the area.
-    pub fn is_empty(&self) -> bool {
-        self.alternatives.is_empty()
-    }
-
     /// Chooses an alternative under the given preference.
     pub fn choose(&self, pref: Preference) -> Option<BindChoice> {
         let idx = match pref {
@@ -198,7 +193,7 @@ mod tests {
             area: InterestArea::parse(&[&["Portland", "CDs"]]),
             alternatives: vec![],
         };
-        assert!(b.is_empty());
+        assert!(b.alternatives.is_empty());
         assert!(b.to_plan().is_none());
         assert!(b.choose(Preference::Fast).is_none());
     }

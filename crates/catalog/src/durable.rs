@@ -46,7 +46,7 @@ use crate::trust::TrustRecord;
 // ----------------------------------------------------------------------
 
 /// CRC-32/ISO-HDLC of `bytes` (the common zlib/PNG polynomial).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= u32::from(b);
@@ -98,7 +98,7 @@ fn flag(b: bool) -> u8 {
 
 impl CatalogOp {
     /// Encodes the op as the WAL's text payload.
-    pub fn encode(&self) -> String {
+    pub(crate) fn encode(&self) -> String {
         match self {
             CatalogOp::Register(e) => {
                 let mut s = e.to_wire();
@@ -155,7 +155,7 @@ impl CatalogOp {
     /// Decodes a WAL payload. Errors name the field that failed — a
     /// decode error truncates recovery at that record, so the message
     /// ends up in operator-facing reports.
-    pub fn decode(payload: &str) -> Result<CatalogOp, String> {
+    pub(crate) fn decode(payload: &str) -> Result<CatalogOp, String> {
         let (head, rest) = payload.split_once('\n').unwrap_or((payload, ""));
         let mut words = head.split_whitespace();
         match words.next() {
@@ -364,16 +364,6 @@ impl MemDisk {
     pub fn new() -> Self {
         MemDisk::default()
     }
-
-    /// Total WAL bytes (synced or not).
-    pub fn wal_len(&self) -> usize {
-        self.wal.len()
-    }
-
-    /// Crash-durable WAL bytes.
-    pub fn synced_len(&self) -> usize {
-        self.synced
-    }
 }
 
 impl Disk for MemDisk {
@@ -488,16 +478,6 @@ impl FaultyDisk {
             crashes: 0,
         }
     }
-
-    /// Total WAL bytes (synced or not).
-    pub fn wal_len(&self) -> usize {
-        self.mem.wal_len()
-    }
-
-    /// Crash-durable WAL bytes.
-    pub fn synced_len(&self) -> usize {
-        self.mem.synced_len()
-    }
 }
 
 impl Disk for FaultyDisk {
@@ -592,9 +572,9 @@ pub struct RecoveryReport {
     pub wal_records: usize,
     /// Byte offset in the WAL where replay stopped on a torn/corrupt
     /// record (`None` = the whole WAL parsed cleanly).
-    pub truncated_at: Option<usize>,
+    pub(crate) truncated_at: Option<usize>,
     /// WAL bytes discarded past the truncation point.
-    pub dropped_bytes: usize,
+    pub(crate) dropped_bytes: usize,
     /// Catalog entries alive after recovery.
     pub entries: usize,
 }
@@ -603,13 +583,13 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurableStats {
     /// Records appended to the WAL.
-    pub records_appended: u64,
+    pub(crate) records_appended: u64,
     /// Successful sync barriers.
-    pub syncs: u64,
+    pub(crate) syncs: u64,
     /// Transient sync failures absorbed by the retrier.
-    pub sync_retries: u64,
+    pub(crate) sync_retries: u64,
     /// Snapshots written (compactions).
-    pub snapshots: u64,
+    pub(crate) snapshots: u64,
 }
 
 /// Deterministic jitter seed for the WAL fsync retrier.
@@ -669,11 +649,6 @@ impl DurableCatalog {
     pub fn with_sync_every(mut self, every: usize) -> Self {
         self.sync_every = every.max(1);
         self
-    }
-
-    /// The shared disk handle.
-    pub fn disk(&self) -> &SharedDisk {
-        &self.disk
     }
 
     /// Write-path counters.

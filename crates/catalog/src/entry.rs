@@ -79,7 +79,7 @@ pub enum Level {
 
 impl Level {
     /// Wire/display name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Level::Base => "base",
             Level::Index => "index",
@@ -117,7 +117,7 @@ pub struct CatalogEntry {
     /// The interest area the server declares for this holding.
     pub area: InterestArea,
     /// XPath collection identifier at the server (base entries only).
-    pub collection: Option<String>,
+    pub(crate) collection: Option<String>,
     /// Whether the server claims to be authoritative for this area
     /// (§3.3: "strives to know about all base servers within its area").
     pub authoritative: bool,

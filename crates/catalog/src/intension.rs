@@ -24,14 +24,14 @@ use crate::entry::{Level, ServerId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct HoldingRef {
     /// Holding level (`base`, `index`, `meta`).
-    pub level: Level,
+    pub(crate) level: Level,
     /// The referenced area (a single cell in the paper's statements,
     /// but any area is accepted).
-    pub area: InterestArea,
+    pub(crate) area: InterestArea,
     /// Whose holding.
-    pub server: ServerId,
+    pub(crate) server: ServerId,
     /// Replication delay bound in minutes (§4.3); 0 = current.
-    pub delay: u32,
+    pub(crate) delay: u32,
 }
 
 impl HoldingRef {
@@ -43,12 +43,6 @@ impl HoldingRef {
             server: server.into(),
             delay: 0,
         }
-    }
-
-    /// Sets the delay factor; returns `self` for chaining.
-    pub fn with_delay(mut self, minutes: u32) -> Self {
-        self.delay = minutes;
-        self
     }
 }
 
@@ -89,11 +83,11 @@ impl fmt::Display for Rel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntensionalStatement {
     /// Left-hand holding.
-    pub lhs: HoldingRef,
+    pub(crate) lhs: HoldingRef,
     /// Asserted relation.
-    pub rel: Rel,
+    pub(crate) rel: Rel,
     /// Right-hand union of holdings.
-    pub rhs: Vec<HoldingRef>,
+    pub(crate) rhs: Vec<HoldingRef>,
 }
 
 impl IntensionalStatement {
@@ -109,7 +103,7 @@ impl IntensionalStatement {
     /// The staleness bound (minutes) a consumer inherits by reading the
     /// lhs *instead of* the rhs: the lhs's own delay plus the largest
     /// rhs delay (data flowed rhs → lhs).
-    pub fn lhs_staleness(&self) -> u32 {
+    pub(crate) fn lhs_staleness(&self) -> u32 {
         self.lhs.delay + self.rhs.iter().map(|r| r.delay).max().unwrap_or(0)
     }
 
@@ -120,14 +114,14 @@ impl IntensionalStatement {
     /// (With `Rel::Equal` the lhs holds exactly the rhs union; with
     /// `Rel::Superset` at least it. Either way, nothing within
     /// `lhs.area` that the rhs servers hold is missing from lhs.)
-    pub fn lhs_answers(&self, query: &InterestArea) -> bool {
+    pub(crate) fn lhs_answers(&self, query: &InterestArea) -> bool {
         self.lhs.area.covers(query)
     }
 
     /// The rhs servers whose holdings (restricted to `query`) the lhs
     /// subsumes — all of them when the statement applies, restricted to
     /// those whose area overlaps the query.
-    pub fn subsumed_servers(&self, query: &InterestArea) -> Vec<&ServerId> {
+    pub(crate) fn subsumed_servers(&self, query: &InterestArea) -> Vec<&ServerId> {
         if !self.lhs_answers(query) {
             return Vec::new();
         }
@@ -393,7 +387,7 @@ mod tests {
     fn delay_zero_not_displayed() {
         let r = HoldingRef::new(Level::Base, &["Portland", "*"], "R");
         assert!(!r.to_string().contains('{'));
-        let r30 = r.with_delay(30);
+        let r30 = HoldingRef { delay: 30, ..r };
         assert!(r30.to_string().ends_with("{30}"));
     }
 }

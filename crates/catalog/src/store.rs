@@ -47,9 +47,6 @@ pub struct Catalog {
     /// servers for interest areas, so that they can route plans more
     /// efficiently in the future").
     route_cache: BTreeMap<String, ServerId>,
-    route_cache_cap: usize,
-    cache_hits: u64,
-    cache_misses: u64,
     /// Binding provenance + quarantine state (DESIGN.md §14). Empty
     /// and disarmed unless a peer enables the multi-origin defense.
     trust: TrustBook,
@@ -63,7 +60,7 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog with the default route-cache capacity (256).
+    /// An empty catalog; its route cache holds 256 routes.
     pub fn new() -> Self {
         Catalog {
             entries: Vec::new(),
@@ -72,17 +69,8 @@ impl Catalog {
             statements: Vec::new(),
             urn_map: BTreeMap::new(),
             route_cache: BTreeMap::new(),
-            route_cache_cap: 256,
-            cache_hits: 0,
-            cache_misses: 0,
             trust: TrustBook::new(),
         }
-    }
-
-    /// Sets the route-cache capacity (0 disables caching).
-    pub fn with_cache_cap(mut self, cap: usize) -> Self {
-        self.route_cache_cap = cap;
-        self
     }
 
     // ------------------------------------------------------------------
@@ -135,7 +123,7 @@ impl Catalog {
     /// Removes all entries for a server (e.g. when it leaves). The
     /// survivors keep their order; their positions shift, so both
     /// indexes are rebuilt in one pass over them.
-    pub fn unregister(&mut self, server: &ServerId) {
+    pub(crate) fn unregister(&mut self, server: &ServerId) {
         let before = self.entries.len();
         self.entries.retain(|e| &e.server != server);
         if self.entries.len() != before {
@@ -178,16 +166,6 @@ impl Catalog {
         &self.entries
     }
 
-    /// All statements.
-    pub fn statements(&self) -> &[IntensionalStatement] {
-        &self.statements
-    }
-
-    /// (cache hits, cache misses) since construction.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache_hits, self.cache_misses)
-    }
-
     /// The trust book (read side): levels, records, claimants.
     pub fn trust(&self) -> &TrustBook {
         &self.trust
@@ -211,7 +189,7 @@ impl Catalog {
     /// exactly what a `durable` snapshot writes. Entries in insertion
     /// order, then statements, then URN mappings in map order:
     /// deterministic, and replaying into an empty catalog reproduces
-    /// the durable state. The route cache and its hit/miss counters are
+    /// the durable state. The route cache is
     /// deliberately volatile — routes are re-learned, not recovered.
     pub fn snapshot_ops(&self) -> Vec<crate::durable::CatalogOp> {
         use crate::durable::CatalogOp;
@@ -427,27 +405,10 @@ impl Catalog {
             .collect()
     }
 
-    /// Looks up the route cache (counts hit/miss).
-    pub fn cached_route(&mut self, area: &InterestArea) -> Option<ServerId> {
-        match self.route_cache.get(&cache_key(area)) {
-            Some(s) => {
-                self.cache_hits += 1;
-                Some(s.clone())
-            }
-            None => {
-                self.cache_misses += 1;
-                None
-            }
-        }
-    }
-
     /// Records that `server` successfully handled `area` (populates the
     /// cache used by [`Catalog::route_for`]).
     pub fn record_route(&mut self, area: &InterestArea, server: ServerId) {
-        if self.route_cache_cap == 0 {
-            return;
-        }
-        if self.route_cache.len() >= self.route_cache_cap
+        if self.route_cache.len() >= ROUTE_CACHE_CAP
             && !self.route_cache.contains_key(&cache_key(area))
         {
             // Evict the lexicographically first entry: cheap, deterministic.
@@ -458,6 +419,9 @@ impl Catalog {
         self.route_cache.insert(cache_key(area), server);
     }
 }
+
+/// Routes the route cache holds before it evicts one.
+const ROUTE_CACHE_CAP: usize = 256;
 
 fn cache_key(area: &InterestArea) -> String {
     mqp_namespace::urn::encode_area(area)
@@ -803,7 +767,7 @@ mod tests {
     fn unknown_area_binds_empty() {
         let c = example1_catalog();
         let q = area(&[&["France", "Cheese"]]);
-        assert!(c.bind_area(&q).is_empty());
+        assert!(c.bind_area(&q).alternatives.is_empty());
     }
 
     #[test]
@@ -832,7 +796,7 @@ mod tests {
         c.register(CatalogEntry::base("R", area(&[&["Portland", "Books"]])));
         assert_eq!(c.entries().len(), 1);
         let q = area(&[&["Portland", "Books"]]);
-        assert!(!c.bind_area(&q).is_empty());
+        assert!(!c.bind_area(&q).alternatives.is_empty());
     }
 
     #[test]
@@ -875,22 +839,21 @@ mod tests {
 
     #[test]
     fn route_cache_hit_and_eviction() {
-        let mut c = Catalog::new().with_cache_cap(2);
-        let a1 = area(&[&["USA/OR", "Music"]]);
-        let a2 = area(&[&["USA/WA", "Music"]]);
-        let a3 = area(&[&["France", "Music"]]);
-        assert!(c.cached_route(&a1).is_none());
-        c.record_route(&a1, ServerId::new("x"));
-        c.record_route(&a2, ServerId::new("y"));
-        assert_eq!(c.cached_route(&a1).unwrap().as_str(), "x");
-        c.record_route(&a3, ServerId::new("z")); // evicts one
-        let present = [&a1, &a2, &a3]
+        // No entries: only the cache can answer `route_for`.
+        let mut c = Catalog::new();
+        let cities: Vec<String> = (0..=ROUTE_CACHE_CAP).map(|i| format!("USA/C{i}")).collect();
+        let areas: Vec<InterestArea> = cities.iter().map(|c| area(&[&[c, "Music"]])).collect();
+        assert!(c.route_for(&areas[0], &[]).is_none());
+        c.record_route(&areas[0], ServerId::new("x"));
+        assert_eq!(c.route_for(&areas[0], &[]).unwrap().as_str(), "x");
+        for a in &areas[1..] {
+            c.record_route(a, ServerId::new("y")); // the last one evicts one
+        }
+        let present = areas
             .iter()
-            .filter(|a| c.cached_route(a).is_some())
+            .filter(|a| c.route_for(a, &[]).is_some())
             .count();
-        assert_eq!(present, 2);
-        let (hits, misses) = c.cache_stats();
-        assert!(hits >= 1 && misses >= 1);
+        assert_eq!(present, ROUTE_CACHE_CAP);
     }
 
     #[test]

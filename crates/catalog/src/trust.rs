@@ -82,17 +82,6 @@ pub enum ConflictClass {
     Suspect,
 }
 
-impl ConflictClass {
-    /// Display name for provenance details and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ConflictClass::Mirror => "mirror",
-            ConflictClass::Stale => "stale",
-            ConflictClass::Suspect => "suspect",
-        }
-    }
-}
-
 // ----------------------------------------------------------------------
 // Per-server provenance aggregates
 // ----------------------------------------------------------------------
@@ -109,27 +98,27 @@ const QUARANTINE_AT: u64 = 4;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrustRecord {
     /// The server whose bindings this record scores.
-    pub server: ServerId,
+    pub(crate) server: ServerId,
     /// Smallest registrar node id ever observed announcing it (min).
-    pub registrar: u64,
+    pub(crate) registrar: u64,
     /// Earliest registration sim-time (min, µs).
     pub first_seen: u64,
     /// Latest registration sim-time (max, µs).
-    pub last_seen: u64,
+    pub(crate) last_seen: u64,
     /// Total registrations observed (count).
-    pub registrations: u64,
+    pub(crate) registrations: u64,
     /// `Suspect` verdicts (count).
-    pub strikes: u64,
+    pub(crate) strikes: u64,
     /// `Mirror` verdicts (count).
-    pub clears: u64,
+    pub(crate) clears: u64,
     /// `Stale` verdicts (count).
-    pub stale_marks: u64,
+    pub(crate) stale_marks: u64,
     /// Latest sim-time a strike landed (max, µs) — with `first_seen`,
     /// this bounds time-to-quarantine.
     pub last_strike_at: u64,
     /// Area keys (`encode_area`) this server has claimed (set union,
     /// kept sorted).
-    pub areas: Vec<String>,
+    pub(crate) areas: Vec<String>,
 }
 
 impl TrustRecord {
@@ -160,7 +149,7 @@ impl TrustRecord {
     /// `Probation`. Because clears keep counting, a quarantined server
     /// that returns to sustained consistency decays back through
     /// `Probation` to `Trusted`.
-    pub fn level(&self) -> TrustLevel {
+    pub(crate) fn level(&self) -> TrustLevel {
         if self.penalty() == 0 {
             TrustLevel::Trusted
         } else if self.strikes * STRIKE_WEIGHT >= self.clears + QUARANTINE_AT {
@@ -168,13 +157,6 @@ impl TrustRecord {
         } else {
             TrustLevel::Probation
         }
-    }
-
-    /// How far into "sustained consistency" the server is: clears net
-    /// of all penalties (0 while any inconsistency is unpaid).
-    pub fn consistency_streak(&self) -> u64 {
-        self.clears
-            .saturating_sub(self.strikes * STRIKE_WEIGHT + u64::from(self.stale_marks > 0))
     }
 }
 
@@ -251,7 +233,7 @@ pub fn fingerprint(bytes: &[u8]) -> u64 {
 
 /// A server re-registering within this window of the latest claim is
 /// "fresh" — its disagreement reads as hijack, not staleness (µs).
-pub const FRESH_WINDOW_US: u64 = 60_000_000;
+pub(crate) const FRESH_WINDOW_US: u64 = 60_000_000;
 
 /// The per-catalog trust book: provenance records by server plus the
 /// claim index that detects same-area multi-origin sets.
@@ -320,7 +302,7 @@ impl TrustBook {
     }
 
     /// All records, in server order.
-    pub fn records(&self) -> impl Iterator<Item = &TrustRecord> {
+    pub(crate) fn records(&self) -> impl Iterator<Item = &TrustRecord> {
         self.servers.values()
     }
 
@@ -333,7 +315,7 @@ impl TrustBook {
 
     /// Whether binding/routing should shun this server *now*: armed
     /// and quarantined.
-    pub fn excluded(&self, server: &ServerId) -> bool {
+    pub(crate) fn excluded(&self, server: &ServerId) -> bool {
         self.enabled && self.level_of(server) == TrustLevel::Quarantined
     }
 
@@ -403,7 +385,7 @@ impl TrustBook {
     /// Installs a record verbatim (WAL replay): merges the commutative
     /// aggregates with whatever is already on book and re-indexes the
     /// record's claims, so recovery cannot launder a quarantine away.
-    pub fn install(&mut self, record: TrustRecord) {
+    pub(crate) fn install(&mut self, record: TrustRecord) {
         for area in &record.areas {
             let claimants = self.claims.entry(area.clone()).or_default();
             if let Err(i) = claimants.binary_search(&record.server) {
@@ -527,9 +509,8 @@ mod tests {
         book.apply_round(&[(h.clone(), ConflictClass::Mirror)], 7_000);
         assert_eq!(book.level_of(&h), TrustLevel::Trusted);
         assert!(!book.excluded(&h));
-        assert_eq!(book.record(&h).unwrap().consistency_streak(), 0);
         book.apply_round(&[(h.clone(), ConflictClass::Mirror)], 8_000);
-        assert_eq!(book.record(&h).unwrap().consistency_streak(), 1);
+        assert_eq!(book.level_of(&h), TrustLevel::Trusted);
     }
 
     #[test]
@@ -739,7 +720,7 @@ mod tests {
                 // Canonical multiset order: a server may legitimately
                 // appear twice (two probes), so sort by class too.
                 let canon = |mut vs: Vec<(ServerId, ConflictClass)>| {
-                    vs.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.name().cmp(b.1.name())));
+                    vs.sort_by(|a, b| a.0.cmp(&b.0).then(format!("{:?}", a.1).cmp(&format!("{:?}", b.1))));
                     vs
                 };
                 let baseline = canon(classify(&obs));

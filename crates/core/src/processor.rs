@@ -2,12 +2,10 @@
 //! find locally-evaluable sub-plans → policy → evaluate → substitute →
 //! route onward.
 
-use std::cell::RefCell;
-
 use mqp_algebra::codec::wire_size;
 use mqp_algebra::plan::{NodePath, Plan, UrlRef, UrnRef};
 use mqp_catalog::ServerId;
-use mqp_engine::{compile_cached, estimate, CompileCache, Resolver};
+use mqp_engine::{estimate, Resolver};
 use mqp_namespace::{InterestArea, Urn};
 use mqp_xml::Batch;
 
@@ -88,11 +86,6 @@ pub struct Processor {
     /// default, in which case every decision is exactly [`Policy`]'s —
     /// the golden-trace invariant.
     rules: RuleSet,
-    /// Per-peer compile cache: predicates of queries this server has
-    /// seen (across hops, retries, and repeated workload shapes) skip
-    /// re-compilation. Interior-mutable because processing borrows the
-    /// processor shared.
-    compile_cache: RefCell<CompileCache>,
 }
 
 /// Adapts a [`ServerContext`] to the engine's [`Resolver`]: URLs come
@@ -116,7 +109,6 @@ impl Processor {
         Processor {
             policy,
             rules: RuleSet::default(),
-            compile_cache: RefCell::new(CompileCache::new()),
         }
     }
 
@@ -124,7 +116,7 @@ impl Processor {
     /// is the hot-reload entry point: it can be called between
     /// processing steps while queries are in flight — the next
     /// [`Processor::process`] call sees the new rules, and nothing else
-    /// about the processor (policy, compile cache) changes.
+    /// about the processor (its policy) changes.
     pub fn set_rules(&mut self, rules: RuleSet) {
         self.rules = rules;
     }
@@ -387,9 +379,7 @@ impl Processor {
                     self.annotate_deferred(mqp, &path, ctx, now);
                     continue;
                 }
-                let evaluated =
-                    compile_cached(sub, &mut self.compile_cache.borrow_mut()).eval(&resolver);
-                match evaluated {
+                match mqp_engine::eval(sub, &resolver) {
                     Ok(items) => {
                         // Name every source the reduction consumed so
                         // provenance audits (§5.1) can account for
@@ -578,6 +568,7 @@ mod tests {
     use super::*;
     use mqp_algebra::plan::JoinCond;
     use mqp_xml::parse;
+    use std::cell::RefCell;
     use std::collections::HashMap;
 
     /// A toy server context: local collections keyed by URL, URN

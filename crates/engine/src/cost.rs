@@ -14,10 +14,10 @@ use mqp_algebra::plan::Plan;
 use mqp_algebra::predicate::AggFunc;
 
 /// Default cardinality assumed for an unannotated remote collection.
-pub const DEFAULT_REMOTE_ROWS: f64 = 1000.0;
+pub(crate) const DEFAULT_REMOTE_ROWS: f64 = 1000.0;
 
 /// Default serialized size assumed per item, in bytes.
-pub const DEFAULT_ITEM_BYTES: f64 = 128.0;
+pub(crate) const DEFAULT_ITEM_BYTES: f64 = 128.0;
 
 /// Join selectivity default when distinct counts are unknown:
 /// `|L ⋈ R| = |L|·|R| / max(V(L), V(R))` with `V = max(|L|,|R|)/10`.
@@ -34,7 +34,7 @@ pub struct Estimate {
 
 impl Estimate {
     /// Bytes per row implied by the estimate.
-    pub fn row_bytes(&self) -> f64 {
+    pub(crate) fn row_bytes(&self) -> f64 {
         if self.rows > 0.0 {
             self.bytes / self.rows
         } else {

@@ -4,9 +4,10 @@
 //! handles shared between `data` leaves, resolver results, and operator
 //! inputs/outputs. Handle-shuffling operators (`select`, `union`, `or`,
 //! `topn`, `display`) never touch item bytes; only the constructors
-//! (`project`, `join`, `agg`) build new items. Predicates and paths run
-//! in compiled matcher form ([`mod@crate::compile`]): interned-name node
-//! tests and pre-parsed literals, applied per item with no allocation.
+//! (`project`, `join`, `agg`) build new items. The evaluator walks the
+//! [`Plan`] itself: paths are interned-name matchers from parse time,
+//! and each predicate parsed its literal when it was built, so the
+//! per-item tests allocate nothing and no separate compile pass runs.
 //!
 //! The pre-batching tree-walker is preserved verbatim in the
 //! test-only `legacy` module as the equivalence oracle for the
@@ -21,8 +22,6 @@ use mqp_algebra::plan::{Plan, UrlRef, UrnRef};
 use mqp_algebra::predicate::AggFunc;
 use mqp_xml::xpath::Path;
 use mqp_xml::{Batch, Element, Name, Node};
-
-use crate::compile::{compile, CNode, CompiledPlan};
 
 /// Supplies data for `Url`/`Urn` leaves during evaluation. The peer
 /// layer implements this against its local store; a URL is resolvable
@@ -78,7 +77,7 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluates `plan` to a batch of items (compile + batched eval).
+/// Evaluates `plan` to a batch of items.
 ///
 /// * `Or` evaluates its **first** alternative (the conjoint-union
 ///   semantics of §4.2 say any single alternative suffices; picking
@@ -86,12 +85,8 @@ impl std::error::Error for EvalError {}
 ///   by the time a plan reaches the engine the choice is positional).
 /// * `Display` is transparent: it evaluates its input (shipping the
 ///   result to the target is the peer layer's job).
-///
-/// Callers that evaluate the same plan repeatedly, or hold a
-/// [`crate::CompileCache`], should [`fn@crate::compile`] once and call
-/// [`CompiledPlan::eval`] instead.
 pub fn eval(plan: &Plan, resolver: &impl Resolver) -> Result<Batch, EvalError> {
-    compile(plan).eval(resolver)
+    eval_node(plan, resolver)
 }
 
 /// Evaluates a plan that must not need any resolution (all leaves are
@@ -101,37 +96,52 @@ pub fn eval_const(plan: &Plan) -> Result<Batch, EvalError> {
     eval(plan, &NoResolver)
 }
 
+/// A plan wrapped for [`CompiledPlan::eval`], which is [`eval`].
+///
+/// Kept only for the benchmark package: its layer probe
+/// (`benchmark/src/probes.rs`, the `engine.compile_us` metric) and its
+/// trace replay (`benchmark/src/replay.rs`, the `engine.compile` stage)
+/// time a compile step before evaluating. The engine has no such step.
+#[derive(Debug)]
+pub struct CompiledPlan<'p>(&'p Plan);
+
+/// Wraps `plan` for [`CompiledPlan::eval`]; does no work (see
+/// [`CompiledPlan`]).
+pub fn compile(plan: &Plan) -> CompiledPlan<'_> {
+    CompiledPlan(plan)
+}
+
 impl CompiledPlan<'_> {
-    /// Evaluates the compiled plan against `resolver`.
+    /// Evaluates the wrapped plan against `resolver`.
     pub fn eval(&self, resolver: &impl Resolver) -> Result<Batch, EvalError> {
-        eval_node(&self.root, resolver)
+        eval(self.0, resolver)
     }
 }
 
-/// Evaluates `node`, borrowing the batch straight out of a `Data` leaf
+/// Evaluates `plan`, borrowing the batch straight out of a `Data` leaf
 /// instead of cloning it — the fusion that lets `select`-over-`data`
 /// (the Figure 4(b) reduction) and `join` inputs read the leaf's
 /// handles without even a reference-count pass.
 fn eval_leaf_borrowed<'n>(
-    node: &'n CNode<'_>,
+    plan: &'n Plan,
     resolver: &impl Resolver,
 ) -> Result<std::borrow::Cow<'n, Batch>, EvalError> {
-    match node {
-        CNode::Data(items) => Ok(std::borrow::Cow::Borrowed(*items)),
-        _ => eval_node(node, resolver).map(std::borrow::Cow::Owned),
+    match plan {
+        Plan::Data { items, .. } => Ok(std::borrow::Cow::Borrowed(items)),
+        _ => eval_node(plan, resolver).map(std::borrow::Cow::Owned),
     }
 }
 
-fn eval_node(node: &CNode<'_>, resolver: &impl Resolver) -> Result<Batch, EvalError> {
-    match node {
-        CNode::Data(items) => Ok((*items).clone()),
-        CNode::Url(u) => resolver
+fn eval_node(plan: &Plan, resolver: &impl Resolver) -> Result<Batch, EvalError> {
+    match plan {
+        Plan::Data { items, .. } => Ok(items.clone()),
+        Plan::Url(u) => resolver
             .resolve_url(u)
             .ok_or_else(|| EvalError::UnresolvedUrl(u.href.clone())),
-        CNode::Urn(u) => resolver
+        Plan::Urn(u) => resolver
             .resolve_urn(u)
             .ok_or_else(|| EvalError::UnresolvedUrn(u.urn.to_string())),
-        CNode::Select { pred, input } => {
+        Plan::Select { pred, input } => {
             let items = eval_leaf_borrowed(input, resolver)?;
             Ok(items
                 .handles()
@@ -140,42 +150,35 @@ fn eval_node(node: &CNode<'_>, resolver: &impl Resolver) -> Result<Batch, EvalEr
                 .cloned()
                 .collect())
         }
-        CNode::Project { fields, input } => {
+        Plan::Project { fields, input } => {
             let items = eval_leaf_borrowed(input, resolver)?;
+            let fields: Vec<Name> = fields.iter().map(Name::from).collect();
             let mut out = Batch::with_capacity(items.len());
             for i in items.iter() {
-                out.push_item(project_item(i, fields));
+                out.push_item(project_item(i, &fields));
             }
             Ok(out)
         }
-        CNode::Join {
-            left_path,
-            right_path,
-            left,
-            right,
-        } => {
+        Plan::Join { on, left, right } => {
             let l = eval_leaf_borrowed(left, resolver)?;
             let r = eval_leaf_borrowed(right, resolver)?;
-            Ok(hash_join(&l, &r, left_path, right_path))
+            Ok(hash_join(&l, &r, &on.left_path, &on.right_path))
         }
-        CNode::Union(inputs) => {
+        Plan::Union(inputs) => {
             let mut out = Batch::new();
             for i in inputs {
                 out.extend(eval_node(i, resolver)?);
             }
             Ok(out)
         }
-        CNode::OrFirst(first) => {
-            let first = first.as_ref().ok_or(EvalError::EmptyOr)?;
-            eval_node(first, resolver)
-        }
-        CNode::Aggregate { func, path, input } => {
+        Plan::Or(alts) => eval_node(&alts.first().ok_or(EvalError::EmptyOr)?.plan, resolver),
+        Plan::Aggregate { func, path, input } => {
             let items = eval_leaf_borrowed(input, resolver)?;
             let mut out = Batch::with_capacity(1);
-            out.push_item(aggregate(*func, *path, &items));
+            out.push_item(aggregate(*func, path.as_ref(), &items));
             Ok(out)
         }
-        CNode::TopN {
+        Plan::TopN {
             n,
             key,
             ascending,
@@ -184,13 +187,13 @@ fn eval_node(node: &CNode<'_>, resolver: &impl Resolver) -> Result<Batch, EvalEr
             let items = eval_node(input, resolver)?;
             Ok(top_n(items, *n, key, *ascending))
         }
-        CNode::Display(input) => eval_node(input, resolver),
+        Plan::Display { input, .. } => eval_node(input, resolver),
     }
 }
 
 /// Projection: keeps the item's name and attributes, and only the direct
-/// child elements whose names are listed. Field names are interned, so
-/// the per-child scan is pointer compares.
+/// child elements whose names are listed. Field names are interned once
+/// per node evaluation, so the per-child scan is pointer compares.
 fn project_item(item: &Element, fields: &[Name]) -> Element {
     let mut out = Element::new(item.interned_name().clone());
     for (k, v) in item.attrs() {
@@ -524,6 +527,10 @@ mod tests {
     use mqp_algebra::plan::JoinCond;
     use mqp_xml::parse;
 
+    fn num(item: &Element, field: &str) -> Option<f64> {
+        item.field(field)?.parse().ok()
+    }
+
     fn items(xmls: &[&str]) -> Vec<Element> {
         xmls.iter().map(|s| parse(s).unwrap()).collect()
     }
@@ -541,7 +548,7 @@ mod tests {
         let p = Plan::select("price < 10", Plan::data(cds()));
         let out = eval_const(&p).unwrap();
         assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|i| i.field_f64("price").unwrap() < 10.0));
+        assert!(out.iter().all(|i| num(i, "price").unwrap() < 10.0));
     }
 
     #[test]
@@ -713,18 +720,18 @@ mod tests {
     fn top_n_ascending_and_descending() {
         let cheap2 = eval_const(&Plan::top_n(2, "price", true, Plan::data(cds()))).unwrap();
         assert_eq!(cheap2.len(), 2);
-        assert_eq!(cheap2[0].field_f64("price"), Some(8.0));
-        assert_eq!(cheap2[1].field_f64("price"), Some(9.5));
+        assert_eq!(num(&cheap2[0], "price"), Some(8.0));
+        assert_eq!(num(&cheap2[1], "price"), Some(9.5));
         let dear1 = eval_const(&Plan::top_n(1, "price", false, Plan::data(cds()))).unwrap();
-        assert_eq!(dear1[0].field_f64("price"), Some(12.0));
+        assert_eq!(num(&dear1[0], "price"), Some(12.0));
     }
 
     #[test]
     fn top_n_missing_keys_sort_last() {
         let mixed = items(&["<i><p>5</p></i>", "<i/>", "<i><p>1</p></i>"]);
         let out = eval_const(&Plan::top_n(3, "p", true, Plan::data(mixed))).unwrap();
-        assert_eq!(out[0].field_f64("p"), Some(1.0));
-        assert_eq!(out[1].field_f64("p"), Some(5.0));
+        assert_eq!(num(&out[0], "p"), Some(1.0));
+        assert_eq!(num(&out[1], "p"), Some(5.0));
         assert!(out[2].first("p").is_none());
     }
 

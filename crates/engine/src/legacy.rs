@@ -190,12 +190,14 @@ pub fn eval_const(plan: &Plan) -> Result<Vec<Element>, EvalError> {
 /// The old predicate evaluation: `select_values` collects a
 /// `Vec<String>` of candidate values per item, and `Op::apply`
 /// re-parses the comparison literal per value. (The current
-/// `Predicate::eval` streams borrowed values; compiled predicates
-/// additionally pre-parse the literal.)
-fn eval_pred(pred: &Predicate, item: &Element) -> bool {
+/// `Predicate::eval` streams borrowed values and reads the literal
+/// once, when the predicate is built.)
+pub(crate) fn eval_pred(pred: &Predicate, item: &Element) -> bool {
     match pred {
         Predicate::True => true,
-        Predicate::Cmp { path, op, value } => select_values(path, item)
+        Predicate::Cmp {
+            path, op, value, ..
+        } => select_values(path, item)
             .iter()
             .any(|v| op.apply(v.trim(), value)),
         Predicate::And(ps) => ps.iter().all(|p| eval_pred(p, item)),

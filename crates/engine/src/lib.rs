@@ -6,29 +6,25 @@
 //! the Figure-2 *optimizer* and *policy manager* consult before deciding
 //! which locally-evaluable sub-plans to reduce.
 //!
-//! * [`compile()`](compile::compile) — the one-time pass turning a plan's predicates
-//!   and paths into interned-name matchers; [`CompileCache`] adds
-//!   per-peer reuse across hops and queries.
-//! * [`eval()`](eval::eval) — evaluates a plan to a shared [`mqp_xml::Batch`] of
-//!   items, resolving `Url`/`Urn` leaves through a caller-supplied
-//!   [`Resolver`] (the peer layer backs this with its local store and
-//!   catalog, which *lends* `Arc` handles instead of cloning
-//!   collections).
+//! * [`eval()`](eval::eval) — walks a plan and evaluates it to a shared
+//!   [`mqp_xml::Batch`] of items, resolving `Url`/`Urn` leaves through a
+//!   caller-supplied [`Resolver`] (the peer layer backs this with its
+//!   local store and catalog, which *lends* `Arc` handles instead of
+//!   cloning collections). There is no compile pass: paths are matchers
+//!   from parse time and predicates read their literals when built.
 //! * `legacy` — the pre-batching materializing evaluator, compiled
 //!   only under `cfg(test)`: the equivalence oracle for the property
 //!   tests.
 //! * [`cost`] — size estimation: annotated statistics when present
 //!   (paper §5.1), System-R-style defaults otherwise.
 
-pub mod compile;
 pub mod cost;
 pub mod eval;
 #[cfg(test)]
 mod legacy;
 
-pub use compile::{compile, compile_cached, CompileCache, CompiledPlan};
 pub use cost::{estimate, Estimate};
-pub use eval::{eval, eval_const, EvalError, NoResolver, Resolver};
+pub use eval::{compile, eval, eval_const, CompiledPlan, EvalError, NoResolver, Resolver};
 
 #[cfg(test)]
 mod proptests;

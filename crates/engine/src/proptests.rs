@@ -1,4 +1,4 @@
-//! Property tests: the batched, compiled evaluator and the frozen
+//! Property tests: the batched evaluator and the frozen
 //! [`crate::legacy`] materializing evaluator produce *identical item
 //! sequences* for arbitrary plans over arbitrary collections — the
 //! equivalence that lets the clone-free engine replace the tree-walker
@@ -11,7 +11,7 @@ use mqp_algebra::predicate::{AggFunc, Predicate};
 use mqp_xml::xpath::Op;
 use mqp_xml::{Batch, Element};
 
-use crate::{compile, eval_const, legacy, CompileCache, NoResolver};
+use crate::{eval_const, legacy};
 
 /// Data-bundle items over a small field/value vocabulary so joins,
 /// selects, and top-n keys actually collide: `<item><f0>v</f0>…</item>`
@@ -117,28 +117,15 @@ proptest! {
         prop_assert_eq!(batched.to_vec(), legacy);
     }
 
-    /// Compiling through the per-peer cache changes nothing.
+    /// Predicates, which parse their literal once when built, agree
+    /// with the legacy oracle's per-item re-parse, item by item.
     #[test]
-    fn cached_compile_matches_fresh(plan in arb_plan()) {
-        let mut cache = CompileCache::new();
-        // Twice through the same cache: the second pass runs on cache
-        // hits.
-        let first = compile::compile_cached(&plan, &mut cache).eval(&NoResolver).unwrap();
-        let second = compile::compile_cached(&plan, &mut cache).eval(&NoResolver).unwrap();
-        let fresh = eval_const(&plan).unwrap();
-        prop_assert_eq!(&first, &fresh);
-        prop_assert_eq!(&second, &fresh);
-    }
-
-    /// Compiled predicates agree with interpreted ones item by item.
-    #[test]
-    fn compiled_predicate_matches_interpreted(
+    fn predicate_matches_legacy(
         pred in arb_pred(),
         items in proptest::collection::vec(arb_item(), 0..8),
     ) {
-        let compiled = pred.compile();
         for item in &items {
-            prop_assert_eq!(compiled.eval(item), pred.eval(item));
+            prop_assert_eq!(pred.eval(item), legacy::eval_pred(&pred, item));
         }
     }
 

@@ -6,7 +6,7 @@ use crate::diag::{Diagnostic, Span};
 use crate::lex::{lex, Tok, TokKind};
 
 /// A token stream with one-token lookahead over a source string.
-pub struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     src: &'a str,
     toks: Vec<Tok>,
     pos: usize,
@@ -14,7 +14,7 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// Lexes `src` and positions the cursor at the first token.
-    pub fn new(src: &'a str) -> Result<Cursor<'a>, Diagnostic> {
+    pub(crate) fn new(src: &'a str) -> Result<Cursor<'a>, Diagnostic> {
         Ok(Cursor {
             src,
             toks: lex(src)?,
@@ -23,39 +23,39 @@ impl<'a> Cursor<'a> {
     }
 
     /// The source text (for building diagnostics elsewhere).
-    pub fn src(&self) -> &'a str {
+    pub(crate) fn src(&self) -> &'a str {
         self.src
     }
 
     /// The current token, if any.
-    pub fn peek(&self) -> Option<&Tok> {
+    pub(crate) fn peek(&self) -> Option<&Tok> {
         self.toks.get(self.pos)
     }
 
     /// True at end of input.
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         self.pos >= self.toks.len()
     }
 
     /// A span for "here": the current token, or a point at end of input.
-    pub fn here(&self) -> Span {
+    pub(crate) fn here(&self) -> Span {
         self.peek()
             .map(|t| t.span)
             .unwrap_or_else(|| Span::point(self.src.len()))
     }
 
     /// A diagnostic pointing at the current position.
-    pub fn err(&self, message: impl Into<String>) -> Diagnostic {
+    pub(crate) fn err(&self, message: impl Into<String>) -> Diagnostic {
         Diagnostic::at(self.src, self.here(), message)
     }
 
     /// True when the current token is the word `w` (not consumed).
-    pub fn at_word(&self, w: &str) -> bool {
+    pub(crate) fn at_word(&self, w: &str) -> bool {
         matches!(self.peek(), Some(Tok { kind: TokKind::Word(t), .. }) if t == w)
     }
 
     /// Consumes the word `w` if it is next; returns whether it did.
-    pub fn eat_word(&mut self, w: &str) -> bool {
+    pub(crate) fn eat_word(&mut self, w: &str) -> bool {
         if self.at_word(w) {
             self.pos += 1;
             true
@@ -65,7 +65,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Consumes the punct `c` if it is next; returns whether it did.
-    pub fn eat_punct(&mut self, c: char) -> bool {
+    pub(crate) fn eat_punct(&mut self, c: char) -> bool {
         if matches!(self.peek(), Some(Tok { kind: TokKind::Punct(p), .. }) if *p == c) {
             self.pos += 1;
             true
@@ -75,7 +75,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// True when the current token is a string literal.
-    pub fn at_str(&self) -> bool {
+    pub(crate) fn at_str(&self) -> bool {
         matches!(
             self.peek(),
             Some(Tok {
@@ -87,7 +87,7 @@ impl<'a> Cursor<'a> {
 
     /// Requires the next token to be any word; names what was wanted on
     /// failure.
-    pub fn expect_word(&mut self, wanted: &str) -> Result<(String, Span), Diagnostic> {
+    pub(crate) fn expect_word(&mut self, wanted: &str) -> Result<(String, Span), Diagnostic> {
         match self.peek() {
             Some(Tok {
                 kind: TokKind::Word(w),
@@ -102,7 +102,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Requires the exact keyword `kw`.
-    pub fn expect_keyword(&mut self, kw: &str) -> Result<Span, Diagnostic> {
+    pub(crate) fn expect_keyword(&mut self, kw: &str) -> Result<Span, Diagnostic> {
         if self.at_word(kw) {
             let span = self.here();
             self.pos += 1;
@@ -113,7 +113,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Requires a string literal; names what it should hold on failure.
-    pub fn expect_str(&mut self, wanted: &str) -> Result<(String, Span), Diagnostic> {
+    pub(crate) fn expect_str(&mut self, wanted: &str) -> Result<(String, Span), Diagnostic> {
         match self.peek() {
             Some(Tok {
                 kind: TokKind::Str(s),
@@ -128,7 +128,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Requires the punct `c`.
-    pub fn expect_punct(&mut self, c: char) -> Result<(), Diagnostic> {
+    pub(crate) fn expect_punct(&mut self, c: char) -> Result<(), Diagnostic> {
         if self.eat_punct(c) {
             Ok(())
         } else {
@@ -137,7 +137,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Requires end of input.
-    pub fn expect_eof(&mut self) -> Result<(), Diagnostic> {
+    pub(crate) fn expect_eof(&mut self) -> Result<(), Diagnostic> {
         if self.at_eof() {
             Ok(())
         } else {
@@ -146,7 +146,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Parses a plain unsigned number word.
-    pub fn expect_number(&mut self, wanted: &str) -> Result<(u64, Span), Diagnostic> {
+    pub(crate) fn expect_number(&mut self, wanted: &str) -> Result<(u64, Span), Diagnostic> {
         let (w, span) = self.expect_word(wanted)?;
         w.parse::<u64>()
             .map(|n| (n, span))
@@ -155,7 +155,7 @@ impl<'a> Cursor<'a> {
 
     /// Parses a duration word — `30`, `30m`, `30min`, or `2h` — into
     /// minutes.
-    pub fn expect_duration(&mut self) -> Result<(u32, Span), Diagnostic> {
+    pub(crate) fn expect_duration(&mut self) -> Result<(u32, Span), Diagnostic> {
         let (w, span) = self.expect_word("a duration (e.g. `30min`, `2h`)")?;
         let (digits, mult) = if let Some(d) = w.strip_suffix("min") {
             (d, 1u32)
@@ -181,7 +181,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Parses a size word — `4096`, `4kb`, or `2mb` — into bytes.
-    pub fn expect_size(&mut self) -> Result<(f64, Span), Diagnostic> {
+    pub(crate) fn expect_size(&mut self) -> Result<(f64, Span), Diagnostic> {
         let (w, span) = self.expect_word("a size (e.g. `4kb`, `2mb`)")?;
         let (digits, mult) = if let Some(d) = w.strip_suffix("kb") {
             (d, 1024.0)

@@ -22,9 +22,9 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Byte offset of the first character.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Byte offset one past the last character.
-    pub end: usize,
+    pub(crate) end: usize,
 }
 
 impl Span {
@@ -34,7 +34,7 @@ impl Span {
     }
 
     /// A zero-width span (caret only).
-    pub fn point(at: usize) -> Span {
+    pub(crate) fn point(at: usize) -> Span {
         Span { start: at, end: at }
     }
 }
@@ -43,20 +43,20 @@ impl Span {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// What went wrong (one line, no position info).
-    pub message: String,
+    pub(crate) message: String,
     /// 1-based source line.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column (characters, not bytes).
-    pub col: usize,
+    pub(crate) col: usize,
     /// The full text of the offending line.
-    pub line_text: String,
+    pub(crate) line_text: String,
     /// How many characters to underline (≥ 1).
-    pub underline: usize,
+    pub(crate) underline: usize,
 }
 
 impl Diagnostic {
     /// Builds a diagnostic pointing at `span` within `src`.
-    pub fn at(src: &str, span: Span, message: impl Into<String>) -> Diagnostic {
+    pub(crate) fn at(src: &str, span: Span, message: impl Into<String>) -> Diagnostic {
         let start = span.start.min(src.len());
         let line_start = src[..start].rfind('\n').map(|i| i + 1).unwrap_or(0);
         let line_end = src[start..]

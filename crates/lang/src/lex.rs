@@ -18,7 +18,7 @@ use crate::diag::{Diagnostic, Span};
 
 /// What a token is.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// A quoted string, unescaped.
     Str(String),
     /// A bare word (keyword, number, unit literal, annotation key).
@@ -29,11 +29,11 @@ pub enum TokKind {
 
 /// One token with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// The token.
-    pub kind: TokKind,
+    pub(crate) kind: TokKind,
     /// Where it came from.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 fn word_char(c: char) -> bool {
@@ -42,7 +42,7 @@ fn word_char(c: char) -> bool {
 
 /// Tokenizes `src`. The only lex-level errors are unterminated strings,
 /// unknown escapes, and characters outside the grammar.
-pub fn lex(src: &str) -> Result<Vec<Tok>, Diagnostic> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Tok>, Diagnostic> {
     let mut toks = Vec::new();
     let mut chars = src.char_indices().peekable();
     while let Some(&(start, c)) = chars.peek() {

@@ -21,15 +21,15 @@
 //! [`RuleSet`](mqp_core::RuleSet) the `policy` wire frame ships, so a
 //! file edit can retarget a live cluster without restarting it.
 //!
-//! Pipeline: [`lex`] → [`cursor`] → (`query` | `policy`) parser →
+//! Pipeline: `lex` → `cursor` → (`query` | `policy`) parser →
 //! algebra / rules, with [`check`] as an optional catalog+namespace
 //! sanity pass between parse and submit. Every error anywhere in the
 //! pipeline is a [`Diagnostic`] with line/column and a caret underline.
 
 pub mod check;
-pub mod cursor;
+mod cursor;
 pub mod diag;
-pub mod lex;
+mod lex;
 pub mod policy;
 pub mod query;
 

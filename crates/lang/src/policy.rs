@@ -36,7 +36,7 @@ use mqp_namespace::Urn;
 use crate::cursor::Cursor;
 use crate::diag::Diagnostic;
 
-/// A compiled policy: the rule set plus the source it came from.
+/// A compiled policy: its rule set.
 #[derive(Debug, Clone)]
 pub struct CompiledPolicy {
     /// The compiled rules, ready for [`Processor::set_rules`] or a
@@ -44,14 +44,6 @@ pub struct CompiledPolicy {
     ///
     /// [`Processor::set_rules`]: mqp_core::Processor::set_rules
     pub rules: RuleSet,
-    src: String,
-}
-
-impl CompiledPolicy {
-    /// The source text this policy was compiled from.
-    pub fn src(&self) -> &str {
-        &self.src
-    }
 }
 
 /// Compiles policy text. Returns the first error as a positioned
@@ -64,7 +56,6 @@ pub fn parse_policy(src: &str) -> Result<CompiledPolicy, Diagnostic> {
     }
     Ok(CompiledPolicy {
         rules: RuleSet::new(rules),
-        src: src.to_owned(),
     })
 }
 

@@ -64,11 +64,6 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// The source text this query was compiled from.
-    pub fn src(&self) -> &str {
-        &self.src
-    }
-
     /// Builds a diagnostic pointing at the `idx`-th string literal of
     /// the node at `path` (falling back to position 1:1 for
     /// synthesized plans).

@@ -40,7 +40,7 @@ impl Cell {
     /// Cell cover (paper): `x` covers `y` iff for *every* dimension the
     /// category of `x` is a parent of, or the same as, that of `y`.
     /// Cells of different arity never cover each other.
-    pub fn covers(&self, other: &Cell) -> bool {
+    pub(crate) fn covers(&self, other: &Cell) -> bool {
         self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.covers(b))
     }
 
@@ -61,7 +61,7 @@ impl Cell {
     /// True if the two cells share at least one most-specific cell:
     /// same arity and every coordinate pair comparable — exactly when
     /// [`Cell::intersect`] is `Some`, without building the witness.
-    pub fn overlaps(&self, other: &Cell) -> bool {
+    pub(crate) fn overlaps(&self, other: &Cell) -> bool {
         self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.comparable(b))
     }
 
@@ -73,7 +73,7 @@ impl Cell {
 
     /// Sum of coordinate depths; a simple specificity measure used to
     /// pick "most detailed authoritative server" (§3.3).
-    pub fn specificity(&self) -> usize {
+    pub(crate) fn specificity(&self) -> usize {
         self.0.iter().map(CategoryPath::depth).sum()
     }
 }
@@ -140,7 +140,7 @@ impl InterestArea {
     /// cell sets*; full extensional equality would need the hierarchy
     /// (e.g. a parent equals the union of all its children only if the
     /// children are exhaustive, which providers cannot know — see §3.2).
-    pub fn canonical(mut self) -> Self {
+    pub(crate) fn canonical(mut self) -> Self {
         self.cells.sort();
         self.cells.dedup();
         let cells = std::mem::take(&mut self.cells);

@@ -41,7 +41,7 @@ impl CategoryPath {
     }
 
     /// The path segments.
-    pub fn segments(&self) -> &[Name] {
+    pub(crate) fn segments(&self) -> &[Name] {
         &self.0
     }
 
@@ -61,7 +61,7 @@ impl CategoryPath {
     }
 
     /// Extends the path by one segment.
-    pub fn child(&self, segment: impl Into<Name>) -> CategoryPath {
+    pub(crate) fn child(&self, segment: impl Into<Name>) -> CategoryPath {
         let mut v = self.0.clone();
         v.push(segment.into());
         CategoryPath(v)
@@ -75,7 +75,7 @@ impl CategoryPath {
 
     /// True if one of the two covers the other (they lie on one root
     /// path); exactly when the two categories share items.
-    pub fn comparable(&self, other: &CategoryPath) -> bool {
+    pub(crate) fn comparable(&self, other: &CategoryPath) -> bool {
         self.covers(other) || other.covers(self)
     }
 
@@ -97,17 +97,6 @@ impl CategoryPath {
     pub fn generalize(&self, levels: usize) -> CategoryPath {
         let keep = self.0.len().saturating_sub(levels);
         CategoryPath(self.0[..keep].to_vec())
-    }
-
-    /// Longest common prefix of the two paths.
-    pub fn common_ancestor(&self, other: &CategoryPath) -> CategoryPath {
-        let n = self
-            .0
-            .iter()
-            .zip(&other.0)
-            .take_while(|(a, b)| a == b)
-            .count();
-        CategoryPath(self.0[..n].to_vec())
     }
 }
 
@@ -180,7 +169,7 @@ impl Hierarchy {
     }
 
     /// The dimension name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -215,7 +204,7 @@ impl Hierarchy {
     /// Leaf names of the immediate subcategories of `path` — the category
     /// server query of §3.2 ("What are the immediate subcategories of
     /// Furniture?").
-    pub fn subcategories(&self, path: &CategoryPath) -> &[Name] {
+    pub(crate) fn subcategories(&self, path: &CategoryPath) -> &[Name] {
         self.children
             .get(path)
             .map(Vec::as_slice)
@@ -228,14 +217,6 @@ impl Hierarchy {
             .iter()
             .map(|s| path.child(s.clone()))
             .collect()
-    }
-
-    /// All category paths in the hierarchy, including the root, in
-    /// depth-first sorted order.
-    pub fn all_paths(&self) -> Vec<CategoryPath> {
-        let mut v: Vec<CategoryPath> = self.children.keys().cloned().collect();
-        v.sort();
-        v
     }
 
     /// Leaf categories (no children).
@@ -270,15 +251,6 @@ impl Hierarchy {
         }
         p
     }
-
-    /// Maximum depth of any category.
-    pub fn max_depth(&self) -> usize {
-        self.children
-            .keys()
-            .map(CategoryPath::depth)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// An ordered set of dimensions: the multi-hierarchic namespace of §3.1.
@@ -302,7 +274,7 @@ impl Namespace {
     }
 
     /// Number of dimensions.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.dimensions.len()
     }
 
@@ -311,13 +283,8 @@ impl Namespace {
         self.dimensions.iter().find(|d| d.name() == name)
     }
 
-    /// Index of a dimension by name.
-    pub fn dimension_index(&self, name: &str) -> Option<usize> {
-        self.dimensions.iter().position(|d| d.name() == name)
-    }
-
     /// Validates that every coordinate of `cell` names a known category.
-    pub fn validates_cell(&self, cell: &crate::area::Cell) -> bool {
+    pub(crate) fn validates_cell(&self, cell: &crate::area::Cell) -> bool {
         cell.coords().len() == self.arity()
             && cell
                 .coords()
@@ -384,15 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn common_ancestor() {
-        let pdx: CategoryPath = "USA/OR/Portland".into();
-        let eug: CategoryPath = "USA/OR/Eugene".into();
-        let sea: CategoryPath = "USA/WA/Seattle".into();
-        assert_eq!(pdx.common_ancestor(&eug).to_string(), "USA/OR");
-        assert_eq!(pdx.common_ancestor(&sea).to_string(), "USA");
-    }
-
-    #[test]
     fn hierarchy_add_creates_ancestors() {
         let h = location();
         assert!(h.contains(&"USA".into()));
@@ -447,8 +405,11 @@ mod tests {
             Hierarchy::new("Merchandise").with(["Furniture/Chairs"]),
         ]);
         assert_eq!(ns.arity(), 2);
-        assert_eq!(ns.dimension_index("Merchandise"), Some(1));
+        assert_eq!(ns.dimensions()[1].name(), "Merchandise");
         assert!(ns.dimension("Absent").is_none());
-        assert_eq!(ns.dimension("Location").unwrap().max_depth(), 3);
+        assert!(ns
+            .dimension("Location")
+            .unwrap()
+            .contains(&"USA/OR/Portland".into()));
     }
 }

@@ -18,7 +18,7 @@ use crate::area::{Cell, InterestArea};
 use crate::hierarchy::CategoryPath;
 
 /// NID used for interest-area URNs.
-pub const INTEREST_AREA_NID: &str = "InterestArea";
+pub(crate) const INTEREST_AREA_NID: &str = "InterestArea";
 
 /// A parsed URN.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

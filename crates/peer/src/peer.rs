@@ -96,8 +96,8 @@ impl Peer {
     }
 
     /// Installs hot-reloaded policy rules on the processor (the
-    /// `policy` wire frame lands here). The base [`Policy`] and the
-    /// compile cache are untouched; an empty set restores pure
+    /// `policy` wire frame lands here). The base [`Policy`] is
+    /// untouched; an empty set restores pure
     /// base-policy behavior.
     pub fn set_rules(&mut self, rules: mqp_core::RuleSet) {
         self.processor.set_rules(rules);

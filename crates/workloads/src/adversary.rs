@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrnRef};
 use mqp_catalog::{CatalogEntry, ServerId};
-use mqp_namespace::{Cell, InterestArea, Namespace, Urn};
+use mqp_namespace::{Cell, InterestArea, Urn};
 use mqp_net::{NodeId, Topology};
 use mqp_peer::{Directory, Peer, SimHarness};
 use mqp_xml::Element;
@@ -74,19 +74,19 @@ impl Default for AdversaryConfig {
 
 /// One cell the schedule drives registrations for.
 #[derive(Debug, Clone)]
-pub struct CellPlan {
+pub(crate) struct CellPlan {
     /// Cell index (`city * CATEGORIES.len() + category`).
-    pub cell: usize,
+    pub(crate) cell: usize,
     /// City index.
-    pub city: usize,
+    pub(crate) city: usize,
     /// Category index.
-    pub category: usize,
+    pub(crate) category: usize,
     /// Seller indices really holding this cell.
-    pub holders: Vec<usize>,
+    pub(crate) holders: Vec<usize>,
     /// The hijacker's node, when this cell is contested.
-    pub hijacker: Option<NodeId>,
+    pub(crate) hijacker: Option<NodeId>,
     /// The honest mirror's node.
-    pub mirror: NodeId,
+    pub(crate) mirror: NodeId,
 }
 
 /// Detection quality after the schedule ran (ground truth from seeded
@@ -98,7 +98,7 @@ pub struct DetectionReport {
     /// Hijackers quarantined (true positives).
     pub detected: usize,
     /// Non-hijackers quarantined (false positives).
-    pub false_positives: usize,
+    pub(crate) false_positives: usize,
     /// Honest mirrors quarantined — must be zero for a sound defense.
     pub mirrors_quarantined: usize,
     /// `detected / quarantined` (1.0 when nothing is quarantined).
@@ -114,9 +114,9 @@ pub struct DetectionReport {
 #[derive(Debug, Clone, Default)]
 pub struct PoisonReport {
     /// Queries submitted (contested + hard-negative cells).
-    pub queries: usize,
+    pub(crate) queries: usize,
     /// Queries whose answer contained at least one poisoned item.
-    pub poisoned: usize,
+    pub(crate) poisoned: usize,
 }
 
 impl PoisonReport {
@@ -135,19 +135,13 @@ pub struct AdversaryWorld {
     /// The lazy harness.
     pub harness: SimHarness,
     /// Client node (0).
-    pub client: NodeId,
-    /// Meta-index node (1).
-    pub meta: NodeId,
-    /// City count.
-    pub cities: usize,
+    pub(crate) client: NodeId,
     /// Honest seller count.
-    pub sellers: usize,
+    pub(crate) sellers: usize,
     /// Cells with a hijacker.
-    pub contested: Vec<CellPlan>,
+    pub(crate) contested: Vec<CellPlan>,
     /// Hard-negative cells: mirrored, never hijacked.
-    pub mirrored: Vec<CellPlan>,
-    /// The shared namespace.
-    pub namespace: Arc<Namespace>,
+    pub(crate) mirrored: Vec<CellPlan>,
 }
 
 /// SplitMix64 (same construction as the scale world's).
@@ -201,12 +195,12 @@ fn poison_items(seed: u64, cell: usize, category: &str) -> Vec<Element> {
 
 impl AdversaryWorld {
     /// The node hosting city `k`'s index server (a defense verifier).
-    pub fn city_node(&self, k: usize) -> NodeId {
+    pub(crate) fn city_node(&self, k: usize) -> NodeId {
         2 + k
     }
 
     /// The discovery query for a scheduled cell.
-    pub fn query(&self, plan: &CellPlan) -> Plan {
+    pub(crate) fn query(&self, plan: &CellPlan) -> Plan {
         Plan::Urn(UrnRef::new(Urn::area(cell_area(plan.city, plan.category))))
     }
 
@@ -271,7 +265,7 @@ impl AdversaryWorld {
     }
 
     /// The node hosting seller `s` (after the named attacker head).
-    pub fn seller_node(&self, s: usize) -> NodeId {
+    pub(crate) fn seller_node(&self, s: usize) -> NodeId {
         self.harness.len() - self.sellers + s
     }
 
@@ -452,7 +446,7 @@ pub fn build(config: AdversaryConfig) -> AdversaryWorld {
     attacker_role.sort_unstable();
     let defense = config.defense;
 
-    let factory_ns = Arc::clone(&ns);
+    let factory_ns = ns;
     let mut residents: Option<Vec<Vec<u32>>> = None;
     let factory = move |node: NodeId| -> Peer {
         let ns = Arc::clone(&factory_ns);
@@ -531,12 +525,9 @@ pub fn build(config: AdversaryConfig) -> AdversaryWorld {
     AdversaryWorld {
         harness: SimHarness::lazy(topology, directory, factory),
         client: 0,
-        meta: 1,
-        cities,
         sellers,
         contested,
         mirrored,
-        namespace: ns,
     }
 }
 

@@ -155,7 +155,7 @@ pub fn build(config: CdConfig) -> CdWorld {
 }
 
 /// The exact plan of Figure 3 over the given favourite-song items.
-pub fn figure3_plan(favorites: Vec<Element>) -> Plan {
+pub(crate) fn figure3_plan(favorites: Vec<Element>) -> Plan {
     let inner = Plan::join(
         JoinCond::on("title", "title"),
         Plan::data(favorites),

@@ -81,9 +81,7 @@ pub struct GarageWorld {
     /// Node id of the client peer.
     pub client: usize,
     /// Seller areas by node id (ground truth for recall).
-    pub seller_areas: Vec<(usize, InterestArea)>,
-    /// The namespace.
-    pub namespace: Namespace,
+    pub(crate) seller_areas: Vec<(usize, InterestArea)>,
 }
 
 /// Builds a garage-sale world. Sellers specialize: each picks a home
@@ -193,7 +191,6 @@ pub fn build(config: GarageConfig) -> GarageWorld {
         harness: SimHarness::new(topology, peers),
         client: 0,
         seller_areas,
-        namespace: ns,
     }
 }
 

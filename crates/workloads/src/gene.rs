@@ -9,7 +9,7 @@ use mqp_peer::{Peer, SimHarness};
 use mqp_xml::Element;
 
 /// The organism hierarchy of Figure 1 (Coelomata down to species).
-pub fn organism_hierarchy() -> Hierarchy {
+pub(crate) fn organism_hierarchy() -> Hierarchy {
     Hierarchy::new("Organism").with([
         "Coelomata/Protostomia/DrosophilaMelanogaster",
         "Coelomata/Deuterostomia/Mammalia/Eutheria/Primates/HomoSapiens",
@@ -19,7 +19,7 @@ pub fn organism_hierarchy() -> Hierarchy {
 }
 
 /// The cell-type hierarchy of Figure 1.
-pub fn cell_type_hierarchy() -> Hierarchy {
+pub(crate) fn cell_type_hierarchy() -> Hierarchy {
     Hierarchy::new("CellType").with([
         "Neural/Neurons/Association",
         "Neural/Neurons/Sensory",
@@ -90,7 +90,7 @@ pub fn cardiac_mammal_area() -> InterestArea {
 /// A MIAME-flavoured expression record (the paper cites MIAME
 /// [BHQ+01]; we keep the two categorization attributes plus a few
 /// measurement fields).
-pub fn expression_record(group: &str, organism: &str, cell_type: &str, i: usize) -> Element {
+pub(crate) fn expression_record(group: &str, organism: &str, cell_type: &str, i: usize) -> Element {
     Element::new("experiment")
         .child(Element::new("lab").text(group))
         .child(Element::new("organism").text(organism))
@@ -174,7 +174,8 @@ mod tests {
         assert!(org.contains(&"Coelomata/Deuterostomia/Mammalia".into()));
         let ct = ns.dimension("CellType").unwrap();
         assert!(ct.contains(&"Muscle/Cardiac/Autorhythmic".into()));
-        assert_eq!(org.max_depth(), 7);
+        let deepest = org.leaves().iter().map(|p| p.depth()).max();
+        assert_eq!(deepest, Some(7));
     }
 
     #[test]

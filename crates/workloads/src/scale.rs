@@ -77,14 +77,10 @@ pub struct ScaleWorld {
     pub harness: SimHarness,
     /// Node id of the client peer (0).
     pub client: NodeId,
-    /// Node id of the meta-index server (1).
-    pub meta: NodeId,
     /// Number of cities (= index servers).
     pub cities: usize,
     /// Number of sellers.
     pub sellers: usize,
-    /// The shared namespace.
-    pub namespace: Arc<Namespace>,
     seed: u64,
 }
 
@@ -130,11 +126,6 @@ impl ScaleWorld {
         2 + self.cities + s
     }
 
-    /// The node hosting city `k`'s index server.
-    pub fn city_node(&self, k: usize) -> NodeId {
-        2 + k
-    }
-
     /// The city seller `s` lives in (hash-assigned).
     pub fn seller_city(&self, s: usize) -> usize {
         (mix(self.seed, 1, s as u64) % self.cities as u64) as usize
@@ -146,7 +137,7 @@ impl ScaleWorld {
     }
 
     /// The interest area for one (city × category) cell.
-    pub fn area(&self, city: usize, category: usize) -> InterestArea {
+    pub(crate) fn area(&self, city: usize, category: usize) -> InterestArea {
         InterestArea::of(Cell::parse([
             city_name(city).as_str(),
             CATEGORIES[category],
@@ -200,7 +191,7 @@ pub fn build(config: ScaleConfig) -> ScaleWorld {
     let city_of = move |s: usize| (mix(seed, 1, s as u64) % cities as u64) as usize;
     let cat_of = move |s: usize| (mix(seed, 2, s as u64) % CATEGORIES.len() as u64) as usize;
 
-    let factory_ns = Arc::clone(&ns);
+    let factory_ns = ns;
     // City → resident sellers, built once on the first index-server
     // touch (O(sellers)), then every further index costs only its own
     // residents — materializing *all* peers is O(sellers + cities), not
@@ -263,10 +254,8 @@ pub fn build(config: ScaleConfig) -> ScaleWorld {
     ScaleWorld {
         harness: SimHarness::lazy(topology, directory, factory),
         client: 0,
-        meta: 1,
         cities,
         sellers,
-        namespace: ns,
         seed,
     }
 }

@@ -48,11 +48,6 @@ impl Batch {
         self.items.is_empty()
     }
 
-    /// Appends an already-shared item handle (reference-count bump).
-    pub fn push(&mut self, item: Arc<Element>) {
-        self.items.push(item);
-    }
-
     /// Wraps and appends an owned item (the construction boundary:
     /// one `Arc` allocation, no tree copy).
     pub fn push_item(&mut self, item: Element) {
@@ -69,15 +64,8 @@ impl Batch {
         &self.items
     }
 
-    /// Mutable iteration with copy-on-write semantics: a handle shared
-    /// with another batch is detached (`Arc::make_mut`) before being
-    /// handed out, so mutation never bleeds into other holders.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Element> {
-        self.items.iter_mut().map(Arc::make_mut)
-    }
-
     /// Item by position.
-    pub fn get(&self, i: usize) -> Option<&Element> {
+    pub(crate) fn get(&self, i: usize) -> Option<&Element> {
         self.items.get(i).map(|a| a.as_ref())
     }
 

@@ -11,7 +11,7 @@ pub struct ParseError {
     /// Byte offset into the input where the error was detected.
     pub offset: usize,
     /// What went wrong.
-    pub kind: ErrorKind,
+    pub(crate) kind: ErrorKind,
 }
 
 /// The category of a [`ParseError`].

@@ -22,7 +22,7 @@ pub enum Node {
 
 impl Node {
     /// Returns the contained element, if this node is one.
-    pub fn as_element(&self) -> Option<&Element> {
+    pub(crate) fn as_element(&self) -> Option<&Element> {
         match self {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,
@@ -30,7 +30,7 @@ impl Node {
     }
 
     /// Returns the contained text, if this node is a text run.
-    pub fn as_text(&self) -> Option<&str> {
+    pub(crate) fn as_text(&self) -> Option<&str> {
         match self {
             Node::Element(_) => None,
             Node::Text(t) => Some(t),
@@ -136,19 +136,13 @@ impl Element {
         }
     }
 
-    /// Removes an attribute, returning its value if present.
-    pub fn remove_attr(&mut self, name: &str) -> Option<String> {
-        let idx = self.attributes.iter().position(|(n, _)| n == name)?;
-        Some(self.attributes.remove(idx).1)
-    }
-
     /// Appends a child node.
     pub fn push_child(&mut self, node: impl Into<Node>) {
         self.children.push(node.into());
     }
 
     /// Replaces the children wholesale.
-    pub fn set_children(&mut self, children: Vec<Node>) {
+    pub(crate) fn set_children(&mut self, children: Vec<Node>) {
         self.children = children;
     }
 
@@ -170,13 +164,8 @@ impl Element {
     }
 
     /// All children in document order.
-    pub fn children(&self) -> &[Node] {
+    pub(crate) fn children(&self) -> &[Node] {
         &self.children
-    }
-
-    /// Mutable access to children.
-    pub fn children_mut(&mut self) -> &mut Vec<Node> {
-        &mut self.children
     }
 
     /// Iterator over element children only.
@@ -248,11 +237,6 @@ impl Element {
     /// `<item><price>9.50</price>…</item>`.
     pub fn field(&self, name: &str) -> Option<String> {
         self.first(name).map(|e| e.deep_text().trim().to_owned())
-    }
-
-    /// Parses [`Element::field`] as `f64`.
-    pub fn field_f64(&self, name: &str) -> Option<f64> {
-        self.field(name)?.parse().ok()
     }
 
     /// Number of nodes in the subtree (elements + text runs), a cheap
@@ -332,7 +316,7 @@ mod tests {
         assert_eq!(e.name(), "item");
         assert_eq!(e.get_attr("id"), Some("245"));
         assert_eq!(e.field("name").as_deref(), Some("golf clubs"));
-        assert_eq!(e.field_f64("price"), Some(99.95));
+        assert_eq!(e.field("price").as_deref(), Some("99.95"));
         assert!(e.first("missing").is_none());
     }
 
@@ -342,13 +326,6 @@ mod tests {
         e.set_attr("k", "2");
         assert_eq!(e.get_attr("k"), Some("2"));
         assert_eq!(e.attrs().len(), 1);
-    }
-
-    #[test]
-    fn remove_attr_returns_value() {
-        let mut e = Element::new("a").attr("k", "1");
-        assert_eq!(e.remove_attr("k"), Some("1".into()));
-        assert_eq!(e.remove_attr("k"), None);
     }
 
     #[test]

@@ -136,9 +136,19 @@ proptest! {
         }
     }
 
+    /// Arbitrary bytes, read as text the way a peer must: the parser
+    /// answers `Ok` or `Err` and never panics, and a tree it accepts
+    /// serializes and parses back unchanged.
     #[test]
-    fn parser_never_panics_on_arbitrary_input(s in "[ -~<>&;/\"']{0,64}") {
-        let _ = parse(&s); // must not panic
+    fn parser_never_panics_on_arbitrary_input(
+        bytes in proptest::collection::vec(0u8..=255, 0..4096),
+    ) {
+        let s = String::from_utf8_lossy(&bytes);
+        for input in [s.to_string(), format!("<r>{s}</r>")] {
+            if let Ok(e) = parse(&input) {
+                prop_assert_eq!(parse(&serialize(&e)), Ok(e), "{}", input);
+            }
+        }
     }
 
     /// Generate a tree, serialize it, parse it back: the same tree,

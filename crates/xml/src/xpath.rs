@@ -96,8 +96,8 @@ impl Op {
         }
     }
 
-    /// The numeric arm of [`Op::apply`]. Exposed so compiled predicates
-    /// can pre-parse a literal once and skip the per-item re-parse.
+    /// The numeric arm of [`Op::apply`]. Exposed so a predicate can
+    /// parse its literal once, when built, and skip the per-item re-parse.
     pub fn apply_num(self, l: f64, r: f64) -> bool {
         match self {
             Op::Eq => l == r,
@@ -122,7 +122,7 @@ impl Op {
     }
 
     /// The source form of the operator.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             Op::Eq => "=",
             Op::Ne => "!=",
@@ -149,7 +149,7 @@ impl Path {
     /// Selects matching elements starting from `root`. Absolute paths
     /// match `root` itself against the first step; relative paths match
     /// `root`'s children. `text()` steps select nothing here (they are
-    /// not elements) — use [`Path::select_values`].
+    /// not elements) — use `Path::select_values`.
     pub fn select_elements<'a>(&self, root: &'a Element) -> Vec<&'a Element> {
         let mut out = Vec::new();
         visit_path(self.absolute, &self.steps, root, &mut |e| {
@@ -162,7 +162,7 @@ impl Path {
     /// Visits each value the path selects — the deep text of matched
     /// elements, or the direct text when the final step is `text()` —
     /// in document order, as borrowed [`Cow`]s. This is the allocation-
-    /// free variant of [`Path::select_values`]: single-text fields (the
+    /// free variant of `Path::select_values`: single-text fields (the
     /// overwhelmingly common shape of data bundles) arrive borrowed, so
     /// join-key extraction and predicate evaluation touch no heap.
     pub fn for_each_value<'a>(&self, root: &'a Element, f: &mut impl FnMut(Cow<'a, str>)) {
@@ -199,7 +199,7 @@ impl Path {
     /// text content when the final step is `text()`. Allocates one
     /// `String` per value — prefer [`Path::for_each_value`] on hot
     /// paths.
-    pub fn select_values(&self, root: &Element) -> Vec<String> {
+    pub(crate) fn select_values(&self, root: &Element) -> Vec<String> {
         let mut out = Vec::new();
         self.for_each_value(root, &mut |v| out.push(v.into_owned()));
         out
@@ -523,22 +523,6 @@ pub fn values(root: &Element, path: &str) -> Vec<String> {
         .select_values(root)
 }
 
-/// Walks the subtree depth-first yielding every element (including
-/// `root`). Used by scans that ignore structure.
-pub fn descendants(root: &Element) -> Vec<&Element> {
-    let mut out = Vec::new();
-    let mut stack = vec![root];
-    while let Some(e) = stack.pop() {
-        out.push(e);
-        // Push in reverse so traversal is document-ordered.
-        let kids: Vec<&Element> = e.child_elements().collect();
-        for k in kids.into_iter().rev() {
-            stack.push(k);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -680,16 +664,6 @@ mod tests {
             }
             assert!(Path::parse(bad).is_err(), "{bad} should be rejected");
         }
-    }
-
-    #[test]
-    fn descendants_document_order() {
-        let d = doc();
-        let all = descendants(&d);
-        assert_eq!(all.len(), 1 + 3 + 6);
-        assert_eq!(all[0].name(), "data");
-        assert_eq!(all[1].name(), "item");
-        assert_eq!(all[2].name(), "name");
     }
 
     #[test]
