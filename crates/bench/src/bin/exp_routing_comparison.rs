@@ -174,9 +174,11 @@ fn main() {
     println!(
         "\nshape check (paper §1/§6): the central index is cheap but its \
          imbalance explodes with n (bottleneck); flooding's messages \
-         explode with n while recall decays; the DHT stays O(log n) but \
-         only answers exact keys; catalog routing keeps hops flat with \
-         full recall — at the cost of shipping plans, not 16-byte keys."
+         explode with n, though its 4-hop horizon still reaches every \
+         match at these sizes (recall 1.00); the DHT stays O(log n) but \
+         only answers exact keys; catalog routing keeps full recall with \
+         messages growing far slower than n — at the cost of shipping \
+         plans, not 16-byte keys."
     );
 }
 

@@ -103,7 +103,7 @@ pub mod probe {
         w.harness.materialized()
     }
 
-    /// Calendar-queue soak: keeps `window` messages circulating among
+    /// Scheduler soak: keeps `window` messages circulating among
     /// `n` nodes until `target_events` scheduler events have been
     /// processed, then lets the queue drain. Returns the exact event
     /// count (deterministic) and the wall seconds it took (not).

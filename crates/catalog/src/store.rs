@@ -80,7 +80,9 @@ impl Catalog {
     /// Registers (or refreshes) an entry. Entries are keyed by
     /// `(server, level)`: a re-registration replaces the server's area
     /// at that level (areas are unioned — a server's declared interest
-    /// can grow).
+    /// can grow). An entry keeps the arity it was first registered
+    /// with: a re-registration of another arity is dropped, since their
+    /// union has no area text a snapshot could replay (DESIGN.md §12).
     ///
     /// Accepts an `Arc` so a world builder can share one allocation
     /// across every catalog that learns the entry; a plain
@@ -98,6 +100,9 @@ impl Catalog {
             }
         };
         let existing = &mut self.entries[pos as usize];
+        if !same_arity(&existing.area, &entry.area) {
+            return;
+        }
         let area = existing.area.union(&entry.area);
         let authoritative = existing.authoritative || entry.authoritative;
         let collection = entry
@@ -433,6 +438,15 @@ fn position(pos: usize) -> u32 {
     u32::try_from(pos).expect("a catalog holds fewer than 2^32 entries")
 }
 
+/// True when two areas' first cells have one arity, or either area is
+/// empty: the areas a registration may merge (DESIGN.md §12).
+fn same_arity(a: &InterestArea, b: &InterestArea) -> bool {
+    match (a.cells().first(), b.cells().first()) {
+        (Some(x), Some(y)) => x.arity() == y.arity(),
+        _ => true,
+    }
+}
+
 /// Per-dimension coordinate postings: `dims[d]` maps every coordinate an
 /// entry's cell holds in dimension `d` to the positions of those
 /// entries. A position can outlive its coordinate — a merge whose union
@@ -562,6 +576,9 @@ mod linear {
             .iter_mut()
             .find(|e| e.server == entry.server && e.level == entry.level)
         {
+            if !same_arity(&existing.area, &entry.area) {
+                return;
+            }
             let area = existing.area.union(&entry.area);
             let authoritative = existing.authoritative || entry.authoritative;
             let collection = entry

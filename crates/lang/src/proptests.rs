@@ -181,8 +181,77 @@ fn arb_ruleset() -> impl Strategy<Value = RuleSet> {
     })
 }
 
+/// The committed sources under `queries/`, both kinds.
+const SOURCES: [&str; 5] = [
+    include_str!("../../../queries/fig2_pipeline.mqpq"),
+    include_str!("../../../queries/index_detail.mqpq"),
+    include_str!("../../../queries/routing_discovery.mqpq"),
+    include_str!("../../../queries/default_policy.mqpp"),
+    include_str!("../../../queries/fast_fallback.mqpp"),
+];
+
+/// A committed source with up to eight byte edits — overwrite, insert or
+/// delete at `at % len` — read back as text the way a peer must. Two
+/// bytes in three are the languages' own punctuation.
+fn arb_mutated_source() -> impl Strategy<Value = String> {
+    let punct = || proptest::sample::select(b"()|\"@=,#:<>/*.\n \\".to_vec());
+    let edit = (
+        0u8..3,
+        0usize..1 << 16,
+        prop_oneof![punct(), punct(), 0u8..=255],
+    );
+    (0..SOURCES.len(), proptest::collection::vec(edit, 1..9)).prop_map(|(file, edits)| {
+        let mut src = SOURCES[file].as_bytes().to_vec();
+        for (kind, at, byte) in edits {
+            let at = at % (src.len() + 1);
+            match kind {
+                0 if at < src.len() => src[at] = byte,
+                1 => src.insert(at, byte),
+                _ if at < src.len() => {
+                    src.remove(at);
+                }
+                _ => {}
+            }
+        }
+        String::from_utf8_lossy(&src).into_owned()
+    })
+}
+
+/// Neither front-end panics on `src`, and whatever one accepts
+/// round-trips through its renderer.
+fn parse_both(src: &str) {
+    if let Ok(q) = parse_query(src) {
+        let text = q.plan.render();
+        let back =
+            parse_query(&text).unwrap_or_else(|e| panic!("{src:?} rendered as\n{text}\n{e}"));
+        assert_eq!(back.plan, q.plan, "{src:?} rendered as\n{text}");
+    }
+    if let Ok(p) = parse_policy(src) {
+        let text = render_policy(&p.rules);
+        let back =
+            parse_policy(&text).unwrap_or_else(|e| panic!("{src:?} rendered as\n{text}\n{e}"));
+        assert_eq!(back.rules, p.rules, "{src:?} rendered as\n{text}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Arbitrary bytes, read as text the way a peer must: neither
+    /// parser panics, and what one accepts round-trips.
+    #[test]
+    fn front_ends_survive_arbitrary_input(
+        bytes in proptest::collection::vec(0u8..=255, 0..4096),
+    ) {
+        parse_both(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Mutated copies of the committed `.mqpq` and `.mqpp` sources,
+    /// which reach far deeper into both grammars than random bytes do.
+    #[test]
+    fn front_ends_survive_mutated_sources(src in arb_mutated_source()) {
+        parse_both(&src);
+    }
 
     /// The tentpole invariant: rendering any plan and compiling the
     /// text back yields the *same* plan — structurally, annotations

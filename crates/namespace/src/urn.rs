@@ -10,9 +10,16 @@
 //!   — "encoding is a purely lexical process of transliterating our
 //!   interest area notation to URN syntax". Levels are joined with `.`,
 //!   dimensions with `,`, cells with `+`; `*` is the top category.
+//!   Within a category name, `%`, those five grammar characters,
+//!   whitespace and control characters travel as `%XX` escapes of their
+//!   UTF-8 bytes (RFC 8141 §2.1), so every name round-trips
+//!   (`St. Louis` → `St%2E%20Louis`) and a plain name encodes as itself.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
+
+use mqp_xml::Name;
 
 use crate::area::{Cell, InterestArea};
 use crate::hierarchy::CategoryPath;
@@ -116,7 +123,8 @@ impl FromStr for Urn {
 }
 
 /// Encodes an interest area as the paper's NSS syntax:
-/// `(USA.OR.Portland,Furniture)+(USA.WA.Vancouver,Furniture)`.
+/// `(USA.OR.Portland,Furniture)+(USA.WA.Vancouver,Furniture)`, escaping
+/// each segment (module docs).
 pub fn encode_area(area: &InterestArea) -> String {
     let mut out = String::new();
     for (i, cell) in area.cells().iter().enumerate() {
@@ -130,8 +138,12 @@ pub fn encode_area(area: &InterestArea) -> String {
             }
             if coord.is_top() {
                 out.push('*');
-            } else {
-                out.push_str(&coord.segments().join("."));
+            }
+            for (k, seg) in coord.segments().iter().enumerate() {
+                if k > 0 {
+                    out.push('.');
+                }
+                escape_segment(seg, &mut out);
             }
         }
         out.push(')');
@@ -158,10 +170,12 @@ pub fn decode_area(nss: &str) -> Result<InterestArea, UrnError> {
                 let c = c.trim();
                 if c == "*" {
                     Ok(CategoryPath::top())
-                } else if c.is_empty() || c.split('.').any(|seg| seg.is_empty()) {
-                    Err(UrnError::BadAreaSpec(nss.to_owned()))
                 } else {
-                    Ok(CategoryPath::new(c.split('.')))
+                    c.split('.')
+                        .map(|seg| unescape_segment(seg).map(|s| Name::new(&s)))
+                        .collect::<Option<Vec<_>>>()
+                        .map(CategoryPath::new)
+                        .ok_or_else(|| UrnError::BadAreaSpec(nss.to_owned()))
                 }
             })
             .collect::<Result<_, _>>()?;
@@ -178,6 +192,57 @@ pub fn decode_area(nss: &str) -> Result<InterestArea, UrnError> {
         return Err(UrnError::BadAreaSpec(nss.to_owned()));
     }
     Ok(InterestArea::new(cells))
+}
+
+/// True for a character the area grammar, or the line-based texts that
+/// carry an area, would misread inside a category name.
+fn needs_escape(c: char) -> bool {
+    matches!(c, '%' | '.' | ',' | '(' | ')' | '+' | '*') || c.is_whitespace() || c.is_control()
+}
+
+/// Appends `seg` with every [`needs_escape`] character as `%XX`
+/// escapes of its UTF-8 bytes.
+fn escape_segment(seg: &str, out: &mut String) {
+    if !seg.contains(needs_escape) {
+        out.push_str(seg);
+        return;
+    }
+    for c in seg.chars() {
+        if needs_escape(c) {
+            for b in c.encode_utf8(&mut [0; 4]).bytes() {
+                let _ = write!(out, "%{b:02X}");
+            }
+        } else {
+            out.push(c);
+        }
+    }
+}
+
+/// Inverts [`escape_segment`]; `None` for an empty segment, a `%` not
+/// followed by two hex digits, or escapes that are not UTF-8.
+fn unescape_segment(seg: &str) -> Option<Cow<'_, str>> {
+    if seg.is_empty() {
+        return None;
+    }
+    if !seg.contains('%') {
+        return Some(Cow::Borrowed(seg));
+    }
+    let mut bytes = Vec::with_capacity(seg.len());
+    let mut rest = seg.as_bytes();
+    while let Some((&b, tail)) = rest.split_first() {
+        if b != b'%' {
+            bytes.push(b);
+            rest = tail;
+            continue;
+        }
+        let hex = std::str::from_utf8(tail.get(..2)?).ok()?;
+        if !hex.bytes().all(|h| h.is_ascii_hexdigit()) {
+            return None;
+        }
+        bytes.push(u8::from_str_radix(hex, 16).ok()?);
+        rest = &tail[2..];
+    }
+    String::from_utf8(bytes).ok().map(Cow::Owned)
 }
 
 #[cfg(test)]
@@ -246,6 +311,37 @@ mod tests {
         // A dominated cell disappears in the parsed area.
         let urn = Urn::parse("urn:InterestArea:(USA,Furniture)+(USA.OR,Furniture.Chairs)").unwrap();
         assert_eq!(urn.as_area().unwrap().cells().len(), 1);
+    }
+
+    #[test]
+    fn grammar_characters_in_names_round_trip() {
+        let area = InterestArea::new(vec![Cell::new(vec![
+            "USA/MO/St. Louis".parse().unwrap(),
+            CategoryPath::new(["Vinyl (LP), 7\"+12\"", "*", "100%"]),
+        ])]);
+        let nss = encode_area(&area);
+        assert_eq!(
+            nss,
+            "(USA.MO.St%2E%20Louis,Vinyl%20%28LP%29%2C%207\"%2B12\".%2A.100%25)"
+        );
+        assert_eq!(decode_area(&nss).unwrap(), area);
+        // A plain name encodes as itself.
+        let plain = Urn::parse("urn:InterestArea:(Oregon.Portland,Music.CDs)").unwrap();
+        assert_eq!(
+            plain.to_string(),
+            "urn:InterestArea:(Oregon.Portland,Music.CDs)"
+        );
+    }
+
+    #[test]
+    fn malformed_escapes_rejected() {
+        for bad in ["(A%)", "(A%2)", "(A%G0)", "(A%-1)", "(%FF)", "(A.%C3)"] {
+            assert!(decode_area(bad).is_err(), "{bad}");
+        }
+        assert_eq!(
+            decode_area("(%C3%A9t%C3%A9)").unwrap(),
+            decode_area("(été)").unwrap()
+        );
     }
 
     #[test]

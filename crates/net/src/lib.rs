@@ -38,7 +38,6 @@
 //!   `mqp_peer::tcp`.
 
 pub mod backoff;
-mod calendar;
 pub mod fault;
 pub mod sim;
 pub mod stats;

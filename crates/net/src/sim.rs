@@ -1,8 +1,8 @@
 //! The discrete-event simulator core.
 
-use std::collections::HashSet;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashSet};
 
-use crate::calendar::{Calendar, Event};
 use crate::fault::{FaultPlan, FaultState};
 use crate::stats::NetStats;
 use crate::topology::Topology;
@@ -25,6 +25,39 @@ pub struct Delivery<P> {
     /// True for local timer events scheduled with [`SimNet::schedule`]
     /// — they carry no bytes and are invisible to message accounting.
     pub timer: bool,
+}
+
+/// One scheduled event; ordered by `(at, seq)` only, so ties break in
+/// send order — the property that makes runs reproducible.
+struct Event<P> {
+    at: u64,
+    seq: u64,
+    from: NodeId,
+    to: NodeId,
+    bytes: usize,
+    payload: P,
+    /// Timer events bypass fault injection and message accounting.
+    timer: bool,
+}
+
+impl<P> PartialEq for Event<P> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<P> Eq for Event<P> {}
+
+impl<P> PartialOrd for Event<P> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<P> Ord for Event<P> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
 }
 
 /// A deterministic discrete-event network over a [`Topology`].
@@ -50,7 +83,7 @@ pub struct Delivery<P> {
 /// byte-for-byte deterministic for a given seed and send sequence.
 pub struct SimNet<P> {
     topology: Topology,
-    queue: Calendar<P>,
+    queue: BinaryHeap<Reverse<Event<P>>>,
     now: u64,
     seq: u64,
     down: HashSet<NodeId>,
@@ -71,7 +104,7 @@ impl<P> SimNet<P> {
         let stats = NetStats::new(topology.len());
         SimNet {
             topology,
-            queue: Calendar::new(),
+            queue: BinaryHeap::new(),
             now: 0,
             seq: 0,
             down: HashSet::new(),
@@ -126,7 +159,7 @@ impl<P> SimNet<P> {
     /// injection, and are skipped silently (not counted as drops) if
     /// the node is down when they fire.
     pub fn schedule(&mut self, node: NodeId, delay_us: u64, payload: P) {
-        self.queue.push(Event {
+        self.queue.push(Reverse(Event {
             at: self.now + delay_us,
             seq: self.seq,
             from: node,
@@ -134,13 +167,13 @@ impl<P> SimNet<P> {
             bytes: 0,
             payload,
             timer: true,
-        });
+        }));
         self.seq += 1;
         self.note_depth();
     }
 
     fn enqueue_msg(&mut self, at: u64, from: NodeId, to: NodeId, bytes: usize, payload: P) {
-        self.queue.push(Event {
+        self.queue.push(Reverse(Event {
             at,
             seq: self.seq,
             from,
@@ -148,7 +181,7 @@ impl<P> SimNet<P> {
             bytes,
             payload,
             timer: false,
-        });
+        }));
         self.seq += 1;
         self.in_flight += 1;
         self.note_depth();
@@ -169,7 +202,7 @@ impl<P> SimNet<P> {
         loop {
             // Apply churn that takes effect before (or exactly at) the
             // next event: a node crashed at t drops deliveries at t.
-            let next_at = self.queue.peek_at()?;
+            let next_at = self.queue.peek()?.0.at;
             if let Some(f) = &mut self.faults {
                 for ev in f.churn_until(next_at) {
                     if ev.up {
@@ -180,7 +213,7 @@ impl<P> SimNet<P> {
                     self.churn_log.push(*ev);
                 }
             }
-            let ev = self.queue.pop().expect("peeked above");
+            let Reverse(ev) = self.queue.pop().expect("peeked above");
             self.now = self.now.max(ev.at);
             self.stats.events_processed += 1;
             if ev.timer {
@@ -594,5 +627,101 @@ mod tests {
             (trace, s.stats().clone(), s.now())
         };
         assert_eq!(run(), run());
+    }
+
+    use proptest::prelude::*;
+
+    /// One driver call: a timer, a message, or a step.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Schedule {
+            node: NodeId,
+            delay: u64,
+        },
+        Send {
+            from: NodeId,
+            to: NodeId,
+            bytes: usize,
+        },
+        Step,
+    }
+
+    /// Timer delays mixing same-instant bursts, near-ties, typical
+    /// transit times, retry deadlines and far-future churn timers.
+    fn arb_delay() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            0u64..5,
+            0u64..50_000,
+            0u64..600_000_000,
+            (u64::MAX / 4 - 10)..=(u64::MAX / 4),
+        ]
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..6, arb_delay()).prop_map(|(node, delay)| Op::Schedule { node, delay }),
+            (0usize..6, 0usize..6, 0usize..4_000).prop_map(|(from, to, bytes)| Op::Send {
+                from,
+                to,
+                bytes
+            }),
+            Just(Op::Step),
+            Just(Op::Step),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For arbitrary interleavings of `schedule`, `send` and `step`,
+        /// every delivery is the pending event with the least
+        /// `(at, seq)` — checked against a sorted `Vec` of the pending
+        /// pairs. Each payload is its event's `seq`.
+        #[test]
+        fn steps_deliver_in_time_then_seq_order(
+            ops in proptest::collection::vec(arb_op(), 1..300),
+        ) {
+            let mut s: SimNet<u64> =
+                SimNet::new(Topology::clustered(6, 2, 10, 1_000).with_bandwidth(1.0));
+            let mut pending: Vec<(u64, u64)> = Vec::new();
+            let mut seq = 0u64;
+            // The next delivery must be the oracle's least pair, and the
+            // clock must stand at its time.
+            fn expect(s: &mut SimNet<u64>, pending: &mut Vec<(u64, u64)>) {
+                let got = s.step().map(|d| (d.at, d.payload));
+                let want = (!pending.is_empty()).then(|| pending.remove(0));
+                prop_assert_eq!(got, want);
+                if let Some((at, _)) = want {
+                    prop_assert_eq!(s.now(), at);
+                }
+            }
+            for op in ops {
+                let at = match op {
+                    Op::Schedule { node, delay } => {
+                        // A popped far-future timer parks the clock out
+                        // there; the cap keeps `now + delay` in range.
+                        let delay = delay.min((u64::MAX / 2).saturating_sub(s.now()));
+                        s.schedule(node, delay, seq);
+                        s.now() + delay
+                    }
+                    Op::Send { from, to, bytes } => {
+                        s.send(from, to, bytes, seq);
+                        s.now() + s.topology.transit_time(from, to, bytes)
+                    }
+                    Op::Step => {
+                        expect(&mut s, &mut pending);
+                        continue;
+                    }
+                };
+                let slot = pending.partition_point(|&p| p < (at, seq));
+                pending.insert(slot, (at, seq));
+                seq += 1;
+            }
+            while !pending.is_empty() {
+                expect(&mut s, &mut pending);
+            }
+            prop_assert!(s.step().is_none());
+        }
     }
 }

@@ -39,8 +39,8 @@ pub struct NetStats {
     /// `exp_scale`'s events/sec metric.
     pub events_processed: u64,
     /// High-water mark of the scheduler queue (messages + timers
-    /// simultaneously pending) — the population the calendar queue must
-    /// keep O(1) at 100k+ peers.
+    /// simultaneously pending) — the traffic the scheduler is sized by
+    /// (DESIGN.md §10).
     pub peak_queue_depth: u64,
     /// Per-node (sent, received) message counts; indexed by node id.
     pub per_node: Vec<(u64, u64)>,

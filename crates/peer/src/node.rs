@@ -1276,6 +1276,31 @@ mod tests {
         assert_eq!(*entries[0], entry);
     }
 
+    /// A registration whose arity is not the namespace's touches
+    /// neither the catalog nor the journal, and so cannot block a
+    /// well-formed registration of the same server.
+    #[test]
+    fn registration_of_another_arity_is_dropped() {
+        use mqp_catalog::{DurableCatalog, MemDisk, SharedDisk};
+        use mqp_namespace::InterestArea;
+        let dir = directory(&["a", "b"]);
+        let disk = SharedDisk::new(MemDisk::new());
+        let mut p = Peer::new("a", ns());
+        p.enable_durability(DurableCatalog::new(disk.clone()));
+        let mut a = PeerNode::new(0, p, Arc::clone(&dir));
+        let wal = || disk.with(|d| d.wal_read().unwrap());
+        let before = wal();
+        let unary = CatalogEntry::base("b", InterestArea::parse(&[&["Oregon/Portland"]]));
+        assert_eq!(a.on_message(1, &Frame::Register(unary).encode(), 5), vec![]);
+        assert!(a.peer().catalog().entries().is_empty());
+        assert_eq!(wal(), before);
+        let entry = CatalogEntry::base("b", pdx_cds());
+        a.on_message(1, &Frame::Register(entry.clone()).encode(), 6);
+        assert_eq!(a.peer().catalog().entries().len(), 1);
+        assert_eq!(*a.peer().catalog().entries()[0], entry);
+        assert_ne!(wal(), before);
+    }
+
     /// A result payload that does not decode fails the query; it must
     /// not read as a successful answer with zero items.
     #[test]

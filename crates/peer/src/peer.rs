@@ -190,13 +190,19 @@ impl Peer {
     /// recording provenance in the trust book when the defense is armed.
     /// Returns the contested area key and its full claimant set when the
     /// registration leaves a base-level area with multiple claimants —
-    /// the trigger for a verification round.
+    /// the trigger for a verification round. An area whose arity is not
+    /// this peer's namespace's is dropped unregistered and unjournaled,
+    /// so it cannot claim the entry's arity ahead of a well-formed one.
     pub(crate) fn register_entry_from(
         &mut self,
         entry: CatalogEntry,
         registrar: u64,
         now: u64,
     ) -> Option<(String, Vec<ServerId>)> {
+        let arity = self.namespace.dimensions().len();
+        if entry.area.cells().iter().any(|c| c.arity() != arity) {
+            return None;
+        }
         let observed = self.defense && entry.level == Level::Base;
         let server = entry.server.clone();
         let area_key = mqp_namespace::urn::encode_area(&entry.area);
