@@ -1,25 +1,25 @@
-//! The in-process transport: [`mqp_net::threaded`]'s mpsc mesh under
-//! the shared [`host`](crate::host). Delivery is free, lossless and
-//! unbounded, so nothing ever queues and `flush` has nothing to do; a
-//! kill is modeled by discarding, at restart, whatever the inbox
-//! collected meanwhile.
+//! The in-process transport: every node holds the sender half of every
+//! worker's inbox under the shared [`host`](crate::host). Delivery is
+//! free, lossless, unbounded and instant, so nothing ever queues here,
+//! `flush` has nothing to do and `pump` nothing to move; a frame that
+//! reaches a killed peer is dropped by its worker.
 
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mqp_net::threaded::{mesh, Endpoint};
 use mqp_net::{NodeId, SocketStats};
 
-use crate::host::{Client, Cluster, Counters, Transport};
+use crate::host::{Client, Cluster, Counters, Event, Transport};
 use crate::node::RetryPolicy;
 use crate::peer::Peer;
-use crate::wire::Frame;
 
-/// One node's end of the mpsc mesh. Every frame it accepts counts as
-/// enqueued and sent at once, so the [`SocketStats`] identity holds
-/// here as on sockets.
+/// One node's end of the mesh. Every frame it delivers counts as
+/// enqueued, sent and received at once, so the [`SocketStats`] identity
+/// holds here as on sockets.
 pub struct Mesh {
-    endpoint: Endpoint,
+    me: NodeId,
+    inboxes: Arc<[Sender<Event>]>,
     stats: Arc<Counters>,
 }
 
@@ -27,35 +27,32 @@ impl Transport for Mesh {
     fn send(&mut self, to: NodeId, bytes: Vec<u8>) -> bool {
         let len = bytes.len() as u64;
         Counters::add(&self.stats.frames_enqueued, 1);
-        // A dropped endpoint is a worker that has exited.
-        if !self.endpoint.send(to, bytes) {
+        // No inbox: the front-end's node, or a worker that has exited.
+        let Some(Ok(())) = self
+            .inboxes
+            .get(to)
+            .map(|inbox| inbox.send(Event::Frame(self.me, bytes)))
+        else {
             Counters::add(&self.stats.dropped_disconnected, 1);
             return false;
-        }
+        };
         Counters::add(&self.stats.frames_sent, 1);
         Counters::add(&self.stats.bytes_sent, len);
+        Counters::add(&self.stats.frames_received, 1);
+        Counters::add(&self.stats.bytes_received, len);
         true
     }
 
-    fn recv(&mut self, wait: Duration) -> Option<(NodeId, Vec<u8>)> {
-        let envelope = self.endpoint.recv_timeout(wait)?;
-        Counters::add(&self.stats.frames_received, 1);
-        Counters::add(&self.stats.bytes_received, envelope.bytes() as u64);
-        Some((envelope.from, envelope.payload))
+    fn pump(&mut self) -> Duration {
+        Duration::MAX
     }
 
     fn flush(&mut self) -> bool {
         true
     }
-
-    fn go_down(&mut self) {}
-
-    fn come_up(&mut self) {
-        while self.endpoint.try_recv().is_some() {}
-    }
 }
 
-/// Peers on real OS threads, fully connected over the mpsc mesh.
+/// Peers on real OS threads, fully connected over in-process channels.
 pub type ThreadedCluster = Cluster<Mesh>;
 
 /// The front-end of a [`ThreadedCluster`].
@@ -75,18 +72,17 @@ impl Cluster<Mesh> {
         retry: Option<RetryPolicy>,
         service_delay: Duration,
     ) -> (ThreadedCluster, MqpClient) {
-        let mut endpoints = mesh(peers.len() + 1).into_iter();
-        Cluster::spawn(peers, retry, service_delay, |_, stats| Mesh {
-            endpoint: endpoints.next().expect("one endpoint per node"),
+        Cluster::spawn(peers, retry, service_delay, |me, stats, inboxes| Mesh {
+            me,
+            inboxes: Arc::clone(inboxes),
             stats,
         })
     }
 
     /// Stops every worker — each drains what is queued ahead of its
-    /// `stop` first — and joins the threads. Returns final stats.
-    pub fn shutdown(self, client: &MqpClient) -> SocketStats {
-        self.join(|i| {
-            client.transport.endpoint.send(i, Frame::Stop.encode());
-        })
+    /// stop first — and joins the threads. Returns final stats.
+    /// `_client` is not read: every submission is in an inbox already.
+    pub fn shutdown(self, _client: &MqpClient) -> SocketStats {
+        self.join()
     }
 }

@@ -2,8 +2,11 @@
 //! generic over a [`Transport`], plus the [`Cluster`] handle and the
 //! [`Client`] front-end every real driver shares (DESIGN.md §8).
 //!
-//! The host executes effects and decides nothing: acks the node emits
-//! travel as `ack` frames, retry deadlines bound the receive wait
+//! Every worker wakes through one inbox: transports deliver frames
+//! into it and the [`Cluster`] handle sends kill, restart and stop
+//! into it, so control takes effect in order with the frames around
+//! it. The host executes effects and decides nothing: acks the node
+//! emits travel as `ack` frames, retry deadlines bound the inbox wait
 //! against the wall clock, and completions reach the front-end over a
 //! results channel (driver plumbing, not peer traffic). A driver adds
 //! only a way to move frames: [`Mesh`](crate::cluster::Mesh) or
@@ -12,7 +15,7 @@
 use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -26,34 +29,46 @@ use crate::node::{Directory, Effect, PeerNode, RetryPolicy};
 use crate::peer::Peer;
 use crate::wire::Frame;
 
-/// Longest a worker waits for a frame before re-checking control.
-const IDLE_WAIT: Duration = Duration::from_millis(50);
-/// How long a stopping worker keeps serving after the last frame it
-/// processed (the shutdown drain window).
+/// How long a stopping worker keeps serving after the last event it
+/// took (the shutdown drain window).
 const DRAIN_QUIET: Duration = Duration::from_millis(50);
 
+/// What wakes a worker: a frame a transport delivered, or an operator
+/// action from the [`Cluster`] handle. One queue carries both, so each
+/// takes effect after everything queued ahead of it.
+pub(crate) enum Event {
+    /// Wire bytes and the node they came from.
+    Frame(NodeId, Vec<u8>),
+    Kill,
+    Restart,
+    Stop,
+}
+
 /// What a driver supplies: a way to move encoded wire frames between
-/// the nodes of one cluster. The host owns everything else — control,
-/// timers, effects, stop-drain, kill/restart.
+/// the nodes of one cluster, delivering each into its destination's
+/// inbox. The host owns everything else — control, timers, effects,
+/// stop-drain, kill/restart.
 pub trait Transport: Send + 'static {
     /// Hands one frame to the transport for node `to`; `false` when it
     /// was dropped on the spot. A lost frame is lost as on a real
     /// network: retry watches, if armed, recover it.
     fn send(&mut self, to: NodeId, bytes: Vec<u8>) -> bool;
 
-    /// The next delivered frame and its sender, waiting at most `wait`.
-    /// May come back empty sooner, never later.
-    fn recv(&mut self, wait: Duration) -> Option<(NodeId, Vec<u8>)>;
+    /// Moves what frames it can into the inbox, and says how long the
+    /// host may wait on the inbox before pumping again (`Duration::MAX`:
+    /// until an event arrives).
+    fn pump(&mut self) -> Duration;
 
     /// Gives frames still queued a bounded chance to leave and abandons
     /// the rest; `true` when none was abandoned.
     fn flush(&mut self) -> bool;
 
     /// Off the network: nothing arrives, what is queued is abandoned.
-    fn go_down(&mut self);
+    /// Frames already in the inbox are the host's to drop.
+    fn go_down(&mut self) {}
 
-    /// Back on the network. Frames addressed here while down are lost.
-    fn come_up(&mut self);
+    /// Back on the network.
+    fn come_up(&mut self) {}
 }
 
 /// The counter block behind [`SocketStats`]: one per cluster, shared.
@@ -97,13 +112,6 @@ impl Counters {
     }
 }
 
-/// Operator actions, delivered out of band of the frame transport.
-enum Ctl {
-    Kill,
-    Restart,
-    Stop,
-}
-
 /// What one worker thread owns: the protocol core and its surroundings.
 struct Worker<T> {
     node: PeerNode,
@@ -121,89 +129,79 @@ impl<T: Transport> Worker<T> {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// The worker loop: control, one receive bounded by the node's next
-    /// retry deadline, the frame's effects, expired watches.
-    fn run(mut self, ctl: Receiver<Ctl>) {
+    /// The worker loop: fire expired watches, take the next event — a
+    /// frame or an operator action — and apply its effects. Only an
+    /// empty inbox pumps the transport, then waits on the inbox for at
+    /// most what the transport asks, the node's next retry deadline and
+    /// what is left of the drain window.
+    fn run(mut self, inbox: Receiver<Event>) {
         let mut down = false;
-        // Once a stop is seen: when the last frame was done with.
+        // Once a stop is taken: when the last event was done with.
         let mut stopping: Option<Instant> = None;
         loop {
-            // Control first: a pending kill must take effect before the
-            // next frame.
-            loop {
-                match ctl.try_recv() {
-                    Ok(Ctl::Kill) => {
-                        self.transport.go_down();
-                        self.node.crash();
-                        down = true;
-                    }
-                    Ok(Ctl::Restart) if down => {
-                        self.transport.come_up();
-                        down = false;
-                        let effects = self.node.recover(self.now_us());
-                        self.apply(effects);
-                    }
-                    Ok(Ctl::Restart) => {}
-                    // With the cluster handle gone nothing can restart
-                    // or stop this worker, so that is a stop too.
-                    Ok(Ctl::Stop) | Err(TryRecvError::Disconnected) => {
-                        stopping.get_or_insert_with(Instant::now);
-                        break;
-                    }
-                    // A killed peer sleeps until control unparks it.
-                    // Parked, not blocked in `recv`: a first blocked
-                    // receiver makes the channel allocate its waiter
-                    // list — small, late, outliving the thread — which
-                    // pins the arena a recovered catalog lived in.
-                    Err(TryRecvError::Empty) if down => std::thread::park_timeout(IDLE_WAIT),
-                    Err(TryRecvError::Empty) => break,
-                }
-            }
-            if down {
-                return; // stopped while down: links died at the kill
-            }
-            let until_tick = match self.node.next_deadline() {
-                Some(d) => Duration::from_micros(d.saturating_sub(self.now_us())),
-                None => IDLE_WAIT,
-            };
-            let mut wait = until_tick.min(IDLE_WAIT);
-            if let Some(since) = stopping {
-                wait = wait.min(DRAIN_QUIET.saturating_sub(since.elapsed()));
-            }
-            match self.transport.recv(wait) {
-                Some((from, bytes)) => {
-                    match Frame::kind(&bytes) {
-                        // Not the end yet: frames behind the stop, and
-                        // the self-sends they cause, carry completions
-                        // the front-end is still owed.
-                        "stop" => stopping = Some(Instant::now()),
-                        kind => {
-                            if kind == "mqp" && !self.service_delay.is_zero() {
-                                std::thread::sleep(self.service_delay);
-                            }
-                            let effects = self.node.on_message(from, &bytes, self.now_us());
-                            self.apply(effects);
-                        }
-                    }
-                    // The quiet clock runs from the end of the work, so
-                    // a long evaluation never passes for silence.
-                    if let Some(since) = &mut stopping {
-                        *since = Instant::now();
-                    }
-                }
-                None if stopping.is_some_and(|since| since.elapsed() >= DRAIN_QUIET) => {
-                    self.transport.flush();
-                    self.transport.go_down();
-                    return;
-                }
-                None => {}
-            }
             let now = self.now_us();
-            if self.node.next_deadline().is_some_and(|d| d <= now) {
+            if !down && self.node.next_deadline().is_some_and(|d| d <= now) {
                 let effects = self.node.on_tick(now);
                 self.apply(effects);
             }
+            let next = if down {
+                // Off the network: no pump, no deadline, just the inbox.
+                inbox.recv().map_err(RecvTimeoutError::from)
+            } else if let Ok(event) = inbox.try_recv() {
+                Ok(event)
+            } else {
+                let mut wait = self.transport.pump();
+                if let Some(d) = self.node.next_deadline() {
+                    wait = wait.min(Duration::from_micros(d.saturating_sub(self.now_us())));
+                }
+                if let Some(since) = stopping {
+                    wait = wait.min(DRAIN_QUIET.saturating_sub(since.elapsed()));
+                }
+                inbox.recv_timeout(wait)
+            };
+            match next {
+                Ok(Event::Frame(from, bytes)) if !down => {
+                    if Frame::kind(&bytes) == "mqp" && !self.service_delay.is_zero() {
+                        std::thread::sleep(self.service_delay);
+                    }
+                    let effects = self.node.on_message(from, &bytes, self.now_us());
+                    self.apply(effects);
+                }
+                Ok(Event::Kill) if !down => {
+                    self.transport.go_down();
+                    self.node.crash();
+                    down = true;
+                }
+                Ok(Event::Restart) if down => {
+                    self.transport.come_up();
+                    down = false;
+                    let effects = self.node.recover(self.now_us());
+                    self.apply(effects);
+                }
+                Ok(Event::Stop) if down => return, // links died at the kill
+                // Not the end yet: frames behind the stop, and the
+                // self-sends they cause, carry completions the
+                // front-end is still owed.
+                Ok(Event::Stop) => stopping = Some(Instant::now()),
+                // A frame reaching a down peer is lost; a kill of a down
+                // peer or a restart of an up one changes nothing.
+                Ok(_) => {}
+                Err(RecvTimeoutError::Timeout) => match stopping {
+                    Some(since) if since.elapsed() >= DRAIN_QUIET => break,
+                    _ => continue,
+                },
+                // Every sender is gone: nothing can reach this worker.
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            // The quiet clock runs from the end of the work, so a long
+            // evaluation never passes for silence.
+            if let Some(since) = &mut stopping {
+                *since = Instant::now();
+            }
         }
+        // The drain is over.
+        self.transport.flush();
+        self.transport.go_down();
     }
 
     /// Executes a node's effects against the transport, in order.
@@ -231,7 +229,9 @@ impl<T: Transport> Worker<T> {
 /// A population of peers on real OS threads: one worker per peer, peer
 /// `i` at node `i`, and a [`Client`] front-end at node `n`.
 pub struct Cluster<T> {
-    workers: Vec<(Sender<Ctl>, JoinHandle<()>)>,
+    /// Worker `i`'s inbox is `inboxes[i]`.
+    inboxes: Arc<[Sender<Event>]>,
+    threads: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
     transport: PhantomData<fn() -> T>,
 }
@@ -239,52 +239,55 @@ pub struct Cluster<T> {
 impl<T: Transport> Cluster<T> {
     /// Spawns one worker per peer, and a client at node `n`, over what
     /// `transport` makes: called per node, on this thread, with the
-    /// counter block that node's traffic counts into.
+    /// counter block that node's traffic counts into and every worker's
+    /// inbox (node `i`'s at index `i`; the front-end has none).
     pub(crate) fn spawn(
         peers: Vec<Peer>,
         retry: Option<RetryPolicy>,
         service_delay: Duration,
-        mut transport: impl FnMut(NodeId, Arc<Counters>) -> T,
+        mut transport: impl FnMut(NodeId, Arc<Counters>, &Arc<[Sender<Event>]>) -> T,
     ) -> (Cluster<T>, Client<T>) {
         let n = peers.len();
         let directory = Arc::new(Directory::new(
             peers.iter().map(|p| p.id().clone()).collect(),
         ));
         let counters = Arc::new(Counters::default());
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let inboxes: Arc<[Sender<Event>]> = inboxes.into();
         let (tx, rx) = channel();
         let epoch = Instant::now();
-        let workers = peers
+        let threads = peers
             .into_iter()
+            .zip(receivers)
             .enumerate()
-            .map(|(i, peer)| {
+            .map(|(i, (peer, inbox))| {
                 let mut node = PeerNode::new(i, peer, Arc::clone(&directory));
                 node.set_retry(retry);
                 let worker = Worker {
                     node,
-                    transport: transport(i, Arc::clone(&counters)),
+                    transport: transport(i, Arc::clone(&counters), &inboxes),
                     outcomes: tx.clone(),
                     counters: Arc::clone(&counters),
                     epoch,
                     service_delay,
                 };
-                let (ctl_tx, ctl_rx) = channel();
-                let thread = std::thread::Builder::new()
+                std::thread::Builder::new()
                     .name(format!("mqp-peer-{i}"))
-                    .spawn(move || worker.run(ctl_rx))
-                    .expect("spawn worker");
-                (ctl_tx, thread)
+                    .spawn(move || worker.run(inbox))
+                    .expect("spawn worker")
             })
             .collect();
         // The front-end's frames are driver plumbing, not peer traffic:
         // they count into a block of their own, never the cluster's.
         let client = Client {
-            transport: transport(n, Arc::default()),
+            transport: transport(n, Arc::default(), &inboxes),
             outcomes: rx,
             next_qid: 0,
             seen: HashSet::new(),
         };
         let cluster = Cluster {
-            workers,
+            inboxes,
+            threads,
             counters,
             transport: PhantomData,
         };
@@ -292,13 +295,13 @@ impl<T: Transport> Cluster<T> {
     }
 
     /// Cuts peer `i` off the network: connections drop, queued frames
-    /// are abandoned, every frame sent to it while down is lost. A
+    /// are abandoned, every frame that reaches it while down is lost. A
     /// volatile `PeerNode` — store, catalog, watches — survives, like
     /// the simulator's `fail`; a durable one loses its memory (process
-    /// death) and keeps only what its disk carries. Asynchronous: the
-    /// worker notices before its next frame.
+    /// death) and keeps only what its disk carries. Asynchronous but in
+    /// order: frames already in its inbox are served, none behind.
     pub fn kill(&self, i: NodeId) {
-        self.tell(i, Ctl::Kill);
+        let _ = self.inboxes[i].send(Event::Kill);
     }
 
     /// Brings a killed peer back. A durable peer first recovers its
@@ -307,13 +310,7 @@ impl<T: Transport> Cluster<T> {
     /// leave like any other; watches that expired while down fire on
     /// the first tick after. A no-op if the peer is up.
     pub fn restart(&self, i: NodeId) {
-        self.tell(i, Ctl::Restart);
-    }
-
-    fn tell(&self, i: NodeId, ctl: Ctl) {
-        let (tx, thread) = &self.workers[i];
-        let _ = tx.send(ctl);
-        thread.thread().unpark(); // it sleeps parked while down
+        let _ = self.inboxes[i].send(Event::Restart);
     }
 
     /// Transport accounting so far.
@@ -321,19 +318,27 @@ impl<T: Transport> Cluster<T> {
         self.counters.snapshot()
     }
 
-    /// Stops every worker and joins the threads. `framed_stop(i)` sends
-    /// worker `i` a `stop` frame behind whatever the front-end sent it
-    /// before; the out-of-band stop is the backstop that also reaches
-    /// peers currently killed.
-    pub(crate) fn join(self, mut framed_stop: impl FnMut(NodeId)) -> SocketStats {
-        for i in 0..self.workers.len() {
-            framed_stop(i);
-            self.tell(i, Ctl::Stop);
-        }
-        for (_, thread) in self.workers {
+    /// Stops every worker — each stop queues behind the frames in its
+    /// inbox, the drain window covers those still on their way — and
+    /// joins the threads.
+    pub(crate) fn join(mut self) -> SocketStats {
+        let threads = std::mem::take(&mut self.threads);
+        let counters = Arc::clone(&self.counters);
+        drop(self); // sends the stops
+        for thread in threads {
             let _ = thread.join();
         }
-        self.counters.snapshot()
+        counters.snapshot()
+    }
+}
+
+/// A handle dropped without a shutdown still stops its workers: the
+/// transports hold inbox senders, so no inbox ever disconnects.
+impl<T> Drop for Cluster<T> {
+    fn drop(&mut self) {
+        for inbox in self.inboxes.iter() {
+            let _ = inbox.send(Event::Stop);
+        }
     }
 }
 
@@ -550,6 +555,29 @@ mod tests {
                     assert_eq!(done[0].qid, qid);
                     assert!(done[0].failure.is_none(), "{:?}", done[0].failure);
                     assert_eq!(done[0].items.len(), 2);
+                    let stats = cluster.shutdown(&mut client);
+                    assert!(stats.balances(0), "unbalanced: {stats:?}");
+                }
+
+                /// A kill wakes a waiting worker at once, so the query
+                /// right behind a recovery cycle meets the restarted
+                /// incarnation, never the dying one. No retry policy:
+                /// a query the dying one took and forwarded would be
+                /// abandoned with its links and never come back.
+                #[test]
+                fn kill_reaches_a_waiting_worker_at_once() {
+                    const META: NodeId = 1;
+                    let (cluster, mut client) = <$cluster>::new(world());
+                    for cycle in 0..20 {
+                        cluster.kill(META);
+                        std::thread::sleep(Duration::from_millis(30));
+                        cluster.restart(META);
+                        client.submit(0, &cheap_cds());
+                        let done = client.collect(1, Duration::from_secs(10));
+                        assert_eq!(done.len(), 1, "cycle {cycle}: query stranded");
+                        assert!(done[0].failure.is_none(), "{:?}", done[0].failure);
+                        assert_eq!(titles(&done[0]), ["A", "C"]);
+                    }
                     let stats = cluster.shutdown(&mut client);
                     assert!(stats.balances(0), "unbalanced: {stats:?}");
                 }

@@ -15,15 +15,16 @@
 //! * What runs it: [`SimHarness`] feeds `PeerNode`s from the `mqp-net`
 //!   discrete-event simulator (deterministic; the substrate for every
 //!   experiment in DESIGN.md §3), and the one wall-clock [`host`] —
-//!   a worker loop, an `Effect` executor, kill/restart/stop-drain, a
-//!   [`host::Cluster`] handle and a [`host::Client`] front-end with
-//!   many queries in flight — runs the identical nodes on real OS
-//!   threads over either of two [`host::Transport`]s:
-//!   [`ThreadedCluster`]/[`MqpClient`] on the `mqp_net::threaded` mpsc
-//!   mesh ([`cluster`]) and [`TcpCluster`]/[`TcpClient`] on real TCP
-//!   sockets ([`tcp`]: length-prefixed [`framing`], reconnecting links,
-//!   bounded write queues). `tests/equivalence.rs` pins all three to
-//!   identical outcomes.
+//!   a worker loop that takes frames, kills, restarts and stops from
+//!   one inbox, an `Effect` executor, stop-drain, a [`host::Cluster`]
+//!   handle and a [`host::Client`] front-end with many queries in
+//!   flight — runs the identical nodes on real OS threads over either
+//!   of two [`host::Transport`]s: [`ThreadedCluster`]/[`MqpClient`],
+//!   whose mesh sends straight into the workers' inboxes ([`cluster`]),
+//!   and [`TcpCluster`]/[`TcpClient`] on real TCP sockets ([`tcp`]:
+//!   length-prefixed [`framing`], reconnecting links, bounded write
+//!   queues). `tests/equivalence.rs` pins all three to identical
+//!   outcomes.
 //!
 //! Peer roles (§3.2) are configuration, not types: a peer with local
 //! collections is a *base server*; one with catalog entries it answers

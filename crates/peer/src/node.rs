@@ -457,9 +457,9 @@ impl PeerNode {
                 self.peer.set_rules(rules);
                 Vec::new()
             }
-            // Stop and hello are host-level (driver control and stream
-            // handshake); a node receiving either does nothing.
-            Frame::Stop | Frame::Hello { .. } => Vec::new(),
+            // Hello is the stream handshake, transport business; a node
+            // receiving one does nothing.
+            Frame::Hello { .. } => Vec::new(),
             Frame::Result(rf) => self.acked(from, Some(rf.qid), |n, fx| {
                 n.handle_result(rf, now, fx);
             }),

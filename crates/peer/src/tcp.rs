@@ -18,6 +18,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicU64;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -25,7 +26,7 @@ use mqp_catalog::ServerId;
 use mqp_net::{NodeId, Retrier, SocketStats};
 
 use crate::framing::{encode_frame, FrameDecoder};
-use crate::host::{Client, Cluster, Counters, Transport};
+use crate::host::{Client, Cluster, Counters, Event, Transport};
 use crate::node::RetryPolicy;
 use crate::peer::Peer;
 use crate::wire::Frame;
@@ -237,8 +238,8 @@ struct Inbound {
     from: Option<NodeId>,
 }
 
-/// One node's sockets: listener, accepted connections, outbound links,
-/// and the frames decoded but not yet handed to the host.
+/// One node's sockets: listener, accepted connections and outbound
+/// links, delivering what they decode into the node's inbox.
 pub struct Tcp {
     me: NodeId,
     addrs: AddrTable,
@@ -250,9 +251,9 @@ pub struct Tcp {
     listener: Option<TcpListener>,
     inbound: Vec<Inbound>,
     links: HashMap<NodeId, Link>,
-    /// Delivered frames in arrival order. Self-sends short-circuit into
-    /// here instead of dialing our own listener.
-    ready: VecDeque<(NodeId, Vec<u8>)>,
+    /// Where decoded frames go. Self-sends short-circuit into it
+    /// instead of dialing our own listener.
+    inbox: Sender<Event>,
     /// Consecutive polls that moved nothing.
     idle_streak: u64,
     /// Scratch for socket reads.
@@ -316,7 +317,9 @@ impl Tcp {
                                     break;
                                 }
                             },
-                            Some(from) => self.ready.push_back((from, payload)),
+                            Some(from) => {
+                                let _ = self.inbox.send(Event::Frame(from, payload));
+                            }
                         }
                     }
                     Ok(None) => break,
@@ -352,7 +355,9 @@ impl Transport for Tcp {
     fn send(&mut self, to: NodeId, bytes: Vec<u8>) -> bool {
         if to == self.me {
             Counters::add(&self.stats.frames_local, 1);
-            self.ready.push_back((to, bytes));
+            // Work for this node is progress: poll at full rate.
+            self.idle_streak = 0;
+            let _ = self.inbox.send(Event::Frame(to, bytes));
             return true;
         }
         let link = self
@@ -375,26 +380,21 @@ impl Transport for Tcp {
         true
     }
 
-    /// One poll step — flush links, accept, read — unless frames are
-    /// already waiting. A step that moved nothing sleeps (at most
-    /// `wait`) and comes back empty, so the host sees control as often
-    /// as it polls; the sleep ramps with the idle streak, so a soak's
-    /// worth of idle peers doesn't saturate a small machine with
-    /// kilohertz polling while a busy peer still spins at full speed.
-    fn recv(&mut self, wait: Duration) -> Option<(NodeId, Vec<u8>)> {
-        if self.ready.is_empty() {
-            let mut progressed = self.advance_links();
-            progressed |= self.accept_new();
-            progressed |= self.read_inbound();
-            if !progressed {
-                self.idle_streak += 1;
-                let nap = Duration::from_micros((500 * self.idle_streak).min(5_000));
-                std::thread::sleep(nap.min(wait));
-                return None;
-            }
+    /// One poll step — flush links, accept, read. A step that moved
+    /// nothing asks the host to wait before the next one, ramping with
+    /// the idle streak, so a soak's worth of idle peers doesn't
+    /// saturate a small machine with kilohertz polling while a busy
+    /// peer still spins at full speed.
+    fn pump(&mut self) -> Duration {
+        let mut progressed = self.advance_links();
+        progressed |= self.accept_new();
+        progressed |= self.read_inbound();
+        if progressed {
+            self.idle_streak = 0;
+            return Duration::ZERO;
         }
-        self.idle_streak = 0;
-        self.ready.pop_front()
+        self.idle_streak += 1;
+        Duration::from_micros((500 * self.idle_streak).min(5_000))
     }
 
     /// Pumps every link until its queue is empty, its destination is
@@ -429,7 +429,6 @@ impl Transport for Tcp {
         for (_, mut link) in self.links.drain() {
             link.abandon(&self.stats);
         }
-        self.ready.clear();
     }
 
     fn come_up(&mut self) {
@@ -463,7 +462,7 @@ impl Cluster<Tcp> {
         let mut ids: Vec<ServerId> = peers.iter().map(|p| p.id().clone()).collect();
         ids.push(ServerId::new(format!("front-end-{n}")));
         let addrs: AddrTable = Arc::new((0..=n).map(|_| Mutex::new(None)).collect());
-        Cluster::spawn(peers, cfg.retry, Duration::ZERO, |me, stats| {
+        Cluster::spawn(peers, cfg.retry, Duration::ZERO, |me, stats, inboxes| {
             let hello = Frame::Hello {
                 node: me,
                 id: ids[me].clone(),
@@ -477,7 +476,8 @@ impl Cluster<Tcp> {
                 listener: None,
                 inbound: Vec::new(),
                 links: HashMap::new(),
-                ready: VecDeque::new(),
+                // The front-end never listens: its inbox is a dead end.
+                inbox: inboxes.get(me).cloned().unwrap_or_else(|| channel().0),
                 idle_streak: 0,
                 buf: Box::new([0; 16384]),
             };
@@ -490,13 +490,11 @@ impl Cluster<Tcp> {
         })
     }
 
-    /// Stops every worker — framed `stop`s first, so each peer drains
-    /// the frames in flight ahead of them in order — and joins the
-    /// threads. Returns final stats.
-    pub fn shutdown(self, client: &mut TcpClient) -> SocketStats {
-        self.join(|i| {
-            client.send(i, &Frame::Stop);
-        })
+    /// Stops every worker — each drains the frames in flight ahead of
+    /// its stop — and joins the threads. Returns final stats.
+    /// `_client` is not read: its sends flushed before they returned.
+    pub fn shutdown(self, _client: &mut TcpClient) -> SocketStats {
+        self.join()
     }
 }
 
@@ -576,6 +574,51 @@ mod tests {
         drop(raw);
         let stats = cluster.shutdown(&mut client);
         assert!(stats.balances(0), "unbalanced: {stats:?}");
+    }
+
+    /// Stopping a peer is host control, never a frame. A stranger dials
+    /// the meta-index's listener, introduces itself as a peer and sends
+    /// the bytes `stop\n`: they do not decode, so the node drops them,
+    /// and the next query through it completes.
+    #[test]
+    fn stranger_stop_frame_leaves_the_peer_serving() {
+        const META: NodeId = 1;
+        let (cluster, mut client) = TcpCluster::new(world());
+        let addr = addr_slot(&client.transport.addrs, META).expect("meta listens");
+        let hello = Frame::Hello {
+            node: 3,
+            id: ServerId::new("seller-2"),
+        };
+        let mut raw = TcpStream::connect(addr).expect("dial meta");
+        for payload in [hello.encode(), b"stop\n".to_vec()] {
+            raw.write_all(&encode_frame(&payload)).expect("raw write");
+        }
+        std::thread::sleep(Duration::from_millis(300));
+
+        let qid = client.submit(0, &cheap_cds());
+        let done = client.collect(1, Duration::from_secs(5));
+        assert_eq!(done.len(), 1, "meta stopped serving");
+        assert_eq!(done[0].qid, qid);
+        assert_eq!(titles(&done[0]), ["A", "C"]);
+        drop(raw);
+        let stats = cluster.shutdown(&mut client);
+        assert!(stats.balances(0), "unbalanced: {stats:?}");
+    }
+
+    /// A cluster dropped without `shutdown` still stops its workers:
+    /// within seconds META has unpublished its address on the way out.
+    #[test]
+    fn dropped_cluster_stops_its_workers() {
+        const META: NodeId = 1;
+        let (cluster, client) = TcpCluster::new(world());
+        let addrs = Arc::clone(&client.transport.addrs);
+        assert!(addr_slot(&addrs, META).is_some(), "meta listens");
+        drop(cluster);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while addr_slot(&addrs, META).is_some() {
+            assert!(Instant::now() < deadline, "meta still serving");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     /// A hello naming a node outside the cluster cuts the connection.

@@ -96,8 +96,6 @@ pub enum Frame {
     /// Travels on every transport: policy distribution is
     /// catalog-style control traffic.
     Policy(RuleSet),
-    /// Front-end control: stop the receiving worker thread.
-    Stop,
     /// Connection handshake (stream transports only): the first frame
     /// on every new connection, announcing who is calling. Datagram-ish
     /// transports (the simulator, the threaded mesh) carry the sender
@@ -189,7 +187,6 @@ impl Frame {
             Frame::Policy(rules) => {
                 format!("policy {}\n{}", rules.rules.len(), rules.to_wire())
             }
-            Frame::Stop => "stop\n".to_owned(),
             Frame::Hello { node, id } => {
                 debug_assert!(!id.as_str().contains('\n'), "hello id must be single-line");
                 format!("hello {node}\n{}", id.as_str())
@@ -265,7 +262,6 @@ impl Frame {
             "policy" => RuleSet::from_wire(payload)
                 .map(Frame::Policy)
                 .map_err(|e| format!("bad policy frame: {e}")),
-            "stop" => Ok(Frame::Stop),
             "hello" => {
                 if tokens.len() < 2 {
                     return Err(format!("truncated hello header {header:?}"));
@@ -398,7 +394,6 @@ mod tests {
                 qid: QueryId::new(1),
                 plan: "<mqp><plan/></mqp>".to_owned(),
             },
-            Frame::Stop,
             Frame::Hello {
                 node: 42,
                 id: ServerId::new("seller-7"),
@@ -406,6 +401,8 @@ mod tests {
         ] {
             assert_eq!(Frame::decode(&f.encode()).unwrap(), f);
         }
+        // Stopping a worker is host control, never a frame.
+        assert!(Frame::decode(b"stop\n").is_err());
     }
 
     proptest::proptest! {
@@ -417,7 +414,7 @@ mod tests {
         ) {
             let _ = Frame::kind(&bytes);
             let _ = Frame::decode(&bytes);
-            for tag in ["mqp", "res", "reg", "ack", "sub", "policy", "stop", "hello"] {
+            for tag in ["mqp", "res", "reg", "ack", "sub", "policy", "hello"] {
                 let _ = Frame::decode(&[tag.as_bytes(), b" ", &bytes].concat());
             }
             assert!(Frame::decode(b"").is_err());
