@@ -63,7 +63,10 @@ fn escape(s: &str) -> String {
     out
 }
 
-fn quoted(s: &str) -> String {
+/// A string literal as the `mqp-lang` lexer reads it back: quoted,
+/// with backslash, quote, `\n`, `\r` and `\t` escaped. The policy
+/// renderer writes its strings through it too.
+pub fn quoted(s: &str) -> String {
     format!("\"{}\"", escape(s))
 }
 

@@ -305,9 +305,7 @@ fn run_policy(rows: &mut Vec<Vec<String>>) {
     let fast_text = committed("fast_fallback.mqpp", FAST_FALLBACK);
 
     // The compiled default is a behavioral no-op on Policy::current().
-    let default_rules = parse_policy(&default_text)
-        .expect("default policy compiles")
-        .rules;
+    let default_rules = parse_policy(&default_text).expect("default policy compiles");
     let base = Policy::current();
     let d = default_rules.decide(&base, &RuleCtx::default());
     assert_eq!(
@@ -316,9 +314,7 @@ fn run_policy(rows: &mut Vec<Vec<String>>) {
     );
     assert!(d.or_preference.is_none() && d.force.is_none() && d.route.is_none());
 
-    let fast_rules = parse_policy(&fast_text)
-        .expect("fast_fallback compiles")
-        .rules;
+    let fast_rules = parse_policy(&fast_text).expect("fast_fallback compiles");
 
     let peers = policy_world();
     let n = peers.len();

@@ -33,7 +33,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mqp_net::{DiskFaults, Retrier};
+use mqp_net::{splitmix64, DiskFaults, Retrier};
 
 use crate::entry::{parse_flag, CatalogEntry, ServerId};
 use crate::intension::IntensionalStatement;
@@ -434,13 +434,6 @@ impl Disk for NullDisk {
     }
 
     fn crash(&mut self) {}
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A [`MemDisk`] wrapped in seeded fault injection, configured by the

@@ -273,7 +273,9 @@ impl RuleSet {
         out
     }
 
-    /// Inverse of [`to_wire`](RuleSet::to_wire).
+    /// Inverse of [`to_wire`](RuleSet::to_wire). A line splits at its
+    /// first ` => `: no token holds whitespace, so a `=>` inside a role
+    /// glob or a route target stays in its token.
     pub fn from_wire(text: &str) -> Result<RuleSet, String> {
         let mut rules = Vec::new();
         for line in text.lines() {
@@ -282,8 +284,8 @@ impl RuleSet {
                 continue;
             }
             let (lhs, rhs) = line
-                .split_once("=>")
-                .ok_or_else(|| format!("rule line missing '=>': {line:?}"))?;
+                .split_once(" => ")
+                .ok_or_else(|| format!("rule line missing ' => ': {line:?}"))?;
             let conds = lhs
                 .split_whitespace()
                 .map(parse_cond_token)

@@ -35,7 +35,7 @@ pub mod query;
 
 pub use check::check_query;
 pub use diag::{Diagnostic, Span};
-pub use policy::{parse_policy, render_policy, CompiledPolicy};
+pub use policy::{parse_policy, render_policy};
 pub use query::{parse_query, CompiledQuery};
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 //! to `Policy::current()` is a no-op, which is what keeps golden traces
 //! byte-identical under the compiled default (tested below).
 
+use mqp_algebra::render::quoted;
 use mqp_catalog::{Preference, ServerId, TrustLevel};
 use mqp_core::{Cond, Rule, RuleAction, RuleSet};
 use mqp_namespace::Urn;
@@ -36,27 +37,18 @@ use mqp_namespace::Urn;
 use crate::cursor::Cursor;
 use crate::diag::Diagnostic;
 
-/// A compiled policy: its rule set.
-#[derive(Debug, Clone)]
-pub struct CompiledPolicy {
-    /// The compiled rules, ready for [`Processor::set_rules`] or a
-    /// `policy` wire frame.
-    ///
-    /// [`Processor::set_rules`]: mqp_core::Processor::set_rules
-    pub rules: RuleSet,
-}
-
-/// Compiles policy text. Returns the first error as a positioned
-/// diagnostic.
-pub fn parse_policy(src: &str) -> Result<CompiledPolicy, Diagnostic> {
+/// Compiles policy text to the rule set [`Processor::set_rules`] and
+/// the `policy` wire frame take. Returns the first error as a
+/// positioned diagnostic.
+///
+/// [`Processor::set_rules`]: mqp_core::Processor::set_rules
+pub fn parse_policy(src: &str) -> Result<RuleSet, Diagnostic> {
     let mut cur = Cursor::new(src)?;
     let mut rules = Vec::new();
     while !cur.at_eof() {
         rules.push(parse_line(&mut cur)?);
     }
-    Ok(CompiledPolicy {
-        rules: RuleSet::new(rules),
-    })
+    Ok(RuleSet::new(rules))
 }
 
 fn parse_line(cur: &mut Cursor) -> Result<Rule, Diagnostic> {
@@ -216,7 +208,8 @@ fn parse_action(cur: &mut Cursor) -> Result<RuleAction, Diagnostic> {
 /// [`parse_policy`] for any rule set the DSL can express (integral byte
 /// thresholds; property-tested in `crate::proptests`). Every rule
 /// renders in the explicit `when … then …` form, so rendering is also a
-/// fixed point of parse∘render.
+/// fixed point of parse∘render. Strings are written with the query
+/// renderer's escapes, so a glob holding `"` or `\` reads back.
 pub fn render_policy(rules: &RuleSet) -> String {
     let mut out = String::new();
     for rule in &rules.rules {
@@ -242,11 +235,11 @@ pub fn render_policy(rules: &RuleSet) -> String {
 fn render_cond(c: &Cond) -> String {
     match c {
         Cond::Always => "always".to_owned(),
-        Cond::AreaWithin(a) => format!("area within \"{}\"", Urn::area(a.clone())),
+        Cond::AreaWithin(a) => format!("area within {}", quoted(&Urn::area(a.clone()).to_string())),
         Cond::BytesOver(b) => format!("bytes over {}", *b as u64),
         Cond::BytesUnder(b) => format!("bytes under {}", *b as u64),
         Cond::StalenessOver(m) => format!("staleness over {m}min"),
-        Cond::RoleIs(glob) => format!("role is \"{glob}\""),
+        Cond::RoleIs(glob) => format!("role is {}", quoted(glob)),
         Cond::TrustBelow(l) => format!("trust-below {}", l.name()),
     }
 }
@@ -258,7 +251,7 @@ fn render_action(a: &RuleAction) -> String {
         RuleAction::DeferOver(b) => format!("defer over {}", *b as u64),
         RuleAction::ForceDefer => "defer".to_owned(),
         RuleAction::ForceEvaluate => "evaluate".to_owned(),
-        RuleAction::RouteVia(s) => format!("route via \"{s}\""),
+        RuleAction::RouteVia(s) => format!("route via {}", quoted(s.as_str())),
         RuleAction::Choose(p) => format!("choose {}", render_preference(p)),
         RuleAction::Quarantine => "quarantine".to_owned(),
         RuleAction::Verify => "verify".to_owned(),
@@ -298,7 +291,7 @@ mod tests {
             ("default current\ndefer over 64kb", Policy::current()),
             ("default fast", Policy::fast()),
         ] {
-            let rules = parse_policy(text).unwrap().rules;
+            let rules = parse_policy(text).unwrap();
             let decision = rules.decide(&base, &RuleCtx::default());
             assert_eq!(decision.policy, base);
             assert_eq!(decision.or_preference, None);
@@ -318,7 +311,7 @@ mod tests {
              when role is \"seller-*\" then route via \"idx-pdx\", choose fast",
         )
         .unwrap();
-        let rules = &p.rules.rules;
+        let rules = &p.rules;
         assert_eq!(rules.len(), 4);
         assert_eq!(rules[0].actions, vec![RuleAction::Prefer(Preference::Fast)]);
         assert_eq!(rules[1].actions, vec![RuleAction::Within(120)]);
@@ -333,18 +326,15 @@ mod tests {
             ]
         );
         // Compiled rules survive the wire codec (how hot-reload ships them).
-        assert_eq!(RuleSet::from_wire(&p.rules.to_wire()).unwrap(), p.rules);
+        assert_eq!(RuleSet::from_wire(&p.to_wire()).unwrap(), p);
     }
 
     #[test]
     fn bare_defer_vs_defer_over_disambiguate() {
         let p = parse_policy("when bytes over 1kb then defer\nwhen always then defer over 2kb")
             .unwrap();
-        assert_eq!(p.rules.rules[0].actions, vec![RuleAction::ForceDefer]);
-        assert_eq!(
-            p.rules.rules[1].actions,
-            vec![RuleAction::DeferOver(2048.0)]
-        );
+        assert_eq!(p.rules[0].actions, vec![RuleAction::ForceDefer]);
+        assert_eq!(p.rules[1].actions, vec![RuleAction::DeferOver(2048.0)]);
     }
 
     #[test]
@@ -354,7 +344,7 @@ mod tests {
              when trust-below quarantined and role is \"meta\" then quarantine, defer",
         )
         .unwrap();
-        let rules = &p.rules.rules;
+        let rules = &p.rules;
         assert_eq!(
             rules[0].conds,
             vec![Cond::TrustBelow(mqp_catalog::TrustLevel::Probation)]
@@ -369,12 +359,9 @@ mod tests {
             vec![RuleAction::Quarantine, RuleAction::ForceDefer]
         );
         // Hot-reload ships compiled rules over the wire intact.
-        assert_eq!(RuleSet::from_wire(&p.rules.to_wire()).unwrap(), p.rules);
+        assert_eq!(RuleSet::from_wire(&p.to_wire()).unwrap(), p);
         // And the renderer inverts the compiler.
-        assert_eq!(
-            parse_policy(&render_policy(&p.rules)).unwrap().rules,
-            p.rules
-        );
+        assert_eq!(parse_policy(&render_policy(&p)).unwrap(), p);
 
         let err = parse_policy("when trust-below sideways then verify").unwrap_err();
         assert!(err.message.contains("unknown trust level"), "{err}");

@@ -1,10 +1,9 @@
-//! The query compiler: pipeline text → [`Plan`] (+ optional §4.3
-//! preference [`Policy`]).
+//! The query compiler: pipeline text → [`Plan`].
 //!
 //! Grammar (see DESIGN.md §13 for the full EBNF):
 //!
 //! ```text
-//! query    := pipeline clause*
+//! query    := pipeline
 //! pipeline := head ( "|" stage )*
 //! head     := "urn" STR meta?
 //!           | "url" STR ("collection" STR)? meta?
@@ -15,7 +14,6 @@
 //! alt      := pipeline ("stale" NUM)?
 //! stage    := "select" STR | "project" STR+ | "topn" NUM "by" STR ("asc"|"desc")
 //!           | "agg" WORD ("of" STR)? | "display" "to" STR
-//! clause   := "prefer" ("current"|"fast") | "within" DUR | "defer" "over" SIZE
 //! meta     := "@" "(" (key "=" STR),* ")"
 //! ```
 //!
@@ -30,8 +28,6 @@ use std::collections::HashMap;
 
 use mqp_algebra::plan::{Annotations, JoinCond, OrAlt, Plan, UrlRef, UrnRef};
 use mqp_algebra::predicate::{AggFunc, Predicate};
-use mqp_catalog::Preference;
-use mqp_core::Policy;
 use mqp_namespace::Urn;
 use mqp_xml::canon::MAX_DEPTH;
 use mqp_xml::xpath::Path;
@@ -49,16 +45,12 @@ type SpanMap = HashMap<Vec<usize>, Vec<Span>>;
 /// [`SpanMap`] is built once in [`parse_query`] by reversing each key.
 type SpanAcc = Vec<(Vec<usize>, Vec<Span>)>;
 
-/// A compiled query: the plan, the optional preference-clause policy,
-/// and enough source context to keep producing positioned diagnostics
-/// during the check pass.
+/// A compiled query: the plan and enough source context to keep
+/// producing positioned diagnostics during the check pass.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The compiled plan.
     pub plan: Plan,
-    /// Policy from trailing `prefer` / `within` / `defer over` clauses;
-    /// `None` when the query has none (use the server's own policy).
-    pub policy: Option<Policy>,
     src: String,
     spans: SpanMap,
 }
@@ -83,7 +75,6 @@ impl CompiledQuery {
 pub fn parse_query(src: &str) -> Result<CompiledQuery, Diagnostic> {
     let mut cur = Cursor::new(src)?;
     let (plan, acc) = parse_pipeline(&mut cur, 0)?;
-    let policy = parse_clauses(&mut cur)?;
     cur.expect_eof()?;
     let spans = acc
         .into_iter()
@@ -94,7 +85,6 @@ pub fn parse_query(src: &str) -> Result<CompiledQuery, Diagnostic> {
         .collect();
     Ok(CompiledQuery {
         plan,
-        policy,
         src: src.to_owned(),
         spans,
     })
@@ -377,38 +367,6 @@ fn parse_meta(cur: &mut Cursor) -> Result<Annotations, Diagnostic> {
     Ok(meta)
 }
 
-/// Trailing §4.3 preference clauses. Order-insensitive; later clauses
-/// override earlier ones; `None` when there are no clauses at all.
-fn parse_clauses(cur: &mut Cursor) -> Result<Option<Policy>, Diagnostic> {
-    let mut policy: Option<Policy> = None;
-    loop {
-        if cur.eat_word("prefer") {
-            let (which, span) = cur.expect_word("`current` or `fast` after `prefer`")?;
-            let pref = match which.as_str() {
-                "current" => Preference::Current,
-                "fast" => Preference::Fast,
-                other => {
-                    return Err(Diagnostic::at(
-                        cur.src(),
-                        span,
-                        format!("unknown preference `{other}` (expected `current` or `fast`)"),
-                    ));
-                }
-            };
-            policy.get_or_insert_with(Policy::current).preference = pref;
-        } else if cur.eat_word("within") {
-            let (minutes, _) = cur.expect_duration()?;
-            policy.get_or_insert_with(Policy::current).max_staleness = Some(minutes);
-        } else if cur.eat_word("defer") {
-            cur.expect_keyword("over")?;
-            let (bytes, _) = cur.expect_size()?;
-            policy.get_or_insert_with(Policy::current).defer_bytes = bytes;
-        } else {
-            return Ok(policy);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,7 +387,6 @@ mod tests {
             ),
         );
         assert_eq!(q.plan, expected);
-        assert!(q.policy.is_none());
     }
 
     #[test]
@@ -439,19 +396,6 @@ mod tests {
         let q = parse_query(text).unwrap();
         assert_eq!(q.plan.render(), text);
         assert_eq!(parse_query(&q.plan.render()).unwrap().plan, q.plan);
-    }
-
-    #[test]
-    fn preference_clauses_build_a_policy() {
-        let q = parse_query("urn \"urn:X:y\" prefer fast within 30min defer over 4kb").unwrap();
-        let p = q.policy.unwrap();
-        assert_eq!(p.preference, Preference::Fast);
-        assert_eq!(p.max_staleness, Some(30));
-        assert_eq!(p.defer_bytes, 4096.0);
-
-        let q = parse_query("urn \"urn:X:y\" within 2h").unwrap();
-        assert_eq!(q.policy.unwrap().max_staleness, Some(120));
-        assert_eq!(q.policy.unwrap().preference, Preference::Current);
     }
 
     #[test]

@@ -123,3 +123,14 @@ fn policy_bad_duration() {
         "error: bad duration `3fortnights` (expected e.g. `30min` or `2h`)\n  --> line 2, column 8\n   |\n 2 | within 3fortnights\n   |        ^^^^^^^^^^^"
     );
 }
+
+/// A query is a pipeline and nothing after it: preference belongs to
+/// the policy DSL, so a trailing `prefer` is refused where it starts
+/// instead of being compiled and ignored.
+#[test]
+fn trailing_preference_clause() {
+    assert_eq!(
+        query_diag("urn \"urn:X:y\" prefer fast"),
+        "error: unexpected trailing input\n  --> line 1, column 15\n   |\n 1 | urn \"urn:X:y\" prefer fast\n   |               ^^^^^^"
+    );
+}

@@ -22,9 +22,10 @@ pub(crate) struct Backoff {
     attempt: u32,
 }
 
-/// splitmix64 — the same tiny generator the scale workload uses for
-/// pure-hash assignment; good enough to decorrelate reconnect times.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64: a pure 64-bit mixer (Steele, Lea & Flood, OOPSLA '14).
+/// The one copy every seeded draw in the workspace uses — reconnect
+/// jitter here, disk-fault draws, the scale world's hash assignment.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -44,7 +44,7 @@ pub mod stats;
 pub mod threaded;
 pub mod topology;
 
-pub use backoff::{Retrier, SocketStats};
+pub use backoff::{splitmix64, Retrier, SocketStats};
 pub use fault::{ChurnEvent, DiskFaults, FaultPlan};
 pub use sim::{Delivery, NodeId, SimNet};
 pub use stats::NetStats;

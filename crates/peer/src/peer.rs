@@ -283,17 +283,6 @@ impl Peer {
             return;
         }
         for q in book.quarantined() {
-            // Cheap read-only check first: `plan_mut` invalidates the
-            // MQP's cached wire form, so only touch it when the plan
-            // actually references the quarantined server.
-            let referenced = mqp
-                .plan()
-                .urls()
-                .iter()
-                .any(|u| ServerId::from_url(&u.href).is_some_and(|h| h == q));
-            if !referenced {
-                continue;
-            }
             let n = mqp_core::rewrite::prune_server_alternatives(mqp.plan_mut(), &q);
             if n > 0 {
                 mqp.record(VisitRecord {

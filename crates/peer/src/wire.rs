@@ -373,6 +373,14 @@ mod tests {
                 vec![Cond::AreaWithin(area()), Cond::BytesOver(4096.0)],
                 vec![RuleAction::ForceDefer],
             ),
+            // `=>` inside a glob or a route target is not the separator.
+            Rule::new(
+                vec![Cond::RoleIs("a=>b".to_owned())],
+                vec![
+                    RuleAction::ForceDefer,
+                    RuleAction::RouteVia(ServerId::new("s=>t")),
+                ],
+            ),
         ]);
         let f = Frame::Policy(rules);
         let bytes = f.encode();

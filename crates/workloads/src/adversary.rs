@@ -1,5 +1,5 @@
 //! The adversarial registration-churn world (DESIGN.md §14, experiment
-//! E16): the lazy scale federation of [`scale`](crate::scale) with an
+//! E16): the lazy scale federation of [`scale`] with an
 //! attacker population layered on top.
 //!
 //! Three adversary classes, all seeded and deterministic:
@@ -21,21 +21,21 @@
 //! Node layout: `client`(0), `meta`(1), `city-<k>` index servers
 //! (2..2+C, the defense verifiers), then the named attacker head
 //! (`hijack-<cell>` / `mirror-<cell>`), then the scheme-named seller
-//! tail — so ten-thousand-seller worlds stay O(touched peers).
+//! tail — so ten-thousand-seller worlds stay O(touched peers). Every
+//! node outside the attacker head is built by the scale world's own
+//! peer builder (shifted past the head for sellers), so the federation
+//! under attack is the §10 scale world peer for peer.
 
 use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrnRef};
 use mqp_catalog::{CatalogEntry, ServerId};
-use mqp_namespace::{Cell, InterestArea, Urn};
-use mqp_net::{NodeId, Topology};
-use mqp_peer::{Directory, Peer, SimHarness};
+use mqp_namespace::Urn;
+use mqp_net::NodeId;
+use mqp_peer::{Peer, SimHarness};
 use mqp_xml::Element;
 
-use crate::scale::{namespace, CATEGORIES};
-
-/// Average sellers per city when [`AdversaryConfig::cities`] is auto.
-const SELLERS_PER_CITY: usize = 16;
+use crate::scale::{self, cell_area, mix, CATEGORIES};
 
 /// Every `FLAP_EVERY`-th hijacker keeps flapping after the second
 /// strike.
@@ -142,39 +142,6 @@ pub struct AdversaryWorld {
     pub(crate) contested: Vec<CellPlan>,
     /// Hard-negative cells: mirrored, never hijacked.
     pub(crate) mirrored: Vec<CellPlan>,
-}
-
-/// SplitMix64 (same construction as the scale world's).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn mix(seed: u64, stream: u64, s: u64) -> u64 {
-    splitmix64(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F) ^ splitmix64(s))
-}
-
-fn city_name(k: usize) -> String {
-    format!("C{k}")
-}
-
-fn cell_area(city: usize, category: usize) -> InterestArea {
-    InterestArea::of(Cell::parse([
-        city_name(city).as_str(),
-        CATEGORIES[category],
-    ]))
-}
-
-/// One honest seller's single item.
-fn honest_item(seed: u64, s: usize, category: &str) -> Element {
-    let cents = 100 + mix(seed, 3, s as u64) % 19_900;
-    Element::new("item")
-        .child(Element::new("name").text(format!("lot-{s}")))
-        .child(Element::new("seller").text(format!("seller-{s}")))
-        .child(Element::new("category").text(category))
-        .child(Element::new("price").text(format!("{}.{:02}", cents / 100, cents % 100)))
 }
 
 /// A hijacker's forged inventory for a cell: wrong items, wrong
@@ -361,25 +328,19 @@ impl AdversaryWorld {
 
 /// Builds the world. One O(sellers) pass assigns roles and picks
 /// contested/mirrored cells; every peer then waits for first touch.
+/// Honest peers come from the scale world's builder, so the federation
+/// under the attackers is the §10 scale world itself.
 pub fn build(config: AdversaryConfig) -> AdversaryWorld {
-    let cities = if config.cities > 0 {
-        config.cities
-    } else {
-        (config.sellers / SELLERS_PER_CITY).max(1)
-    };
     let sellers = config.sellers;
     let seed = config.seed;
+    let cities = scale::resolve_cities(sellers, config.cities);
     let ncat = CATEGORIES.len();
-    let ns = Arc::new(namespace(cities));
-
-    let city_of = move |s: usize| (mix(seed, 1, s as u64) % cities as u64) as usize;
-    let cat_of = move |s: usize| (mix(seed, 2, s as u64) % ncat as u64) as usize;
 
     // Ground truth: holders per cell, then the seeded contested /
     // hard-negative choice over populated cells.
     let mut holders: Vec<Vec<usize>> = vec![Vec::new(); cities * ncat];
     for s in 0..sellers {
-        holders[city_of(s) * ncat + cat_of(s)].push(s);
+        holders[scale::city_of(seed, cities, s) * ncat + scale::category_of(seed, s)].push(s);
     }
     let threshold = (config.hijacker_fraction * 1_000_000.0) as u64;
     let mut contested_cells = Vec::new();
@@ -396,19 +357,17 @@ pub fn build(config: AdversaryConfig) -> AdversaryWorld {
         }
     }
 
-    // Directory: named head (client, meta, cities, attackers), seller
-    // tail. Attacker node ids are fixed by push order.
-    let mut named: Vec<ServerId> = vec!["client".into(), "meta".into()];
-    for k in 0..cities {
-        named.push(format!("city-{k}").into());
-    }
+    // The attacker head sits between the city servers and the seller
+    // tail; attacker node ids are fixed by push order.
+    let first = 2 + cities;
+    let mut attackers: Vec<ServerId> = Vec::new();
     let mut contested = Vec::new();
     let mut mirrored = Vec::new();
     for &cell in &contested_cells {
-        let hijack_node = named.len();
-        named.push(format!("hijack-{cell}").into());
-        let mirror_node = named.len();
-        named.push(format!("mirror-{cell}").into());
+        let hijack_node = first + attackers.len();
+        attackers.push(format!("hijack-{cell}").into());
+        let mirror_node = first + attackers.len();
+        attackers.push(format!("mirror-{cell}").into());
         contested.push(CellPlan {
             cell,
             city: cell / ncat,
@@ -419,8 +378,8 @@ pub fn build(config: AdversaryConfig) -> AdversaryWorld {
         });
     }
     for &cell in &mirrored_cells {
-        let mirror_node = named.len();
-        named.push(format!("mirror-{cell}").into());
+        let mirror_node = first + attackers.len();
+        attackers.push(format!("mirror-{cell}").into());
         mirrored.push(CellPlan {
             cell,
             city: cell / ncat,
@@ -430,9 +389,8 @@ pub fn build(config: AdversaryConfig) -> AdversaryWorld {
             mirror: mirror_node,
         });
     }
-    let head = named.len();
-    let directory = Directory::with_generated_tail(named, "seller-", sellers);
-    let n = directory.len();
+    let head = first + attackers.len();
+    let directory = scale::directory(cities, attackers, sellers);
 
     // Role lookup for the factory: node → (cell, is_hijacker).
     let mut attacker_role: Vec<(NodeId, usize, bool)> = Vec::new();
@@ -446,82 +404,43 @@ pub fn build(config: AdversaryConfig) -> AdversaryWorld {
     attacker_role.sort_unstable();
     let defense = config.defense;
 
-    let factory_ns = ns;
-    let mut residents: Option<Vec<Vec<u32>>> = None;
+    let ns = Arc::new(scale::namespace(cities));
+    let mut honest = scale::peers(sellers, cities, seed);
     let factory = move |node: NodeId| -> Peer {
-        let ns = Arc::clone(&factory_ns);
-        match node {
-            0 => Peer::new("client", ns).with_default_route("meta"),
-            1 => {
-                let mut p = Peer::new("meta", ns);
-                for k in 0..cities {
-                    p.catalog_mut().register(
-                        CatalogEntry::index(
-                            format!("city-{k}"),
-                            InterestArea::of(Cell::parse([city_name(k).as_str(), "*"])),
-                        )
-                        .authoritative(),
-                    );
-                }
-                p
+        if node < first {
+            // Seed registrations never read the trust book, so arming
+            // the defense after them builds the same city server.
+            let mut p = honest(node);
+            if defense && node >= 2 {
+                p.enable_defense();
             }
-            _ if node < 2 + cities => {
-                let k = node - 2;
-                let map = residents.get_or_insert_with(|| {
-                    let mut map = vec![Vec::new(); cities];
-                    for s in 0..sellers {
-                        map[city_of(s)].push(s as u32);
-                    }
-                    map
-                });
-                let mut p = Peer::new(format!("city-{k}"), ns);
-                if defense {
-                    p.enable_defense();
-                }
-                for &s in &map[k] {
-                    let s = s as usize;
-                    p.catalog_mut().register(CatalogEntry::base(
-                        format!("seller-{s}"),
-                        cell_area(k, cat_of(s)),
-                    ));
-                }
-                p
-            }
-            _ if node < head => {
-                let i = attacker_role
-                    .binary_search_by_key(&node, |&(n, _, _)| n)
-                    .expect("attacker node has a role");
-                let (_, cell, is_hijacker) = attacker_role[i];
-                let (city, cat) = (cell / ncat, cell % ncat);
-                let area = cell_area(city, cat);
-                if is_hijacker {
-                    let mut p = Peer::new(format!("hijack-{cell}"), ns);
-                    p.add_collection("loot", area, poison_items(seed, cell, CATEGORIES[cat]));
-                    p
-                } else {
-                    // Exact copy of the cell's first holder: the honest
-                    // mirror answers every probe like the original.
-                    let mut p = Peer::new(format!("mirror-{cell}"), ns);
-                    let s = *holders[cell].first().expect("mirrored cells are populated");
-                    p.add_collection("copy", area, [honest_item(seed, s, CATEGORIES[cat])]);
-                    p
-                }
-            }
-            _ => {
-                let s = node - head;
-                let (k, c) = (city_of(s), cat_of(s));
-                let mut p = Peer::new(format!("seller-{s}"), ns);
-                p.add_collection(
-                    "lot",
-                    cell_area(k, c),
-                    [honest_item(seed, s, CATEGORIES[c])],
-                );
-                p
-            }
+            return p;
+        }
+        if node >= head {
+            return honest(node - (head - first));
+        }
+        let i = attacker_role
+            .binary_search_by_key(&node, |&(n, _, _)| n)
+            .expect("attacker node has a role");
+        let (_, cell, is_hijacker) = attacker_role[i];
+        let (city, cat) = (cell / ncat, cell % ncat);
+        let area = cell_area(city, cat);
+        let ns = Arc::clone(&ns);
+        if is_hijacker {
+            let mut p = Peer::new(format!("hijack-{cell}"), ns);
+            p.add_collection("loot", area, poison_items(seed, cell, CATEGORIES[cat]));
+            p
+        } else {
+            // Exact copy of the cell's first holder: the honest
+            // mirror answers every probe like the original.
+            let mut p = Peer::new(format!("mirror-{cell}"), ns);
+            let s = *holders[cell].first().expect("mirrored cells are populated");
+            p.add_collection("copy", area, [scale::item(seed, s, CATEGORIES[cat])]);
+            p
         }
     };
 
-    let topology = Topology::clustered(n, cities.min(n), 1_000, 40_000).with_bandwidth(100.0);
+    let topology = scale::topology(&directory, cities);
     AdversaryWorld {
         harness: SimHarness::lazy(topology, directory, factory),
         client: 0,
@@ -556,6 +475,43 @@ mod tests {
         assert_eq!(a.harness.len(), b.harness.len());
         // Ground truth needs no peers.
         assert_eq!(a.harness.materialized(), 0);
+    }
+
+    #[test]
+    fn honest_peers_are_the_scale_worlds() {
+        let plain_cfg = AdversaryConfig {
+            hijacker_fraction: 0.0,
+            defense: false,
+            ..small()
+        };
+        let mut plain = build(plain_cfg);
+        let mut attacked = build(small());
+        let mut sw = scale::build(scale::ScaleConfig {
+            sellers: plain_cfg.sellers,
+            cities: plain_cfg.cities,
+            seed: plain_cfg.seed,
+        });
+        assert!(plain.contested.is_empty() && plain.mirrored.is_empty());
+        assert_eq!(plain.harness.len(), sw.harness.len());
+        assert!(attacked.harness.len() > sw.harness.len());
+
+        fn same(w: &mut AdversaryWorld, node: NodeId, sw: &mut scale::ScaleWorld, at: NodeId) {
+            let (a, b) = (w.harness.peer_mut(node), sw.harness.peer_mut(at));
+            assert_eq!(a.base_entry(), b.base_entry(), "node {node}");
+            assert_eq!(a.catalog().entries(), b.catalog().entries(), "node {node}");
+        }
+        // Client, meta and every city server sit at the same node ids;
+        // sellers sit after the attacker head, if there is one.
+        for node in 0..2 + sw.cities {
+            same(&mut plain, node, &mut sw, node);
+            same(&mut attacked, node, &mut sw, node);
+        }
+        for s in (0..plain_cfg.sellers).step_by(16) {
+            let at = sw.seller_node(s);
+            let (p, a) = (plain.seller_node(s), attacked.seller_node(s));
+            same(&mut plain, p, &mut sw, at);
+            same(&mut attacked, a, &mut sw, at);
+        }
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! A fourth generator, [`adversary`], layers seeded attacker
 //! populations (binding hijackers, registration flappers, honest
 //! mirrors) over the [`scale`] federation to exercise the multi-origin
-//! binding defense (DESIGN.md §14, experiment E16).
+//! binding defense (DESIGN.md §14, experiment E16): its honest peers
+//! come from the scale world's own per-node builder, wrapped, not
+//! copied.
 
 pub mod adversary;
 pub mod cd;

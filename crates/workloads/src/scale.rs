@@ -28,23 +28,13 @@
 use std::sync::Arc;
 
 use mqp_algebra::plan::{Plan, UrnRef};
-use mqp_catalog::CatalogEntry;
+use mqp_catalog::{CatalogEntry, ServerId};
 use mqp_namespace::{Cell, Hierarchy, InterestArea, Namespace, Urn};
-use mqp_net::{NodeId, Topology};
+use mqp_net::{splitmix64, NodeId, Topology};
 use mqp_peer::{Directory, Peer, SimHarness};
 use mqp_xml::Element;
 
-/// Leaf merchandise categories (same taxonomy as the garage world).
-pub const CATEGORIES: [&str; 8] = [
-    "Furniture/Chairs",
-    "Furniture/Tables",
-    "Electronics/TV",
-    "Electronics/VCR",
-    "Music/CDs",
-    "Music/Vinyl",
-    "SportingGoods/GolfClubs",
-    "Books/Paperbacks",
-];
+pub use crate::garage::CATEGORIES;
 
 /// Average sellers per city when [`ScaleConfig::cities`] is auto.
 const SELLERS_PER_CITY: usize = 16;
@@ -84,16 +74,10 @@ pub struct ScaleWorld {
     seed: u64,
 }
 
-/// SplitMix64: the world's only source of randomness. A pure function
-/// of its input, so ground truth never needs an RNG state.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn mix(seed: u64, stream: u64, s: u64) -> u64 {
+/// Stream `stream` of the world's hash for input `s`: SplitMix64 is the
+/// world's only source of randomness, so ground truth never needs an
+/// RNG state.
+pub(crate) fn mix(seed: u64, stream: u64, s: u64) -> u64 {
     splitmix64(seed ^ stream.wrapping_mul(0xA076_1D64_78BD_642F) ^ splitmix64(s))
 }
 
@@ -111,16 +95,34 @@ pub fn namespace(cities: usize) -> Namespace {
     Namespace::new([location, Hierarchy::new("Merchandise").with(CATEGORIES)])
 }
 
-impl ScaleWorld {
-    /// Resolved city count for a config.
-    fn resolve_cities(config: &ScaleConfig) -> usize {
-        if config.cities > 0 {
-            config.cities
-        } else {
-            (config.sellers / SELLERS_PER_CITY).max(1)
-        }
+/// Resolved city count: `cities`, or one per 16 sellers when it is `0`.
+pub(crate) fn resolve_cities(sellers: usize, cities: usize) -> usize {
+    if cities > 0 {
+        cities
+    } else {
+        (sellers / SELLERS_PER_CITY).max(1)
     }
+}
 
+/// The city seller `s` lives in (hash-assigned).
+pub(crate) fn city_of(seed: u64, cities: usize, s: usize) -> usize {
+    (mix(seed, 1, s as u64) % cities as u64) as usize
+}
+
+/// The category seller `s` sells (hash-assigned).
+pub(crate) fn category_of(seed: u64, s: usize) -> usize {
+    (mix(seed, 2, s as u64) % CATEGORIES.len() as u64) as usize
+}
+
+/// The interest area for one (city × category) cell.
+pub(crate) fn cell_area(city: usize, category: usize) -> InterestArea {
+    InterestArea::of(Cell::parse([
+        city_name(city).as_str(),
+        CATEGORIES[category],
+    ]))
+}
+
+impl ScaleWorld {
     /// The node hosting seller `s`.
     pub fn seller_node(&self, s: usize) -> NodeId {
         2 + self.cities + s
@@ -128,25 +130,17 @@ impl ScaleWorld {
 
     /// The city seller `s` lives in (hash-assigned).
     pub fn seller_city(&self, s: usize) -> usize {
-        (mix(self.seed, 1, s as u64) % self.cities as u64) as usize
+        city_of(self.seed, self.cities, s)
     }
 
     /// The category seller `s` sells (hash-assigned).
     pub fn seller_category(&self, s: usize) -> usize {
-        (mix(self.seed, 2, s as u64) % CATEGORIES.len() as u64) as usize
-    }
-
-    /// The interest area for one (city × category) cell.
-    pub(crate) fn area(&self, city: usize, category: usize) -> InterestArea {
-        InterestArea::of(Cell::parse([
-            city_name(city).as_str(),
-            CATEGORIES[category],
-        ]))
+        category_of(self.seed, s)
     }
 
     /// The discovery query for one (city × category) cell.
     pub fn query(&self, city: usize, category: usize) -> Plan {
-        Plan::Urn(UrnRef::new(Urn::area(self.area(city, category))))
+        Plan::Urn(UrnRef::new(Urn::area(cell_area(city, category))))
     }
 
     /// Ground truth from hashes alone: seller nodes in `city` selling
@@ -160,7 +154,7 @@ impl ScaleWorld {
 }
 
 /// One seller's single item, derived from the hash stream.
-fn item(seed: u64, s: usize, category: &str) -> Element {
+pub(crate) fn item(seed: u64, s: usize, category: &str) -> Element {
     let cents = 100 + mix(seed, 3, s as u64) % 19_900;
     Element::new("item")
         .child(Element::new("name").text(format!("lot-{s}")))
@@ -169,36 +163,35 @@ fn item(seed: u64, s: usize, category: &str) -> Element {
         .child(Element::new("price").text(format!("{}.{:02}", cents / 100, cents % 100)))
 }
 
-/// Builds the world. O(cities) work up front (directory heads +
-/// namespace); every peer waits for first touch. The factory's only
-/// super-linear cost is the index server's O(sellers) membership scan,
-/// paid once per *materialized* city.
-pub fn build(config: ScaleConfig) -> ScaleWorld {
-    let cities = ScaleWorld::resolve_cities(&config);
-    let sellers = config.sellers;
-    let seed = config.seed;
-    let ns = Arc::new(namespace(cities));
+/// The directory: `client`, `meta` and the city servers, then
+/// `extra_head`, then `sellers` scheme-named `seller-<s>` peers — so it
+/// costs O(named heads), not O(sellers).
+pub(crate) fn directory(cities: usize, extra_head: Vec<ServerId>, sellers: usize) -> Directory {
+    let mut named: Vec<ServerId> = vec!["client".into(), "meta".into()];
+    named.extend((0..cities).map(|k| format!("city-{k}").into()));
+    named.extend(extra_head);
+    Directory::with_generated_tail(named, "seller-", sellers)
+}
 
-    let mut named = vec!["client".into(), "meta".into()];
-    for k in 0..cities {
-        named.push(format!("city-{k}").into());
-    }
-    let directory = Directory::with_generated_tail(named, "seller-", sellers);
+/// One cluster per city over the whole directory.
+pub(crate) fn topology(directory: &Directory, cities: usize) -> Topology {
     let n = directory.len();
+    Topology::clustered(n, cities.min(n), 1_000, 40_000).with_bandwidth(100.0)
+}
 
-    // Pure helpers the factory closure can own (it outlives `ScaleWorld`
-    // construction, so it cannot borrow the world).
-    let city_of = move |s: usize| (mix(seed, 1, s as u64) % cities as u64) as usize;
-    let cat_of = move |s: usize| (mix(seed, 2, s as u64) % CATEGORIES.len() as u64) as usize;
-
-    let factory_ns = ns;
+/// The per-node peer builder, in the scale layout: `client`(0),
+/// `meta`(1), `city-<k>` (2..2+cities), then `seller-<s>`. Its only
+/// super-linear cost is the index server's O(sellers) membership scan,
+/// paid once, on the first city server built.
+pub(crate) fn peers(sellers: usize, cities: usize, seed: u64) -> impl FnMut(NodeId) -> Peer {
+    let ns = Arc::new(namespace(cities));
     // City → resident sellers, built once on the first index-server
     // touch (O(sellers)), then every further index costs only its own
     // residents — materializing *all* peers is O(sellers + cities), not
     // O(cities × sellers).
     let mut residents: Option<Vec<Vec<u32>>> = None;
-    let factory = move |node: NodeId| -> Peer {
-        let ns = Arc::clone(&factory_ns);
+    move |node: NodeId| -> Peer {
+        let ns = Arc::clone(&ns);
         match node {
             0 => Peer::new("client", ns).with_default_route("meta"),
             1 => {
@@ -222,37 +215,44 @@ pub fn build(config: ScaleConfig) -> ScaleWorld {
                 let map = residents.get_or_insert_with(|| {
                     let mut map = vec![Vec::new(); cities];
                     for s in 0..sellers {
-                        map[city_of(s)].push(s as u32);
+                        map[city_of(seed, cities, s)].push(s as u32);
                     }
                     map
                 });
                 let mut p = Peer::new(format!("city-{k}"), ns);
                 for &s in &map[k] {
                     let s = s as usize;
-                    let area = InterestArea::of(Cell::parse([
-                        city_name(k).as_str(),
-                        CATEGORIES[cat_of(s)],
-                    ]));
-                    p.catalog_mut()
-                        .register(CatalogEntry::base(format!("seller-{s}"), area));
+                    p.catalog_mut().register(CatalogEntry::base(
+                        format!("seller-{s}"),
+                        cell_area(k, category_of(seed, s)),
+                    ));
                 }
                 p
             }
             _ => {
                 let s = node - 2 - cities;
-                let (k, c) = (city_of(s), cat_of(s));
-                let cat = CATEGORIES[c];
-                let area = InterestArea::of(Cell::parse([city_name(k).as_str(), cat]));
+                let (k, c) = (city_of(seed, cities, s), category_of(seed, s));
                 let mut p = Peer::new(format!("seller-{s}"), ns);
-                p.add_collection("lot", area, [item(seed, s, cat)]);
+                p.add_collection("lot", cell_area(k, c), [item(seed, s, CATEGORIES[c])]);
                 p
             }
         }
-    };
+    }
+}
 
-    let topology = Topology::clustered(n, cities.min(n), 1_000, 40_000).with_bandwidth(100.0);
+/// Builds the world. O(cities) work up front (directory heads +
+/// namespace); every peer waits for first touch.
+pub fn build(config: ScaleConfig) -> ScaleWorld {
+    let ScaleConfig {
+        sellers,
+        cities,
+        seed,
+    } = config;
+    let cities = resolve_cities(sellers, cities);
+    let directory = directory(cities, Vec::new(), sellers);
+    let topology = topology(&directory, cities);
     ScaleWorld {
-        harness: SimHarness::lazy(topology, directory, factory),
+        harness: SimHarness::lazy(topology, directory, peers(sellers, cities, seed)),
         client: 0,
         cities,
         sellers,

@@ -335,9 +335,7 @@ fn or_plan() -> Plan {
 /// The rule set every hot-reload test ships, compiled from the same DSL
 /// text committed as `queries/fast_fallback.mqpp`.
 fn fast_rules() -> mqp::core::RuleSet {
-    mqp::lang::parse_policy("when always then choose fast\n")
-        .expect("policy text compiles")
-        .rules
+    mqp::lang::parse_policy("when always then choose fast\n").expect("policy text compiles")
 }
 
 /// Policy hot reload changes routing behavior on all three drivers
