@@ -39,13 +39,12 @@
 use std::time::Instant;
 
 use mqp_algebra::plan::{Plan, UrnRef};
-use mqp_bench::{f2, fmt_ms, golden_scale, print_table};
+use mqp_bench::{f2, fmt_ms, golden_scale, paired, print_table};
 use mqp_catalog::durable::{CatalogOp, DurableCatalog, FaultyDisk, MemDisk, NullDisk, SharedDisk};
 use mqp_catalog::{Catalog, CatalogEntry, ServerId};
-use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
+use mqp_namespace::{InterestArea, Urn};
 use mqp_net::{DiskFaults, NodeId, Topology};
-use mqp_peer::{Peer, SimHarness};
-use mqp_xml::Element;
+use mqp_peer::SimHarness;
 
 // ---------------------------------------------------------------------
 // Phase A — kill-point sweep over a faulty disk
@@ -178,22 +177,6 @@ fn replay_growth() -> f64 {
 // Phase B — recall under churn: durable vs no-durability baseline
 // ---------------------------------------------------------------------
 
-fn city(p: usize) -> String {
-    format!("USA/City-{p:03}")
-}
-
-fn pair_area(p: usize) -> InterestArea {
-    InterestArea::parse(&[&[city(p).as_str(), "Music/CDs"]])
-}
-
-fn namespace(pairs: usize) -> Namespace {
-    let mut loc = Hierarchy::new("Location");
-    for p in 0..pairs {
-        loc.add(city(p).as_str());
-    }
-    Namespace::new([loc, Hierarchy::new("Merchandise").with(["Music/CDs"])])
-}
-
 fn journal(durable: bool) -> DurableCatalog {
     if durable {
         DurableCatalog::new(SharedDisk::new(MemDisk::new()))
@@ -202,33 +185,17 @@ fn journal(durable: bool) -> DurableCatalog {
     }
 }
 
-/// client (node 0), meta (node 1), seller `j` at node `2 + j`; sellers
-/// `2p`/`2p+1` share city `p`. Every peer journals its catalog; only
+/// The [`paired`] world with every peer journaling its catalog; only
 /// the disk behind the journal differs between the arms.
 fn world(pairs: usize, durable: bool) -> SimHarness {
-    let ns = namespace(pairs);
-    let client = Peer::new("client", ns.clone()).with_default_route("meta");
-    let mut meta = Peer::new("meta", ns.clone());
-    let mut sellers = Vec::with_capacity(2 * pairs);
-    for j in 0..2 * pairs {
-        let mut s = Peer::new(format!("seller-{j}"), ns.clone());
-        s.add_collection(
-            "cds",
-            pair_area(j / 2),
-            [Element::new("item")
-                .child(Element::new("title").text(format!("Album-{j:04}")))
-                .child(Element::new("price").text(format!("{}.99", j % 40)))],
-        );
+    let mut peers = paired::world(pairs);
+    for (j, s) in peers[2..].iter_mut().enumerate() {
         // The seller knows its index — the rereg target after recovery.
         s.catalog_mut()
-            .register(CatalogEntry::index("meta", pair_area(j / 2)));
+            .register(CatalogEntry::index("meta", paired::area(j / 2)));
         s.enable_durability(journal(durable));
-        meta.catalog_mut().register(s.base_entry());
-        sellers.push(s);
     }
-    meta.enable_durability(journal(durable));
-    let mut peers = vec![client, meta];
-    peers.extend(sellers);
+    peers[META].enable_durability(journal(durable));
     let n = peers.len();
     SimHarness::new(Topology::uniform(n, 2_000), peers)
 }
@@ -249,7 +216,7 @@ struct ChurnOutcome {
 fn churn_run(pairs: usize, durable: bool) -> ChurnOutcome {
     let mut h = world(pairs, durable);
     for p in 0..pairs {
-        h.submit(0, Plan::Urn(UrnRef::new(Urn::area(pair_area(p)))));
+        h.submit(0, Plan::Urn(UrnRef::new(Urn::area(paired::area(p)))));
         h.run(100_000);
     }
     let warm = h.take_completed();
@@ -278,7 +245,7 @@ fn churn_run(pairs: usize, durable: bool) -> ChurnOutcome {
     h.run(100_000); // deliver the reregs
 
     for p in 0..pairs {
-        h.submit(0, Plan::Urn(UrnRef::new(Urn::area(pair_area(p)))));
+        h.submit(0, Plan::Urn(UrnRef::new(Urn::area(paired::area(p)))));
         h.run(100_000);
         h.submit(0, Plan::url(format!("mqp://seller-{}/", 2 * p + 1)));
         h.run(100_000);

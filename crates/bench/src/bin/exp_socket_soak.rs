@@ -29,56 +29,14 @@
 use std::time::{Duration, Instant};
 
 use mqp_algebra::plan::{Plan, UrnRef};
-use mqp_bench::{f2, fmt_ms, golden_scale, print_table};
+use mqp_bench::{f2, fmt_ms, golden_scale, paired, print_table};
 use mqp_core::QueryOutcome;
-use mqp_namespace::{Hierarchy, InterestArea, Namespace, Urn};
+use mqp_namespace::Urn;
 use mqp_peer::node::RetryPolicy;
 use mqp_peer::tcp::{TcpCluster, TcpConfig};
-use mqp_peer::Peer;
-use mqp_xml::Element;
 
 /// Maximum queries in flight; submission pauses to collect past this.
 const WINDOW: usize = 64;
-
-fn city(p: usize) -> String {
-    format!("USA/City-{p:03}")
-}
-
-fn area(p: usize) -> InterestArea {
-    InterestArea::parse(&[&[city(p).as_str(), "Music/CDs"]])
-}
-
-fn namespace(pairs: usize) -> Namespace {
-    let mut loc = Hierarchy::new("Location");
-    for p in 0..pairs {
-        loc.add(city(p).as_str());
-    }
-    Namespace::new([loc, Hierarchy::new("Merchandise").with(["Music/CDs"])])
-}
-
-/// client (node 0), meta (node 1), then seller `j` at node `2 + j`;
-/// sellers `2p` and `2p + 1` share city `p`.
-fn world(pairs: usize) -> Vec<Peer> {
-    let ns = namespace(pairs);
-    let client = Peer::new("client", ns.clone()).with_default_route("meta");
-    let mut meta = Peer::new("meta", ns.clone());
-    let mut sellers = Vec::with_capacity(2 * pairs);
-    for j in 0..2 * pairs {
-        let mut s = Peer::new(format!("seller-{j}"), ns.clone());
-        s.add_collection(
-            "cds",
-            area(j / 2),
-            [Element::new("item")
-                .child(Element::new("title").text(format!("Album-{j:04}")))
-                .child(Element::new("price").text(format!("{}.99", j % 40)))],
-        );
-        meta.catalog_mut().register(s.base_entry());
-        sellers.push(s);
-    }
-    let mut peers = vec![client, meta];
-    peers.extend(sellers);
-    peers
-}
 
 /// Node id of the even seller of pair `p` — the only kind of peer the
 /// churn schedule ever kills.
@@ -98,7 +56,7 @@ fn plan_for(i: usize, pairs: usize) -> Plan {
             Plan::url(format!("mqp://seller-{}/", 2 * p + 1)),
         ]),
         1 => Plan::url(format!("mqp://seller-{}/", 2 * p + 1)),
-        _ => Plan::Urn(UrnRef::new(Urn::area(area(
+        _ => Plan::Urn(UrnRef::new(Urn::area(paired::area(
             pairs / 2 + p % (pairs - pairs / 2),
         )))),
     }
@@ -121,7 +79,7 @@ fn main() {
         backoff_cap: Duration::from_millis(100),
         ..TcpConfig::default()
     };
-    let (cluster, mut client) = TcpCluster::with_config(world(pairs), cfg);
+    let (cluster, mut client) = TcpCluster::with_config(paired::world(pairs), cfg);
 
     let start = Instant::now();
     let mut done: Vec<QueryOutcome> = Vec::with_capacity(queries);

@@ -73,6 +73,53 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// The paired-seller market `exp_socket_soak` and `exp_crash_recovery`
+/// run on: a client (node 0), a meta index (node 1), then seller `j` at
+/// node `2 + j`; sellers `2p` and `2p + 1` share city `p`, so an Or over
+/// a pair has a live alternative while one member is down.
+pub mod paired {
+    use mqp_namespace::{Hierarchy, InterestArea, Namespace};
+    use mqp_peer::Peer;
+    use mqp_xml::Element;
+
+    fn city(p: usize) -> String {
+        format!("USA/City-{p:03}")
+    }
+
+    /// City `p`'s CD area, which both sellers of pair `p` cover.
+    pub fn area(p: usize) -> InterestArea {
+        InterestArea::parse(&[&[city(p).as_str(), "Music/CDs"]])
+    }
+
+    /// The world's peers in node order; the meta index holds every
+    /// seller's base registration, and the client routes through it.
+    pub fn world(pairs: usize) -> Vec<Peer> {
+        let mut loc = Hierarchy::new("Location");
+        for p in 0..pairs {
+            loc.add(city(p).as_str());
+        }
+        let ns = Namespace::new([loc, Hierarchy::new("Merchandise").with(["Music/CDs"])]);
+        let client = Peer::new("client", ns.clone()).with_default_route("meta");
+        let mut meta = Peer::new("meta", ns.clone());
+        let mut sellers = Vec::with_capacity(2 * pairs);
+        for j in 0..2 * pairs {
+            let mut s = Peer::new(format!("seller-{j}"), ns.clone());
+            s.add_collection(
+                "cds",
+                area(j / 2),
+                [Element::new("item")
+                    .child(Element::new("title").text(format!("Album-{j:04}")))
+                    .child(Element::new("price").text(format!("{}.99", j % 40)))],
+            );
+            meta.catalog_mut().register(s.base_entry());
+            sellers.push(s);
+        }
+        let mut peers = vec![client, meta];
+        peers.extend(sellers);
+        peers
+    }
+}
+
 /// Memory and scheduler probes behind the scale sweep (`exp_scale`,
 /// DESIGN.md §10). Everything here separates cleanly into a
 /// deterministic part (event and peer counts) and a machine-dependent

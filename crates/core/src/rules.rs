@@ -14,14 +14,11 @@
 //! yields the base policy unchanged — this is what keeps golden traces
 //! byte-identical when no policy file has been loaded.
 //!
-//! The set has its own line-oriented wire codec ([`RuleSet::to_wire`] /
-//! [`RuleSet::from_wire`]) so it can travel in a `policy` frame without
-//! the peer layer depending on the language front-end.
-
-use std::fmt;
+//! A rule set has one text form, the `.mqpp` DSL: `mqp-lang` parses and
+//! renders it, and the `policy` wire frame carries it.
 
 use mqp_catalog::{Preference, ServerId, TrustLevel};
-use mqp_namespace::{urn, InterestArea};
+use mqp_namespace::InterestArea;
 
 use crate::policy::Policy;
 
@@ -35,9 +32,9 @@ pub enum Cond {
     /// plan arrived at this peer) is covered by this area.
     AreaWithin(InterestArea),
     /// The candidate reduction's estimated bytes exceed the threshold.
-    BytesOver(f64),
+    BytesOver(u64),
     /// The candidate reduction's estimated bytes are below the threshold.
-    BytesUnder(f64),
+    BytesUnder(u64),
     /// The maximum staleness tag among the plan's Or alternatives
     /// exceeds the threshold (minutes).
     StalenessOver(u32),
@@ -58,7 +55,7 @@ pub enum RuleAction {
     /// Set the effective staleness cap (minutes).
     Within(u32),
     /// Set the effective deferment threshold (bytes).
-    DeferOver(f64),
+    DeferOver(u64),
     /// Force candidate reductions to be deferred (never blocks a
     /// reduction that completes the plan).
     ForceDefer,
@@ -179,7 +176,7 @@ fn glob_match(pat: &str, text: &str) -> bool {
 
 impl Cond {
     /// Whether this condition holds for the given ctx.
-    pub fn matches(&self, ctx: &RuleCtx) -> bool {
+    fn matches(&self, ctx: &RuleCtx) -> bool {
         match self {
             Cond::Always => true,
             Cond::AreaWithin(rule_area) => ctx
@@ -187,8 +184,10 @@ impl Cond {
                 .as_ref()
                 .map(|query_area| rule_area.covers(query_area))
                 .unwrap_or(false),
-            Cond::BytesOver(threshold) => ctx.bytes.map(|b| b > *threshold).unwrap_or(false),
-            Cond::BytesUnder(threshold) => ctx.bytes.map(|b| b < *threshold).unwrap_or(false),
+            Cond::BytesOver(threshold) => ctx.bytes.map(|b| b > *threshold as f64).unwrap_or(false),
+            Cond::BytesUnder(threshold) => {
+                ctx.bytes.map(|b| b < *threshold as f64).unwrap_or(false)
+            }
             Cond::StalenessOver(minutes) => ctx.staleness.map(|s| s > *minutes).unwrap_or(false),
             Cond::RoleIs(glob) => glob_match(glob, &ctx.role),
             Cond::TrustBelow(level) => ctx.trust.map(|t| t <= *level).unwrap_or(false),
@@ -204,17 +203,12 @@ impl Rule {
 
     /// All conditions hold (an empty condition list never fires; use
     /// [`Cond::Always`] for unconditional rules).
-    pub fn matches(&self, ctx: &RuleCtx) -> bool {
+    fn matches(&self, ctx: &RuleCtx) -> bool {
         !self.conds.is_empty() && self.conds.iter().all(|c| c.matches(ctx))
     }
 }
 
 impl RuleSet {
-    /// The empty set (identical to `Default`).
-    pub fn empty() -> RuleSet {
-        RuleSet::default()
-    }
-
     /// Builds a set from rules in evaluation order.
     pub fn new(rules: Vec<Rule>) -> RuleSet {
         RuleSet { rules }
@@ -245,7 +239,7 @@ impl RuleSet {
                 match action {
                     RuleAction::Prefer(p) => decision.policy.preference = *p,
                     RuleAction::Within(m) => decision.policy.max_staleness = Some(*m),
-                    RuleAction::DeferOver(b) => decision.policy.defer_bytes = *b,
+                    RuleAction::DeferOver(b) => decision.policy.defer_bytes = *b as f64,
                     RuleAction::ForceDefer => decision.force = Some(false),
                     RuleAction::ForceEvaluate => decision.force = Some(true),
                     RuleAction::RouteVia(s) => decision.route = Some(s.clone()),
@@ -257,178 +251,6 @@ impl RuleSet {
         }
         decision
     }
-
-    /// Compact line codec for the `policy` wire frame: one rule per
-    /// line, `<conds> => <actions>`, tokens space-separated.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        for rule in &self.rules {
-            let conds: Vec<String> = rule.conds.iter().map(cond_token).collect();
-            let acts: Vec<String> = rule.actions.iter().map(action_token).collect();
-            out.push_str(&conds.join(" "));
-            out.push_str(" => ");
-            out.push_str(&acts.join(" "));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Inverse of [`to_wire`](RuleSet::to_wire). A line splits at its
-    /// first ` => `: no token holds whitespace, so a `=>` inside a role
-    /// glob or a route target stays in its token.
-    pub fn from_wire(text: &str) -> Result<RuleSet, String> {
-        let mut rules = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (lhs, rhs) = line
-                .split_once(" => ")
-                .ok_or_else(|| format!("rule line missing ' => ': {line:?}"))?;
-            let conds = lhs
-                .split_whitespace()
-                .map(parse_cond_token)
-                .collect::<Result<Vec<_>, _>>()?;
-            let actions = rhs
-                .split_whitespace()
-                .map(parse_action_token)
-                .collect::<Result<Vec<_>, _>>()?;
-            if conds.is_empty() {
-                return Err(format!("rule line has no conditions: {line:?}"));
-            }
-            if actions.is_empty() {
-                return Err(format!("rule line has no actions: {line:?}"));
-            }
-            rules.push(Rule { conds, actions });
-        }
-        Ok(RuleSet { rules })
-    }
-}
-
-impl fmt::Display for RuleSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_wire())
-    }
-}
-
-fn cond_token(c: &Cond) -> String {
-    match c {
-        Cond::Always => "always".to_string(),
-        Cond::AreaWithin(a) => format!("area={}", urn::encode_area(a)),
-        Cond::BytesOver(b) => format!("bytes>{b}"),
-        Cond::BytesUnder(b) => format!("bytes<{b}"),
-        Cond::StalenessOver(m) => format!("stale>{m}"),
-        Cond::RoleIs(g) => format!("role={g}"),
-        Cond::TrustBelow(l) => format!("trust<={}", l.name()),
-    }
-}
-
-fn action_token(a: &RuleAction) -> String {
-    match a {
-        RuleAction::Prefer(p) => format!("prefer={}", pref_token(*p)),
-        RuleAction::Within(m) => format!("within={m}"),
-        RuleAction::DeferOver(b) => format!("defer_over={b}"),
-        RuleAction::ForceDefer => "force=defer".to_string(),
-        RuleAction::ForceEvaluate => "force=eval".to_string(),
-        RuleAction::RouteVia(s) => format!("route={s}"),
-        RuleAction::Choose(p) => format!("choose={}", pref_token(*p)),
-        RuleAction::Quarantine => "quarantine".to_string(),
-        RuleAction::Verify => "verify".to_string(),
-    }
-}
-
-fn pref_token(p: Preference) -> &'static str {
-    match p {
-        Preference::Current => "current",
-        Preference::Fast => "fast",
-    }
-}
-
-fn parse_pref(s: &str) -> Result<Preference, String> {
-    match s {
-        "current" => Ok(Preference::Current),
-        "fast" => Ok(Preference::Fast),
-        other => Err(format!("unknown preference {other:?}")),
-    }
-}
-
-fn parse_cond_token(tok: &str) -> Result<Cond, String> {
-    if tok == "always" {
-        return Ok(Cond::Always);
-    }
-    if let Some(rest) = tok.strip_prefix("area=") {
-        let area = urn::decode_area(rest).map_err(|e| format!("bad area in rule: {e:?}"))?;
-        return Ok(Cond::AreaWithin(area));
-    }
-    if let Some(rest) = tok.strip_prefix("bytes>") {
-        return rest
-            .parse::<f64>()
-            .map(Cond::BytesOver)
-            .map_err(|e| format!("bad bytes threshold {rest:?}: {e}"));
-    }
-    if let Some(rest) = tok.strip_prefix("bytes<") {
-        return rest
-            .parse::<f64>()
-            .map(Cond::BytesUnder)
-            .map_err(|e| format!("bad bytes threshold {rest:?}: {e}"));
-    }
-    if let Some(rest) = tok.strip_prefix("stale>") {
-        return rest
-            .parse::<u32>()
-            .map(Cond::StalenessOver)
-            .map_err(|e| format!("bad staleness threshold {rest:?}: {e}"));
-    }
-    if let Some(rest) = tok.strip_prefix("role=") {
-        return Ok(Cond::RoleIs(rest.to_string()));
-    }
-    if let Some(rest) = tok.strip_prefix("trust<=") {
-        return TrustLevel::parse(rest)
-            .map(Cond::TrustBelow)
-            .ok_or_else(|| format!("unknown trust level {rest:?}"));
-    }
-    Err(format!("unknown rule condition token {tok:?}"))
-}
-
-fn parse_action_token(tok: &str) -> Result<RuleAction, String> {
-    if let Some(rest) = tok.strip_prefix("prefer=") {
-        return parse_pref(rest).map(RuleAction::Prefer);
-    }
-    if let Some(rest) = tok.strip_prefix("within=") {
-        return rest
-            .parse::<u32>()
-            .map(RuleAction::Within)
-            .map_err(|e| format!("bad within minutes {rest:?}: {e}"));
-    }
-    if let Some(rest) = tok.strip_prefix("defer_over=") {
-        return rest
-            .parse::<f64>()
-            .map(RuleAction::DeferOver)
-            .map_err(|e| format!("bad defer_over bytes {rest:?}: {e}"));
-    }
-    if let Some(rest) = tok.strip_prefix("force=") {
-        return match rest {
-            "defer" => Ok(RuleAction::ForceDefer),
-            "eval" => Ok(RuleAction::ForceEvaluate),
-            other => Err(format!("unknown force mode {other:?}")),
-        };
-    }
-    if let Some(rest) = tok.strip_prefix("route=") {
-        if rest.is_empty() {
-            return Err("empty route target".to_string());
-        }
-        return Ok(RuleAction::RouteVia(ServerId::new(rest)));
-    }
-    if let Some(rest) = tok.strip_prefix("choose=") {
-        return parse_pref(rest).map(RuleAction::Choose);
-    }
-    if tok == "quarantine" {
-        return Ok(RuleAction::Quarantine);
-    }
-    if tok == "verify" {
-        return Ok(RuleAction::Verify);
-    }
-    Err(format!("unknown rule action token {tok:?}"))
 }
 
 #[cfg(test)]
@@ -454,7 +276,7 @@ mod tests {
         let base = Policy::current()
             .with_max_staleness(15)
             .with_defer_bytes(99.0);
-        let d = RuleSet::empty().decide(&base, &ctx());
+        let d = RuleSet::default().decide(&base, &ctx());
         assert_eq!(d.policy.preference, base.preference);
         assert_eq!(d.policy.max_staleness, base.max_staleness);
         assert_eq!(d.policy.defer_bytes, base.defer_bytes);
@@ -486,10 +308,7 @@ mod tests {
     #[test]
     fn conditions_are_anded() {
         let rs = RuleSet::new(vec![Rule::new(
-            vec![
-                Cond::RoleIs("seller-*".to_string()),
-                Cond::BytesOver(4096.0),
-            ],
+            vec![Cond::RoleIs("seller-*".to_string()), Cond::BytesOver(4096)],
             vec![RuleAction::ForceDefer],
         )]);
         assert!(rs.decide(&Policy::current(), &ctx()).force.is_none());
@@ -528,53 +347,6 @@ mod tests {
         assert!(!glob_match("seller", "seller-1"));
         assert!(glob_match("", ""));
         assert!(!glob_match("", "x"));
-    }
-
-    #[test]
-    fn wire_codec_round_trips_every_token() {
-        let rs = RuleSet::new(vec![
-            Rule::new(
-                vec![
-                    Cond::Always,
-                    Cond::AreaWithin(area("USA/OR/Portland", "Merchandise/Music")),
-                    Cond::BytesOver(4096.0),
-                    Cond::BytesUnder(128.5),
-                    Cond::StalenessOver(30),
-                    Cond::RoleIs("seller-*".to_string()),
-                    Cond::TrustBelow(TrustLevel::Probation),
-                ],
-                vec![
-                    RuleAction::Prefer(Preference::Fast),
-                    RuleAction::Within(30),
-                    RuleAction::DeferOver(4096.0),
-                    RuleAction::ForceDefer,
-                    RuleAction::ForceEvaluate,
-                    RuleAction::RouteVia(ServerId::new("idx-pdx")),
-                    RuleAction::Choose(Preference::Current),
-                    RuleAction::Quarantine,
-                    RuleAction::Verify,
-                ],
-            ),
-            Rule::new(
-                vec![Cond::Always],
-                vec![RuleAction::Prefer(Preference::Current)],
-            ),
-        ]);
-        let wire = rs.to_wire();
-        let back = RuleSet::from_wire(&wire).expect("round trip");
-        assert_eq!(back, rs);
-        assert!(RuleSet::from_wire("").expect("empty ok").is_empty());
-    }
-
-    #[test]
-    fn malformed_wire_lines_are_rejected() {
-        assert!(RuleSet::from_wire("always prefer=fast").is_err());
-        assert!(RuleSet::from_wire("wat => prefer=fast").is_err());
-        assert!(RuleSet::from_wire("always => sideways").is_err());
-        assert!(RuleSet::from_wire("=> prefer=fast").is_err());
-        assert!(RuleSet::from_wire("always =>").is_err());
-        assert!(RuleSet::from_wire("bytes>much => force=defer").is_err());
-        assert!(RuleSet::from_wire("trust<=sideways => verify").is_err());
     }
 
     #[test]

@@ -180,22 +180,25 @@ impl<'a> Cursor<'a> {
             })
     }
 
-    /// Parses a size word — `4096`, `4kb`, or `2mb` — into bytes.
-    pub(crate) fn expect_size(&mut self) -> Result<(f64, Span), Diagnostic> {
+    /// Parses a size word — `4096`, `4kb`, or `2mb` — into bytes. A size
+    /// past `u64` is an error, not a wrapped value.
+    pub(crate) fn expect_size(&mut self) -> Result<(u64, Span), Diagnostic> {
         let (w, span) = self.expect_word("a size (e.g. `4kb`, `2mb`)")?;
         let (digits, mult) = if let Some(d) = w.strip_suffix("kb") {
-            (d, 1024.0)
+            (d, 1u64 << 10)
         } else if let Some(d) = w.strip_suffix("mb") {
-            (d, 1024.0 * 1024.0)
+            (d, 1 << 20)
         } else if let Some(d) = w.strip_suffix('b') {
-            (d, 1.0)
+            (d, 1)
         } else {
-            (w.as_str(), 1.0)
+            (w.as_str(), 1)
         };
         digits
             .parse::<u64>()
-            .map(|n| (n as f64 * mult, span))
-            .map_err(|_| {
+            .ok()
+            .and_then(|n| n.checked_mul(mult))
+            .map(|n| (n, span))
+            .ok_or_else(|| {
                 Diagnostic::at(
                     self.src,
                     span,

@@ -129,6 +129,10 @@ fn arb_trust_level() -> impl Strategy<Value = TrustLevel> {
     ])
 }
 
+/// A role glob or server name: non-empty, any printable ASCII (space,
+/// `"` and `\` among it), tab, CR, newline, and non-ASCII.
+const ARB_NAME: &str = "[ -~\t\r\né€漢🦀]{1,10}";
+
 fn arb_cond() -> impl Strategy<Value = Cond> {
     prop_oneof![
         Just(Cond::Always),
@@ -140,10 +144,10 @@ fn arb_cond() -> impl Strategy<Value = Cond> {
             let refs: Vec<&[&str]> = cells.iter().map(Vec::as_slice).collect();
             Cond::AreaWithin(InterestArea::parse(&refs))
         }),
-        (1u32..1_000_000).prop_map(|b| Cond::BytesOver(b as f64)),
-        (1u32..1_000_000).prop_map(|b| Cond::BytesUnder(b as f64)),
+        (0..=u64::MAX).prop_map(Cond::BytesOver),
+        (0..=u64::MAX).prop_map(Cond::BytesUnder),
         (0u32..10_000).prop_map(Cond::StalenessOver),
-        "[!-~]{1,10}".prop_map(Cond::RoleIs),
+        ARB_NAME.prop_map(Cond::RoleIs),
         arb_trust_level().prop_map(Cond::TrustBelow),
     ]
 }
@@ -153,10 +157,10 @@ fn arb_action() -> impl Strategy<Value = RuleAction> {
     prop_oneof![
         pref.clone().prop_map(RuleAction::Prefer),
         (0u32..10_000).prop_map(RuleAction::Within),
-        (1u32..1_000_000).prop_map(|b| RuleAction::DeferOver(b as f64)),
+        (0..=u64::MAX).prop_map(RuleAction::DeferOver),
         Just(RuleAction::ForceDefer),
         Just(RuleAction::ForceEvaluate),
-        "[!-~]{1,10}".prop_map(|s| RuleAction::RouteVia(ServerId::new(s))),
+        ARB_NAME.prop_map(|s| RuleAction::RouteVia(ServerId::new(s))),
         pref.clone().prop_map(RuleAction::Choose),
         Just(RuleAction::Quarantine),
         Just(RuleAction::Verify),
@@ -273,9 +277,11 @@ proptest! {
         prop_assert_eq!(reparsed.plan.render(), text);
     }
 
-    /// The policy DSL inverts its renderer for every expressible rule
-    /// set — trust conditions and defense actions included — and the
-    /// rendered text is a fixed point of parse∘render (regenerated
+    /// The policy DSL inverts its renderer for every rule set whose
+    /// rules each hold a condition and an action — any glob or server
+    /// name, any `u64` threshold, trust conditions and defense actions
+    /// included — so every such set survives the `policy` wire frame.
+    /// The rendered text is a fixed point of parse∘render (regenerated
     /// `.mqpp` files are stable).
     #[test]
     fn policy_render_parse_roundtrip(rules in arb_ruleset()) {

@@ -22,7 +22,6 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use mqp_catalog::ServerId;
 use mqp_net::{NodeId, Retrier, SocketStats};
 
 use crate::framing::{encode_frame, FrameDecoder};
@@ -459,14 +458,9 @@ impl Cluster<Tcp> {
     /// Spawns with explicit tuning.
     pub fn with_config(peers: Vec<Peer>, cfg: TcpConfig) -> (TcpCluster, TcpClient) {
         let n = peers.len();
-        let mut ids: Vec<ServerId> = peers.iter().map(|p| p.id().clone()).collect();
-        ids.push(ServerId::new(format!("front-end-{n}")));
         let addrs: AddrTable = Arc::new((0..=n).map(|_| Mutex::new(None)).collect());
         Cluster::spawn(peers, cfg.retry, Duration::ZERO, |me, stats, inboxes| {
-            let hello = Frame::Hello {
-                node: me,
-                id: ids[me].clone(),
-            };
+            let hello = Frame::Hello { node: me };
             let mut tcp = Tcp {
                 me,
                 addrs: addrs.clone(),
@@ -527,10 +521,7 @@ mod tests {
             meter: Meter::default(),
             envelope: envelope[..envelope.len() / 2].to_owned(),
         });
-        let hello = Frame::Hello {
-            node: 3,
-            id: ServerId::new("seller-2"),
-        };
+        let hello = Frame::Hello { node: 3 };
         let deep_result = Frame::Result(ResultFrame {
             qid: QueryId::new(78),
             meter: Meter::default(),
@@ -585,10 +576,7 @@ mod tests {
         const META: NodeId = 1;
         let (cluster, mut client) = TcpCluster::new(world());
         let addr = addr_slot(&client.transport.addrs, META).expect("meta listens");
-        let hello = Frame::Hello {
-            node: 3,
-            id: ServerId::new("seller-2"),
-        };
+        let hello = Frame::Hello { node: 3 };
         let mut raw = TcpStream::connect(addr).expect("dial meta");
         for payload in [hello.encode(), b"stop\n".to_vec()] {
             raw.write_all(&encode_frame(&payload)).expect("raw write");
@@ -634,10 +622,7 @@ mod tests {
         };
         let (cluster, mut client) = TcpCluster::with_config(world(), cfg);
         let addr = addr_slot(&client.transport.addrs, META).expect("meta listens");
-        let hello = Frame::Hello {
-            node: 1 << 40,
-            id: ServerId::new("stranger"),
-        };
+        let hello = Frame::Hello { node: 1 << 40 };
         let tracked = Frame::Mqp(MqpFrame {
             qid: Some(QueryId::new(77)),
             meter: Meter::default(),

@@ -4,7 +4,9 @@
 //! A frame is one header line (kind + per-query meter) followed by the
 //! payload bytes — the serialized MQP envelope for `mqp`, the
 //! concatenated result items for `res`, the catalog entry for `reg`
-//! (a first registration and a recovered peer's re-announcement alike).
+//! (a first registration and a recovered peer's re-announcement alike),
+//! the rule set as `.mqpp` DSL text for `policy`
+//! ([`render_policy`] out, [`parse_policy`] in).
 //! An `ack` travels only between nodes under a retry policy; which
 //! frames earn one is the receiving node's decision. Every frame is plain UTF-8 so any peer can parse it without
 //! pre-shared binary schemas, matching the MQP envelope itself. A
@@ -12,6 +14,7 @@
 
 use mqp_catalog::{CatalogEntry, ServerId};
 use mqp_core::{QueryId, RuleSet};
+use mqp_lang::{parse_policy, render_policy};
 use mqp_net::NodeId;
 
 /// Per-query counters that ride every `mqp`/`res` frame, so any peer —
@@ -93,11 +96,14 @@ pub enum Frame {
     /// Hot policy reload: install the enclosed rule set on the
     /// receiving peer's processor, replacing whatever was loaded
     /// before (an empty set restores pure base-policy behavior).
-    /// Travels on every transport: policy distribution is
-    /// catalog-style control traffic.
+    /// The payload is the set rendered as `.mqpp` DSL text, so every
+    /// rule set whose rules each hold a condition and an action
+    /// arrives intact. Travels on every transport: policy distribution
+    /// is catalog-style control traffic.
     Policy(RuleSet),
     /// Connection handshake (stream transports only): the first frame
-    /// on every new connection, announcing who is calling. Datagram-ish
+    /// on every new connection, announcing the caller's node and
+    /// nothing else (`hello <node>\n`). Datagram-ish
     /// transports (the simulator, the threaded mesh) carry the sender
     /// address per message and never send one; a TCP connection has no
     /// such envelope, so `mqp_peer::tcp` attributes everything a
@@ -105,9 +111,6 @@ pub enum Frame {
     Hello {
         /// The caller's transport address.
         node: NodeId,
-        /// The caller's peer name (diagnostic cross-check; the client
-        /// front-end, which has no peer, sends its slot id as text).
-        id: ServerId,
     },
 }
 
@@ -184,13 +187,8 @@ impl Frame {
             Frame::Register(e) => e.to_wire(),
             Frame::Ack { qid } => format!("ack {qid}\n"),
             Frame::Submit { qid, plan } => format!("sub {qid}\n{plan}"),
-            Frame::Policy(rules) => {
-                format!("policy {}\n{}", rules.rules.len(), rules.to_wire())
-            }
-            Frame::Hello { node, id } => {
-                debug_assert!(!id.as_str().contains('\n'), "hello id must be single-line");
-                format!("hello {node}\n{}", id.as_str())
-            }
+            Frame::Policy(rules) => format!("policy\n{}", render_policy(rules)),
+            Frame::Hello { node } => format!("hello {node}\n"),
         };
         out.into_bytes()
     }
@@ -259,7 +257,7 @@ impl Frame {
                     plan: payload.to_owned(),
                 })
             }
-            "policy" => RuleSet::from_wire(payload)
+            "policy" => parse_policy(payload)
                 .map(Frame::Policy)
                 .map_err(|e| format!("bad policy frame: {e}")),
             "hello" => {
@@ -269,10 +267,7 @@ impl Frame {
                 let node: NodeId = tokens[1]
                     .parse()
                     .map_err(|e| format!("bad hello node {:?}: {e}", tokens[1]))?;
-                Ok(Frame::Hello {
-                    node,
-                    id: ServerId::new(payload),
-                })
+                Ok(Frame::Hello { node })
             }
             other => Err(format!("unknown frame kind {other:?}")),
         }
@@ -298,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn mqp_frame_roundtrips_and_charges_envelope_len() {
+    fn mqp_frame_roundtrips_and_reports_its_kind() {
         let f = Frame::Mqp(MqpFrame {
             qid: Some(QueryId::new(7)),
             meter: Meter {
@@ -325,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn result_frame_roundtrips_and_charges_items_plus_32() {
+    fn result_frame_roundtrips_every_audit_flag_and_binder() {
         for (audit, bound) in [
             (Some(true), Some(ServerId::new("idx-1"))),
             (Some(false), None),
@@ -348,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn register_frame_roundtrips_and_matches_legacy_charge() {
+    fn register_frame_roundtrips_every_entry_kind() {
         for entry in [
             CatalogEntry::base("seller-1", area()),
             CatalogEntry::index("idx", area()).authoritative(),
@@ -361,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_frame_roundtrips_and_charges_like_reg() {
+    fn policy_frame_roundtrips_any_rule_set() {
         use mqp_catalog::Preference;
         use mqp_core::rules::{Cond, Rule, RuleAction};
         let rules = RuleSet::new(vec![
@@ -370,15 +365,28 @@ mod tests {
                 vec![RuleAction::Prefer(Preference::Fast), RuleAction::Within(30)],
             ),
             Rule::new(
-                vec![Cond::AreaWithin(area()), Cond::BytesOver(4096.0)],
+                vec![Cond::AreaWithin(area()), Cond::BytesOver(4096)],
                 vec![RuleAction::ForceDefer],
             ),
-            // `=>` inside a glob or a route target is not the separator.
+            // DSL punctuation inside a glob or a route target.
             Rule::new(
                 vec![Cond::RoleIs("a=>b".to_owned())],
                 vec![
                     RuleAction::ForceDefer,
                     RuleAction::RouteVia(ServerId::new("s=>t")),
+                ],
+            ),
+            // Whitespace, quotes, backslashes and non-ASCII in a glob
+            // or a route target, and a threshold at the top of `u64`.
+            Rule::new(
+                vec![
+                    Cond::RoleIs("seller *".to_owned()),
+                    Cond::RoleIs("a\"b\\c\nd".to_owned()),
+                    Cond::BytesOver(u64::MAX),
+                ],
+                vec![
+                    RuleAction::RouteVia(ServerId::new("meta 0")),
+                    RuleAction::RouteVia(ServerId::new("índice-東京")),
                 ],
             ),
         ]);
@@ -388,12 +396,12 @@ mod tests {
         assert_eq!(Frame::decode(&bytes).unwrap(), f);
 
         // The empty set (clears overrides) travels too.
-        let clear = Frame::Policy(RuleSet::empty());
+        let clear = Frame::Policy(RuleSet::default());
         assert_eq!(Frame::decode(&clear.encode()).unwrap(), clear);
     }
 
     #[test]
-    fn control_frames_roundtrip_and_charge_zero() {
+    fn control_frames_roundtrip() {
         for f in [
             Frame::Ack {
                 qid: QueryId::new(9),
@@ -402,10 +410,7 @@ mod tests {
                 qid: QueryId::new(1),
                 plan: "<mqp><plan/></mqp>".to_owned(),
             },
-            Frame::Hello {
-                node: 42,
-                id: ServerId::new("seller-7"),
-            },
+            Frame::Hello { node: 42 },
         ] {
             assert_eq!(Frame::decode(&f.encode()).unwrap(), f);
         }

@@ -262,7 +262,7 @@ fn front_end_reaches_restarted_peer_on_first_attempt() {
     };
 
     // Warm up: the front-end now holds connections to nodes 0 and 1.
-    assert!(client.push_policy(1, &mqp_core::RuleSet::empty()));
+    assert!(client.push_policy(1, &mqp_core::RuleSet::default()));
     assert_eq!(answer(&mut client, "warm-up"), ["A"]);
 
     for node in [0, 1] {
@@ -275,7 +275,7 @@ fn front_end_reaches_restarted_peer_on_first_attempt() {
     settle();
 
     let before = cluster.stats().frames_received;
-    assert!(client.push_policy(1, &mqp_core::RuleSet::empty()));
+    assert!(client.push_policy(1, &mqp_core::RuleSet::default()));
     settle();
     assert_eq!(
         cluster.stats().frames_received - before,
