@@ -23,6 +23,8 @@
 //!
 //! Evaluation lives in `mqp-engine`; mutation policy in `mqp-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod plan;
 pub mod predicate;

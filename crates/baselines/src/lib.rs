@@ -17,6 +17,8 @@
 //!   key match only (the paper's point: "what about range queries, or
 //!   joins?").
 
+#![forbid(unsafe_code)]
+
 pub mod central;
 pub mod chord;
 pub mod common;

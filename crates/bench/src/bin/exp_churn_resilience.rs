@@ -9,6 +9,8 @@
 //! under the conditions that make P2P hard. Two runs with the same seed
 //! produce byte-identical output — enforced by the `experiments` CI job.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -36,6 +36,8 @@
 //! test runs this binary at `MQP_EXP_SCALE=golden` twice,
 //! byte-identical.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use mqp_algebra::plan::{Plan, UrnRef};

@@ -3,6 +3,8 @@
 //! binary preference (current vs. fast) picks different Or-alternatives
 //! with measurably different latency, staleness, and completeness.
 
+#![forbid(unsafe_code)]
+
 use mqp_algebra::plan::{Plan, UrnRef};
 use mqp_bench::{f2, print_table};
 use mqp_core::Policy;

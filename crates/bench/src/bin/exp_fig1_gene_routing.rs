@@ -3,6 +3,8 @@
 //! table and measures that the irrelevant repository receives zero
 //! traffic.
 
+#![forbid(unsafe_code)]
+
 use mqp_bench::print_table;
 use mqp_workloads::gene::{build, cardiac_mammal_area, cardiac_query, group_areas};
 

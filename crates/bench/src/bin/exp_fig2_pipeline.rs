@@ -2,6 +2,8 @@
 //! pipeline (parse → bind → optimize/rewrite → evaluate → serialize),
 //! swept over collection size.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use mqp_algebra::codec::{from_wire, to_wire};

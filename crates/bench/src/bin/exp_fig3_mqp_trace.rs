@@ -2,6 +2,8 @@
 //! plan size, node count, and the mutation each server applied, from
 //! submission to the fully evaluated result.
 
+#![forbid(unsafe_code)]
+
 use mqp_bench::print_table;
 use mqp_core::{Mqp, Outcome};
 use mqp_workloads::cd::{build, CdConfig};

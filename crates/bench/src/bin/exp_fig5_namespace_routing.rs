@@ -1,6 +1,8 @@
 //! E4 — Figure 5 / §3.4: routing with the 2-dimension garage-sale
 //! namespace as the network grows, and the effect of route caches.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -8,6 +8,8 @@
 //! routing) and measure catalog sizes, registration traffic, and query
 //! routing cost.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -2,6 +2,8 @@
 //! redundant server visits. Replicated catalogs with and without the
 //! statements; the binding alternatives license single-site routes.
 
+#![forbid(unsafe_code)]
+
 use mqp_algebra::plan::{Plan, UrnRef};
 use mqp_bench::{f2, print_table};
 use mqp_catalog::ServerId;

@@ -13,6 +13,8 @@
 //! same items, same failures, same hop counts. Text and code are
 //! interchangeable front doors to the same algebra.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 

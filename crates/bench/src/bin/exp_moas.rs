@@ -20,6 +20,8 @@
 //! `MQP_EXP_SCALE=golden`, and the 5%-hijacker rows must clear the
 //! precision / recall floors below or the run fails.
 
+#![forbid(unsafe_code)]
+
 use mqp_bench::{f2, print_table};
 use mqp_workloads::adversary::{build, AdversaryConfig, DetectionReport};
 

@@ -3,6 +3,8 @@
 //! client's provenance audit flags the bypassed sources, and the
 //! count(σ(B)) verification query confirms each spoof.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

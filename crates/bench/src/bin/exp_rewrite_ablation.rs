@@ -4,6 +4,8 @@
 //! crossover the paper's "if we know that |A ⋈ B| ≤ |A|" condition
 //! predicts.
 
+#![forbid(unsafe_code)]
+
 use mqp_algebra::codec::wire_size;
 use mqp_algebra::plan::{JoinCond, Plan};
 use mqp_bench::{f2, print_table};

@@ -2,6 +2,8 @@
 //! DHT architectures, on the same discovery workload: messages, bytes,
 //! latency, recall, and load imbalance as the population grows.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -10,6 +10,8 @@
 //! wall time) are elided at golden scale; at full scale the two
 //! capacity numbers must clear their floors or the run fails.
 
+#![forbid(unsafe_code)]
+
 use mqp_baselines::{Chord, Flooding};
 use mqp_bench::{f2, fmt_ms, mean, print_table, scale_report};
 use mqp_net::{FaultPlan, NodeId};

@@ -26,6 +26,8 @@
 //! byte-identical (timing-dependent counters are elided at golden
 //! scale).
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use mqp_algebra::plan::{Plan, UrnRef};

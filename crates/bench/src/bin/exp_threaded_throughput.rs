@@ -21,6 +21,8 @@
 //! Exits non-zero if the serviced sweep scales < 2× at 8 workers — the
 //! CI `experiments` job runs this at `MQP_EXP_SCALE=golden`.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use mqp_algebra::plan::Plan;

@@ -27,6 +27,8 @@
 //! `cargo run -p mqp-bench --release --bin <name>`. Performance is
 //! measured separately, by the `benchmark/` package.
 
+#![forbid(unsafe_code)]
+
 /// True when the `exp_*` binaries should run at the reduced, fully
 /// deterministic *golden* scale (`MQP_EXP_SCALE=golden`): smaller
 /// sweeps, and wall-clock measurements elided. The golden-trace

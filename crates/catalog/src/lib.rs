@@ -26,6 +26,8 @@
 //! with compacted snapshots, and recovers a prefix-consistent catalog
 //! after a crash (DESIGN.md §12).
 
+#![forbid(unsafe_code)]
+
 pub mod binding;
 pub mod durable;
 pub mod entry;

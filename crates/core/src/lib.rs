@@ -27,6 +27,8 @@
 //!   ("do not bind X until Y is bound"; "only pass through servers on
 //!   this list"), enforced by the processor.
 
+#![forbid(unsafe_code)]
+
 pub mod constraints;
 pub mod mqp;
 pub mod policy;

@@ -18,6 +18,8 @@
 //! * [`cost`] — size estimation: annotated statistics when present
 //!   (paper §5.1), System-R-style defaults otherwise.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod eval;
 #[cfg(test)]

@@ -26,6 +26,8 @@
 //! sanity pass between parse and submit. Every error anywhere in the
 //! pipeline is a [`Diagnostic`] with line/column and a caret underline.
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 mod cursor;
 pub mod diag;

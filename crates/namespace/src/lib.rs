@@ -21,6 +21,8 @@
 //! * Category generalization (§3.5): rewriting an unknown category to an
 //!   ancestor, losing precision but not recall.
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod hierarchy;
 pub mod urn;

@@ -102,10 +102,13 @@ impl Retrier {
         }
     }
 
-    /// True when an attempt is allowed right now: not dead, and past
-    /// the pacing deadline of the last failure.
-    pub fn ready(&self) -> bool {
-        !self.dead && self.next_at.is_none_or(|t| Instant::now() >= t)
+    /// How long until the next attempt may start: zero once past the
+    /// pacing deadline of the last failure, `None` when dead.
+    pub fn next_attempt_in(&self) -> Option<Duration> {
+        let wait = self.next_at.map_or(Duration::ZERO, |t| {
+            t.saturating_duration_since(Instant::now())
+        });
+        (!self.dead).then_some(wait)
     }
 
     /// Records a failed attempt: schedules the next one a jittered
@@ -272,16 +275,16 @@ mod tests {
     #[test]
     fn retrier_paces_dies_and_resets() {
         let mut r = Retrier::new(Duration::from_micros(10), Duration::from_micros(100), 3, 2);
-        assert!(r.ready());
+        assert_eq!(r.next_attempt_in(), Some(Duration::ZERO));
         assert!(!r.failure(), "first failure must not exhaust a 2-budget");
         assert_eq!(r.backoff.attempts(), 1);
         assert!(r.failure(), "second failure exhausts the budget");
         assert!(r.is_dead());
-        assert!(!r.ready());
+        assert_eq!(r.next_attempt_in(), None);
         r.success();
         assert!(!r.is_dead());
         assert_eq!(r.backoff.attempts(), 0);
-        assert!(r.ready());
+        assert_eq!(r.next_attempt_in(), Some(Duration::ZERO));
         // Unbounded budget never dies.
         let mut open = Retrier::new(Duration::from_micros(1), Duration::from_micros(2), 9, 0);
         for _ in 0..50 {

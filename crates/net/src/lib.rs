@@ -37,6 +37,8 @@
 //!   [`NetStats::balances`](stats::NetStats::balances)). Used by
 //!   `mqp_peer::tcp`.
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
 pub mod fault;
 pub mod sim;

@@ -1,9 +1,11 @@
 //! The in-process transport: every node holds the sender half of every
 //! worker's inbox under the shared [`host`](crate::host). Delivery is
 //! free, lossless, unbounded and instant, so nothing ever queues here,
-//! `flush` has nothing to do and `pump` nothing to move; a frame that
-//! reaches a killed peer is dropped by its worker.
+//! `flush` has nothing to do and `pump` nothing to move: the worker
+//! blocks on its inbox, where control arrives too. A frame that reaches
+//! a killed peer is dropped by its worker.
 
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,6 +23,9 @@ pub struct Mesh {
     me: NodeId,
     inboxes: Arc<[Sender<Event>]>,
     stats: Arc<Counters>,
+    /// Never read — the inbox wakes this worker — but kept open, so the
+    /// handle's wake-ups land in a live pipe.
+    _wake: Option<UnixStream>,
 }
 
 impl Transport for Mesh {
@@ -43,8 +48,8 @@ impl Transport for Mesh {
         true
     }
 
-    fn pump(&mut self) -> Duration {
-        Duration::MAX
+    fn pump(&mut self, wait: Duration) -> Duration {
+        wait
     }
 
     fn flush(&mut self) -> bool {
@@ -72,10 +77,13 @@ impl Cluster<Mesh> {
         retry: Option<RetryPolicy>,
         service_delay: Duration,
     ) -> (ThreadedCluster, MqpClient) {
-        Cluster::spawn(peers, retry, service_delay, |me, stats, inboxes| Mesh {
-            me,
-            inboxes: Arc::clone(inboxes),
-            stats,
+        Cluster::spawn(peers, retry, service_delay, |me, stats, inboxes, wake| {
+            Mesh {
+                me,
+                inboxes: Arc::clone(inboxes),
+                stats,
+                _wake: wake,
+            }
         })
     }
 

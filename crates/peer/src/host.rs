@@ -5,15 +5,19 @@
 //! Every worker wakes through one inbox: transports deliver frames
 //! into it and the [`Cluster`] handle sends kill, restart and stop
 //! into it, so control takes effect in order with the frames around
-//! it. The host executes effects and decides nothing: acks the node
-//! emits travel as `ack` frames, retry deadlines bound the inbox wait
-//! against the wall clock, and completions reach the front-end over a
-//! results channel (driver plumbing, not peer traffic). A driver adds
-//! only a way to move frames: [`Mesh`](crate::cluster::Mesh) or
-//! [`Tcp`](crate::tcp::Tcp).
+//! it. A worker that waits on its sockets instead of its inbox is
+//! woken by a byte on its end of a wake pipe, which the handle writes
+//! behind every control event. The host executes effects and decides
+//! nothing: acks the node emits travel as `ack` frames, retry
+//! deadlines bound the wait against the wall clock, and completions
+//! reach the front-end over a results channel (driver plumbing, not
+//! peer traffic). A driver adds only a way to move frames:
+//! [`Mesh`](crate::cluster::Mesh) or [`Tcp`](crate::tcp::Tcp).
 
 use std::collections::HashSet;
+use std::io::Write;
 use std::marker::PhantomData;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -55,9 +59,14 @@ pub trait Transport: Send + 'static {
     fn send(&mut self, to: NodeId, bytes: Vec<u8>) -> bool;
 
     /// Moves what frames it can into the inbox, and says how long the
-    /// host may wait on the inbox before pumping again (`Duration::MAX`:
-    /// until an event arrives).
-    fn pump(&mut self) -> Duration;
+    /// host may then wait on the inbox before pumping again. `wait` is
+    /// the host's own bound (the node's next deadline, what is left of
+    /// the drain window, otherwise `Duration::MAX`): a transport that
+    /// can block on its own sources until something arrives does so
+    /// for at most `wait` and returns zero; one whose frames land in
+    /// the inbox directly returns `wait`. A blocking transport must
+    /// also return once its wake end (given at spawn) turns readable.
+    fn pump(&mut self, wait: Duration) -> Duration;
 
     /// Gives frames still queued a bounded chance to leave and abandons
     /// the rest; `true` when none was abandoned.
@@ -131,9 +140,9 @@ impl<T: Transport> Worker<T> {
 
     /// The worker loop: fire expired watches, take the next event — a
     /// frame or an operator action — and apply its effects. Only an
-    /// empty inbox pumps the transport, then waits on the inbox for at
-    /// most what the transport asks, the node's next retry deadline and
-    /// what is left of the drain window.
+    /// empty inbox pumps the transport, bounded by the node's next
+    /// retry deadline and what is left of the drain window, then waits
+    /// on the inbox for what the transport returns.
     fn run(mut self, inbox: Receiver<Event>) {
         let mut down = false;
         // Once a stop is taken: when the last event was done with.
@@ -150,14 +159,14 @@ impl<T: Transport> Worker<T> {
             } else if let Ok(event) = inbox.try_recv() {
                 Ok(event)
             } else {
-                let mut wait = self.transport.pump();
+                let mut wait = Duration::MAX;
                 if let Some(d) = self.node.next_deadline() {
-                    wait = wait.min(Duration::from_micros(d.saturating_sub(self.now_us())));
+                    wait = Duration::from_micros(d.saturating_sub(self.now_us()));
                 }
                 if let Some(since) = stopping {
                     wait = wait.min(DRAIN_QUIET.saturating_sub(since.elapsed()));
                 }
-                inbox.recv_timeout(wait)
+                inbox.recv_timeout(self.transport.pump(wait))
             };
             match next {
                 Ok(Event::Frame(from, bytes)) if !down => {
@@ -231,6 +240,8 @@ impl<T: Transport> Worker<T> {
 pub struct Cluster<T> {
     /// Worker `i`'s inbox is `inboxes[i]`.
     inboxes: Arc<[Sender<Event>]>,
+    /// The handle's ends of the wake pipes, worker `i`'s at index `i`.
+    wakes: Vec<UnixStream>,
     threads: Vec<JoinHandle<()>>,
     counters: Arc<Counters>,
     transport: PhantomData<fn() -> T>,
@@ -239,13 +250,14 @@ pub struct Cluster<T> {
 impl<T: Transport> Cluster<T> {
     /// Spawns one worker per peer, and a client at node `n`, over what
     /// `transport` makes: called per node, on this thread, with the
-    /// counter block that node's traffic counts into and every worker's
-    /// inbox (node `i`'s at index `i`; the front-end has none).
+    /// counter block that node's traffic counts into, every worker's
+    /// inbox (node `i`'s at index `i`; the front-end has none) and the
+    /// node's nonblocking end of its wake pipe (the front-end has none).
     pub(crate) fn spawn(
         peers: Vec<Peer>,
         retry: Option<RetryPolicy>,
         service_delay: Duration,
-        mut transport: impl FnMut(NodeId, Arc<Counters>, &Arc<[Sender<Event>]>) -> T,
+        mut transport: impl FnMut(NodeId, Arc<Counters>, &Arc<[Sender<Event>]>, Option<UnixStream>) -> T,
     ) -> (Cluster<T>, Client<T>) {
         let n = peers.len();
         let directory = Arc::new(Directory::new(
@@ -254,18 +266,26 @@ impl<T: Transport> Cluster<T> {
         let counters = Arc::new(Counters::default());
         let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         let inboxes: Arc<[Sender<Event>]> = inboxes.into();
+        let (wakes, wake_ends): (Vec<_>, Vec<_>) = (0..n)
+            .map(|_| {
+                let (wake, end) = UnixStream::pair().expect("wake pipe");
+                wake.set_nonblocking(true).expect("nonblocking wake");
+                end.set_nonblocking(true).expect("nonblocking wake");
+                (wake, end)
+            })
+            .unzip();
         let (tx, rx) = channel();
         let epoch = Instant::now();
         let threads = peers
             .into_iter()
-            .zip(receivers)
+            .zip(receivers.into_iter().zip(wake_ends))
             .enumerate()
-            .map(|(i, (peer, inbox))| {
+            .map(|(i, (peer, (inbox, wake)))| {
                 let mut node = PeerNode::new(i, peer, Arc::clone(&directory));
                 node.set_retry(retry);
                 let worker = Worker {
                     node,
-                    transport: transport(i, Arc::clone(&counters), &inboxes),
+                    transport: transport(i, Arc::clone(&counters), &inboxes, Some(wake)),
                     outcomes: tx.clone(),
                     counters: Arc::clone(&counters),
                     epoch,
@@ -280,13 +300,14 @@ impl<T: Transport> Cluster<T> {
         // The front-end's frames are driver plumbing, not peer traffic:
         // they count into a block of their own, never the cluster's.
         let client = Client {
-            transport: transport(n, Arc::default(), &inboxes),
+            transport: transport(n, Arc::default(), &inboxes, None),
             outcomes: rx,
             next_qid: 0,
             seen: HashSet::new(),
         };
         let cluster = Cluster {
             inboxes,
+            wakes,
             threads,
             counters,
             transport: PhantomData,
@@ -301,7 +322,7 @@ impl<T: Transport> Cluster<T> {
     /// death) and keeps only what its disk carries. Asynchronous but in
     /// order: frames already in its inbox are served, none behind.
     pub fn kill(&self, i: NodeId) {
-        let _ = self.inboxes[i].send(Event::Kill);
+        self.signal(i, Event::Kill);
     }
 
     /// Brings a killed peer back. A durable peer first recovers its
@@ -310,7 +331,7 @@ impl<T: Transport> Cluster<T> {
     /// leave like any other; watches that expired while down fire on
     /// the first tick after. A no-op if the peer is up.
     pub fn restart(&self, i: NodeId) {
-        let _ = self.inboxes[i].send(Event::Restart);
+        self.signal(i, Event::Restart);
     }
 
     /// Transport accounting so far.
@@ -332,12 +353,22 @@ impl<T: Transport> Cluster<T> {
     }
 }
 
+impl<T> Cluster<T> {
+    /// Queues `event` for worker `i`, then wakes it wherever it waits.
+    /// The byte follows the event, so a worker that reads it finds the
+    /// event already queued; a full pipe already holds a wake-up.
+    fn signal(&self, i: NodeId, event: Event) {
+        let _ = self.inboxes[i].send(event);
+        let _ = (&self.wakes[i]).write(&[0]);
+    }
+}
+
 /// A handle dropped without a shutdown still stops its workers: the
 /// transports hold inbox senders, so no inbox ever disconnects.
 impl<T> Drop for Cluster<T> {
     fn drop(&mut self) {
-        for inbox in self.inboxes.iter() {
-            let _ = inbox.send(Event::Stop);
+        for i in 0..self.inboxes.len() {
+            self.signal(i, Event::Stop);
         }
     }
 }

@@ -33,6 +33,8 @@
 //! may do all four — "this query's client may well become the next
 //! query's server" (§1).
 
+#![deny(unsafe_code)]
+
 pub mod cluster;
 #[cfg(test)]
 mod fixture;
@@ -41,6 +43,8 @@ pub mod harness;
 pub mod host;
 pub mod node;
 pub mod peer;
+#[allow(unsafe_code)]
+mod poll;
 pub mod store;
 pub mod tcp;
 pub mod wire;

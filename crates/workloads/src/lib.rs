@@ -25,6 +25,8 @@
 //! come from the scale world's own per-node builder, wrapped, not
 //! copied.
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod cd;
 pub mod garage;

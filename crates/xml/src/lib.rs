@@ -20,6 +20,8 @@
 //! * **Cheap size accounting** — [`Element::serialized_len`] lets the
 //!   network layer charge bytes without materializing strings.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod canon;
 pub mod error;

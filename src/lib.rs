@@ -28,6 +28,8 @@
 //! assert_eq!(back.plan().urns().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mqp_algebra as algebra;
 pub use mqp_baselines as baselines;
 pub use mqp_catalog as catalog;
