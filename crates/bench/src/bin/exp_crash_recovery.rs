@@ -122,7 +122,7 @@ fn trial(ops: &[CatalogOp], k: usize, class: KillClass, seed: u64) -> (usize, bo
     let applied = report.snapshot_records + report.wal_records;
     let mut expect = Catalog::new();
     for op in &ops[..applied.min(k)] {
-        op.apply(&mut expect);
+        op.clone().apply(&mut expect);
     }
     let consistent = applied <= k && recovered.snapshot_ops() == expect.snapshot_ops();
     (applied, consistent)

@@ -11,16 +11,21 @@
 //!   grammar discipline as the socket framing in `mqp_peer::framing`,
 //!   plus a checksum because a disk tail (unlike a TCP stream) can be
 //!   torn mid-record by a crash;
-//! * periodic **compacted snapshots**: [`Catalog::snapshot_ops`]
-//!   re-expressed as the same record grammar, written atomically, after
-//!   which the WAL restarts empty;
+//! * **compacted snapshots**: [`Catalog::snapshot_ops`] re-expressed as
+//!   the same record grammar, written atomically, after which the WAL
+//!   restarts empty. A snapshot is written once the WAL has grown as
+//!   long as the last snapshot (and holds at least `snapshot_every`
+//!   records), so compaction costs amortised O(1) per logged byte and
+//!   the live WAL stays about one snapshot long;
 //! * a **recovery** routine that replays snapshot-then-WAL and, on the
 //!   first torn or corrupt record, *truncates* instead of poisoning:
 //!   the recovered catalog is always the replay of some prefix of what
 //!   was logged (the prefix-consistency invariant, property-tested
-//!   below). Contrast `FrameDecoder`, which poisons on a corrupt length
-//!   — a live TCP stream has a peer to disconnect; a WAL tail has
-//!   nothing to blame but the crash that tore it.
+//!   below). Only a replay that stopped early rewrites the snapshot, so
+//!   the damage is physically gone; a clean replay leaves the disk as
+//!   it found it. Contrast `FrameDecoder`, which poisons on a corrupt
+//!   length — a live TCP stream has a peer to disconnect; a WAL tail
+//!   has nothing to blame but the crash that tore it.
 //!
 //! Because every catalog mutation is idempotent (register merges by
 //! `(server, level)`, `map_urn` and `add_statement` dedup, unregister
@@ -41,19 +46,35 @@ use crate::store::Catalog;
 use crate::trust::TrustRecord;
 
 // ----------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — bitwise, no table: WAL records are small
-// and appended once per registration, not per packet.
+// CRC32 (IEEE, reflected) — one table lookup per byte: every record is
+// checksummed when written and again at every recovery, and a compacted
+// snapshot of a 30 000-entry index is ~1.4 MB of records.
 // ----------------------------------------------------------------------
+
+/// Entry `i` is the CRC register after shifting byte `i` through eight
+/// rounds of the reflected polynomial `0xEDB8_8320`.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut round = 0;
+        while round < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            round += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
 
 /// CRC-32/ISO-HDLC of `bytes` (the common zlib/PNG polynomial).
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -235,18 +256,18 @@ impl CatalogOp {
         }
     }
 
-    /// Replays the op into a catalog.
-    pub fn apply(&self, catalog: &mut Catalog) {
+    /// Replays the op into a catalog, moving its content in.
+    pub fn apply(self, catalog: &mut Catalog) {
         match self {
-            CatalogOp::Register(e) => catalog.register(e.clone()),
-            CatalogOp::Unregister(s) => catalog.unregister(s),
+            CatalogOp::Register(e) => catalog.register(e),
+            CatalogOp::Unregister(s) => catalog.unregister(&s),
             CatalogOp::MapUrn {
                 urn,
                 server,
                 collection,
-            } => catalog.map_urn(urn, server.clone(), collection.clone()),
-            CatalogOp::Statement(stmt) => catalog.add_statement(stmt.clone()),
-            CatalogOp::Trust(r) => catalog.trust_mut().install(r.clone()),
+            } => catalog.map_urn(&urn, server, collection),
+            CatalogOp::Statement(stmt) => catalog.add_statement(stmt),
+            CatalogOp::Trust(r) => catalog.trust_mut().install(r),
         }
     }
 }
@@ -298,6 +319,24 @@ fn scan_records(bytes: &[u8]) -> (Vec<(usize, &[u8])>, Option<usize>) {
         pos += HEADER + len;
     }
     (out, None)
+}
+
+/// Replays a log image into `catalog`, stopping at the first torn,
+/// corrupt or undecodable record. Returns the records applied and the
+/// byte offset where replay stopped (`None` = the whole image replayed).
+fn replay_records(bytes: &[u8], catalog: &mut Catalog) -> (usize, Option<usize>) {
+    let (records, torn_at) = scan_records(bytes);
+    for (applied, &(offset, payload)) in records.iter().enumerate() {
+        let op = std::str::from_utf8(payload)
+            .map_err(|e| e.to_string())
+            .and_then(CatalogOp::decode);
+        match op {
+            Ok(op) => op.apply(catalog),
+            // CRC-clean but undecodable: same truncation rule.
+            Err(_) => return (applied, Some(offset)),
+        }
+    }
+    (records.len(), torn_at)
 }
 
 // ----------------------------------------------------------------------
@@ -589,7 +628,8 @@ pub struct DurableStats {
 const WAL_RETRY_SEED: u64 = 0xD15C_FA17;
 
 /// The crash-consistent catalog journal: log ops as they happen,
-/// compact every `snapshot_every` records, recover after a crash.
+/// compact once the WAL has grown as long as the snapshot, recover
+/// after a crash.
 ///
 /// Cloning shares the underlying [`SharedDisk`] — a clone is "the same
 /// peer's disk seen from elsewhere", which is exactly what a restart
@@ -598,9 +638,14 @@ const WAL_RETRY_SEED: u64 = 0xD15C_FA17;
 #[derive(Debug, Clone)]
 pub struct DurableCatalog {
     disk: SharedDisk,
-    /// Compact after this many WAL records (0 = never).
+    /// Fewest WAL records between snapshots (0 = never compact).
     snapshot_every: usize,
+    /// WAL records and bytes logged since the last snapshot.
     since_snapshot: usize,
+    wal_bytes: usize,
+    /// Byte length of the last snapshot: the WAL may grow this long
+    /// before the next one.
+    snapshot_bytes: usize,
     /// Sync once per this many logged ops (1 = every op). Larger values
     /// widen the crash-before-fsync window — deliberately, for the
     /// kill-point sweep.
@@ -611,13 +656,16 @@ pub struct DurableCatalog {
 }
 
 impl DurableCatalog {
-    /// A durable catalog over `disk`: sync every op, compact every 64
-    /// records, fsync retries paced 20µs→2ms with an 8-attempt budget.
+    /// A durable catalog over `disk`: sync every op, compact once the
+    /// WAL is as long as the snapshot and at least 64 records, fsync
+    /// retries paced 20µs→2ms with an 8-attempt budget.
     pub fn new(disk: SharedDisk) -> Self {
         DurableCatalog {
             disk,
             snapshot_every: 64,
             since_snapshot: 0,
+            wal_bytes: 0,
+            snapshot_bytes: 0,
             sync_every: 1,
             since_sync: 0,
             retry: Retrier::new(
@@ -630,7 +678,8 @@ impl DurableCatalog {
         }
     }
 
-    /// Sets the compaction threshold (0 = never compact).
+    /// Sets the fewest WAL records between snapshots (0 = never
+    /// compact).
     pub fn with_snapshot_every(mut self, every: usize) -> Self {
         self.snapshot_every = every;
         self
@@ -656,6 +705,7 @@ impl DurableCatalog {
         self.disk.with(|d| d.wal_append(&rec))?;
         self.stats.records_appended += 1;
         self.since_snapshot += 1;
+        self.wal_bytes += rec.len();
         self.since_sync += 1;
         if self.since_sync >= self.sync_every {
             self.barrier()?;
@@ -695,10 +745,15 @@ impl DurableCatalog {
         self.compact(catalog)
     }
 
-    /// Compacts if the WAL has grown past the threshold. Returns
-    /// whether a snapshot was written.
+    /// Compacts once the WAL logged since the last snapshot is at least
+    /// as long as that snapshot and holds at least `snapshot_every`
+    /// records. Each snapshot is then paid for by as many logged bytes
+    /// as it writes. Returns whether a snapshot was written.
     pub fn maybe_compact(&mut self, catalog: &Catalog) -> Result<bool, DiskError> {
-        if self.snapshot_every == 0 || self.since_snapshot < self.snapshot_every {
+        if self.snapshot_every == 0
+            || self.since_snapshot < self.snapshot_every
+            || self.wal_bytes < self.snapshot_bytes
+        {
             return Ok(false);
         }
         self.compact(catalog)?;
@@ -719,64 +774,48 @@ impl DurableCatalog {
         self.since_sync = 0;
         self.stats.snapshots += 1;
         self.since_snapshot = 0;
+        self.wal_bytes = 0;
+        self.snapshot_bytes = snap.len();
         Ok(())
     }
 
-    /// Simulated power loss on the underlying disk.
+    /// Simulated power loss on the underlying disk. The WAL counters
+    /// are left to [`DurableCatalog::recover`], which reads them back
+    /// from what survived.
     pub fn crash(&mut self) {
         self.disk.with(|d| d.crash());
         self.since_sync = 0;
-        self.since_snapshot = 0;
     }
 
     /// Recovers the catalog: replay the snapshot, then the WAL,
     /// truncating at the first torn/corrupt/undecodable record. The
     /// result is always the replay of a prefix of what was logged.
-    /// Finishes by re-compacting, so the damaged tail is physically
-    /// gone and cannot resurrect on a later recovery.
+    /// A replay that stopped early, in the snapshot or the WAL, ends
+    /// with a compaction, so the damaged tail is physically gone and
+    /// cannot resurrect on a later recovery. A clean replay leaves the
+    /// disk untouched and resumes the WAL counters from what it read.
     pub fn recover(&mut self) -> Result<(Catalog, RecoveryReport), DiskError> {
         let snap = self.disk.with(|d| d.snapshot_read())?;
         let wal = self.disk.with(|d| d.wal_read())?;
         let mut catalog = Catalog::new();
-        let mut report = RecoveryReport::default();
-
-        if let Some(snap) = &snap {
-            let (records, _) = scan_records(snap);
-            for (_, payload) in records {
-                let Ok(text) = std::str::from_utf8(payload) else {
-                    break;
-                };
-                let Ok(op) = CatalogOp::decode(text) else {
-                    break;
-                };
-                op.apply(&mut catalog);
-                report.snapshot_records += 1;
-            }
+        let (snapshot_records, snapshot_stop) = snap
+            .as_deref()
+            .map_or((0, None), |s| replay_records(s, &mut catalog));
+        let (wal_records, wal_stop) = replay_records(&wal, &mut catalog);
+        let report = RecoveryReport {
+            snapshot_records,
+            wal_records,
+            truncated_at: wal_stop,
+            dropped_bytes: wal_stop.map_or(0, |at| wal.len() - at),
+            entries: catalog.entries().len(),
+        };
+        if snapshot_stop.is_some() || wal_stop.is_some() {
+            self.compact(&catalog)?;
+        } else {
+            self.since_snapshot = wal_records;
+            self.wal_bytes = wal.len();
+            self.snapshot_bytes = snap.map_or(0, |s| s.len());
         }
-
-        let (records, torn_at) = scan_records(&wal);
-        let mut stopped_at = torn_at;
-        for (offset, payload) in records {
-            let op = std::str::from_utf8(payload)
-                .map_err(|e| e.to_string())
-                .and_then(CatalogOp::decode);
-            match op {
-                Ok(op) => {
-                    op.apply(&mut catalog);
-                    report.wal_records += 1;
-                }
-                Err(_) => {
-                    // CRC-clean but undecodable: same truncation rule.
-                    stopped_at = Some(offset);
-                    break;
-                }
-            }
-        }
-        report.truncated_at = stopped_at;
-        report.dropped_bytes = stopped_at.map_or(0, |at| wal.len() - at);
-        report.entries = catalog.entries().len();
-
-        self.compact(&catalog)?;
         Ok((catalog, report))
     }
 }
@@ -844,7 +883,7 @@ mod tests {
     fn replay(ops: &[CatalogOp]) -> Catalog {
         let mut c = Catalog::new();
         for op in ops {
-            op.apply(&mut c);
+            op.clone().apply(&mut c);
         }
         c
     }
@@ -852,6 +891,20 @@ mod tests {
     /// Canonical comparable digest of a catalog's durable content.
     fn digest(c: &Catalog) -> Vec<CatalogOp> {
         c.snapshot_ops()
+    }
+
+    /// The bitwise CRC the table is built from: the reference the
+    /// table-driven `crc32` must match on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
     }
 
     #[test]
@@ -958,7 +1011,7 @@ mod tests {
         let ops = sample_ops();
         let mut shadow = Catalog::new();
         for op in &ops {
-            op.apply(&mut shadow);
+            op.clone().apply(&mut shadow);
             d.log(op).unwrap();
             d.maybe_compact(&shadow).unwrap();
         }
@@ -1069,7 +1122,8 @@ mod tests {
         let hijack = ServerId::new("hijack-7");
         assert_eq!(catalog.trust().level_of(&hijack), TrustLevel::Quarantined);
         assert_eq!(catalog.trust().record(&hijack).unwrap().strikes, 2);
-        // Crash again straight off the compacted snapshot: still there.
+        // Crash again: the clean recovery left the WAL as it found it,
+        // and replaying it again restores the same quarantine.
         d.crash();
         let (again, _) = d.recover().unwrap();
         assert_eq!(again.trust().level_of(&hijack), TrustLevel::Quarantined);
@@ -1140,9 +1194,9 @@ mod tests {
     #[test]
     fn mixed_arity_registrations_survive_a_second_restart() {
         // The second `seller-1` registration has arity 1. Merged into the
-        // arity-2 entry, the union had no area text: the first recovery's
-        // compaction wrote a snapshot record the second recovery could
-        // not decode, and it came back empty with nothing reported.
+        // arity-2 entry, the union had no area text: compaction wrote a
+        // snapshot record the next recovery could not decode, and it
+        // came back empty with nothing reported.
         let ops = [
             reg("seller-1", &["Oregon/Portland", "Music/CDs"]),
             reg("seller-1", &["Oregon/Portland"]),
@@ -1170,7 +1224,128 @@ mod tests {
             assert_eq!(report.entries, 2);
             let urn = mqp_namespace::Urn::named("ForSale", "Portland-CDs");
             assert_eq!(catalog.resolve_named(&urn).len(), 1);
+            // A clean recovery writes no snapshot: write one, so the
+            // second restart replays the merged entry from it.
+            d.compact(&catalog).unwrap();
         }
+    }
+
+    const PDX_CDS: &[&str] = &["Oregon/Portland", "Music/CDs"];
+
+    /// A journal seeded with `n` registrations, its disk, and the
+    /// catalog it was seeded from.
+    fn seeded(n: usize) -> (SharedDisk, DurableCatalog, Catalog) {
+        let mut catalog = Catalog::new();
+        for i in 0..n {
+            reg(&format!("seed-{i:05}"), PDX_CDS).apply(&mut catalog);
+        }
+        let disk = SharedDisk::new(MemDisk::new());
+        let mut d = DurableCatalog::new(disk.clone());
+        d.seed(&catalog).unwrap();
+        (disk, d, catalog)
+    }
+
+    fn snapshot_len(disk: &SharedDisk) -> usize {
+        disk.with(|d| d.snapshot_read().unwrap().map_or(0, |s| s.len()))
+    }
+
+    fn wal_len(disk: &SharedDisk) -> usize {
+        disk.with(|d| d.wal_read().unwrap().len())
+    }
+
+    /// Logs `op` into the journal and `shadow`, as a peer does, and
+    /// returns whether a snapshot was written.
+    fn journal(d: &mut DurableCatalog, shadow: &mut Catalog, op: CatalogOp) -> bool {
+        d.log(&op).unwrap();
+        op.apply(shadow);
+        d.maybe_compact(shadow).unwrap()
+    }
+
+    #[test]
+    fn snapshot_waits_until_the_wal_is_as_long_as_the_snapshot() {
+        let (disk, mut d, mut shadow) = seeded(2000);
+        let snap = snapshot_len(&disk);
+        let mut logged = 0;
+        loop {
+            let op = reg(&format!("late-{logged:05}"), PDX_CDS);
+            d.log(&op).unwrap();
+            op.apply(&mut shadow);
+            logged += 1;
+            let grown = wal_len(&disk) >= snap;
+            assert_eq!(d.maybe_compact(&shadow).unwrap(), grown, "record {logged}");
+            if grown {
+                break;
+            }
+        }
+        assert!(logged > 2 * 64, "compacted after {logged} records");
+        assert_eq!(d.stats().snapshots, 2, "the seed and exactly one more");
+        assert_eq!(wal_len(&disk), 0);
+        assert!(snapshot_len(&disk) > snap);
+    }
+
+    #[test]
+    fn a_crash_loop_keeps_the_wal_within_one_snapshot() {
+        let (disk, mut d, mut shadow) = seeded(2000);
+        let mut longest_record = 0;
+        for round in 0..24 {
+            for i in 0..250 {
+                let op = reg(&format!("late-{:03}", (round * 250 + i) % 100), PDX_CDS);
+                longest_record = longest_record.max(HEADER + op.encode().len());
+                journal(&mut d, &mut shadow, op);
+                assert!(wal_len(&disk) < snapshot_len(&disk) + longest_record);
+            }
+            d.crash();
+            let (catalog, report) = d.recover().unwrap();
+            assert_eq!(report.truncated_at, None);
+            assert_eq!(digest(&catalog), digest(&shadow), "round {round}");
+        }
+        assert!(d.stats().snapshots >= 3, "6 000 records cross the snapshot");
+    }
+
+    #[test]
+    fn clean_recovery_leaves_the_disk_untouched() {
+        let (disk, mut d, mut shadow) = seeded(50);
+        for op in sample_ops() {
+            journal(&mut d, &mut shadow, op);
+        }
+        d.crash();
+        let images = || disk.with(|dk| (dk.snapshot_read().unwrap(), dk.wal_read().unwrap()));
+        let before = images();
+        let (catalog, report) = d.recover().unwrap();
+        assert_eq!(report.wal_records, sample_ops().len());
+        assert_eq!(digest(&catalog), digest(&shadow));
+        assert_eq!(images(), before);
+        assert_eq!(d.stats().snapshots, 1, "only the seed");
+    }
+
+    #[test]
+    fn a_record_logged_after_a_clean_recovery_survives_the_next_crash() {
+        let (_, mut d, mut shadow) = seeded(50);
+        for op in sample_ops() {
+            journal(&mut d, &mut shadow, op);
+        }
+        d.crash();
+        let (mut catalog, _) = d.recover().unwrap();
+        journal(&mut d, &mut catalog, reg("after-restart", PDX_CDS));
+        d.crash();
+        let (again, report) = d.recover().unwrap();
+        assert_eq!(report.wal_records, sample_ops().len() + 1);
+        assert_eq!(digest(&again), digest(&catalog));
+        let after = ServerId::new("after-restart");
+        assert!(again.entries().iter().any(|e| e.server == after));
+    }
+
+    #[test]
+    fn recovering_a_clean_disk_twice_gives_the_same_catalog() {
+        let (_, mut d, mut shadow) = seeded(50);
+        for op in sample_ops() {
+            journal(&mut d, &mut shadow, op);
+        }
+        d.crash();
+        let (first, _) = d.recover().unwrap();
+        let (second, _) = d.recover().unwrap();
+        assert_eq!(digest(&first), digest(&shadow));
+        assert_eq!(digest(&second), digest(&first));
     }
 
     mod properties {
@@ -1220,6 +1395,14 @@ mod tests {
         }
 
         proptest! {
+            /// The table CRC agrees with the bitwise reference.
+            #[test]
+            fn table_crc_matches_the_bitwise_reference(
+                bytes in proptest::collection::vec(0u8..=255, 0..=4096),
+            ) {
+                prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+            }
+
             /// Prefix consistency: damage the WAL image at ANY byte
             /// (flip or truncate) — recovery yields exactly the replay
             /// of some prefix of the logged ops.
@@ -1266,7 +1449,7 @@ mod tests {
                     if i == cut {
                         d.compact(&shadow).unwrap();
                     }
-                    op.apply(&mut shadow);
+                    op.clone().apply(&mut shadow);
                     d.log(op).unwrap();
                 }
                 d.crash();
@@ -1309,8 +1492,8 @@ mod tests {
 
             /// Whatever CRC-valid records and trailing bytes the
             /// snapshot and WAL hold, recovery does not panic, and a
-            /// second recovery — from the snapshot the first one wrote —
-            /// returns the same catalog.
+            /// second recovery — from the snapshot the first one wrote
+            /// when it found damage — returns the same catalog.
             #[test]
             fn recovering_twice_gives_the_same_catalog(
                 snap in proptest::collection::vec(arb_payload(), 0..8),

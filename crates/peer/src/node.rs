@@ -1301,6 +1301,38 @@ mod tests {
         assert_ne!(wal(), before);
     }
 
+    /// A registration stream far shorter than the index's snapshot is
+    /// journaled without re-encoding the snapshot, and every record of
+    /// it survives a crash.
+    #[test]
+    fn registrations_into_a_large_durable_index_do_not_rewrite_its_snapshot() {
+        use mqp_catalog::{DurableCatalog, MemDisk, SharedDisk};
+        let dir = directory(&["idx", "b"]);
+        let disk = SharedDisk::new(MemDisk::new());
+        let mut p = Peer::new("idx", ns());
+        for i in 0..5_000 {
+            p.catalog_mut()
+                .register(CatalogEntry::base(format!("seed-{i:04}"), pdx_cds()));
+        }
+        p.enable_durability(DurableCatalog::new(disk.clone()));
+        let mut idx = PeerNode::new(0, p, Arc::clone(&dir));
+        let snapshot = || disk.with(|d| d.snapshot_read().unwrap());
+        let seeded = snapshot();
+        let late = |i: u64| CatalogEntry::base(format!("late-{i:03}"), pdx_cds());
+        for i in 0..200 {
+            idx.on_message(1, &Frame::Register(late(i)).encode(), i);
+        }
+        assert!(snapshot() == seeded, "the snapshot was rewritten");
+        idx.crash();
+        idx.recover(200);
+        let catalog = idx.peer().catalog();
+        assert_eq!(catalog.entries().len(), 5_200);
+        for i in 0..200 {
+            let server = late(i).server;
+            assert!(catalog.entries().iter().any(|e| e.server == server));
+        }
+    }
+
     /// A result payload that does not decode fails the query; it must
     /// not read as a successful answer with zero items.
     #[test]
