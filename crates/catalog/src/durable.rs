@@ -25,7 +25,10 @@
 //!   the damage is physically gone; a clean replay leaves the disk as
 //!   it found it. Contrast `FrameDecoder`, which poisons on a corrupt
 //!   length — a live TCP stream has a peer to disconnect; a WAL tail
-//!   has nothing to blame but the crash that tore it.
+//!   has nothing to blame but the crash that tore it. A recovery
+//!   decodes each distinct area text once: a memo, kept for that one
+//!   recovery, maps an area line to its decoded area, and every entry
+//!   registered with that line shares the area's cells.
 //!
 //! Because every catalog mutation is idempotent (register merges by
 //! `(server, level)`, `map_urn` and `add_statement` dedup, unregister
@@ -34,10 +37,14 @@
 //! and WAL truncate is harmless. That window is exactly the kind of
 //! kill point [`FaultyDisk`] exists to exercise deterministically.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use mqp_namespace::urn::{decode_area, UrnError};
+use mqp_namespace::InterestArea;
 use mqp_net::{splitmix64, DiskFaults, Retrier};
 
 use crate::entry::{parse_flag, CatalogEntry, ServerId};
@@ -117,6 +124,14 @@ fn flag(b: bool) -> u8 {
     u8::from(b)
 }
 
+/// Errs if a header holds a word past its op's own fields.
+fn end_of_header<'a>(mut words: impl Iterator<Item = &'a str>, op: &str) -> Result<(), String> {
+    match words.next() {
+        None => Ok(()),
+        Some(_) => Err(format!("{op}: trailing header field")),
+    }
+}
+
 impl CatalogOp {
     /// Encodes the op as the WAL's text payload.
     pub(crate) fn encode(&self) -> String {
@@ -173,21 +188,33 @@ impl CatalogOp {
         }
     }
 
-    /// Decodes a WAL payload. Errors name the field that failed — a
-    /// decode error truncates recovery at that record, so the message
-    /// ends up in operator-facing reports.
-    pub(crate) fn decode(payload: &str) -> Result<CatalogOp, String> {
+    /// Decodes a WAL payload, reading a `reg` record's area line with
+    /// `area` (see [`CatalogEntry::from_wire`]). Anything the encoder
+    /// never writes is refused: a word past the header's fields, a
+    /// server line that spans lines, a line past the record's last
+    /// field. Errors name the field that failed — a decode error
+    /// truncates recovery at that record, so the message ends up in
+    /// operator-facing reports.
+    pub(crate) fn decode<'a>(
+        payload: &'a str,
+        area: impl FnOnce(&'a str) -> Result<InterestArea, UrnError>,
+    ) -> Result<CatalogOp, String> {
         let (head, rest) = payload.split_once('\n').unwrap_or((payload, ""));
-        let mut words = head.split_whitespace();
+        let mut words = head.split(' ');
         match words.next() {
-            Some("reg") => CatalogEntry::from_wire(payload).map(CatalogOp::Register),
-            Some("unreg") => match rest {
-                "" => Err("unreg: missing server".into()),
-                s => Ok(CatalogOp::Unregister(ServerId::new(s))),
-            },
+            Some("reg") => CatalogEntry::from_wire(payload, area).map(CatalogOp::Register),
+            Some("unreg") => {
+                end_of_header(words, "unreg")?;
+                match rest {
+                    "" => Err("unreg: missing server".into()),
+                    s if s.contains('\n') => Err("unreg: line past the server".into()),
+                    s => Ok(CatalogOp::Unregister(ServerId::new(s))),
+                }
+            }
             Some("urn") => {
                 let has_collection = parse_flag(words.next().ok_or("urn: missing coll flag")?)?;
-                let mut lines = rest.splitn(if has_collection { 3 } else { 2 }, '\n');
+                end_of_header(words, "urn")?;
+                let mut lines = rest.splitn(3, '\n');
                 let urn = match lines.next() {
                     Some(s) if !s.is_empty() => s.to_owned(),
                     _ => return Err("urn: missing urn".into()),
@@ -196,10 +223,11 @@ impl CatalogOp {
                     Some(s) if !s.is_empty() => ServerId::new(s),
                     _ => return Err("urn: missing server".into()),
                 };
-                let collection = if has_collection {
-                    Some(lines.next().ok_or("urn: missing collection")?.to_owned())
-                } else {
-                    None
+                let collection = match (has_collection, lines.next()) {
+                    (true, Some(c)) => Some(c.to_owned()),
+                    (true, None) => return Err("urn: missing collection".into()),
+                    (false, None) => None,
+                    (false, Some(_)) => return Err("urn: unflagged collection".into()),
                 };
                 Ok(CatalogOp::MapUrn {
                     urn,
@@ -207,10 +235,12 @@ impl CatalogOp {
                     collection,
                 })
             }
-            Some("stmt") => rest
-                .parse::<IntensionalStatement>()
-                .map(CatalogOp::Statement)
-                .map_err(|e| format!("stmt: {e}")),
+            Some("stmt") => {
+                end_of_header(words, "stmt")?;
+                rest.parse::<IntensionalStatement>()
+                    .map(CatalogOp::Statement)
+                    .map_err(|e| format!("stmt: {e}"))
+            }
             Some("trust") => {
                 let mut num = || -> Result<u64, String> {
                     words
@@ -227,15 +257,21 @@ impl CatalogOp {
                 let clears = num()?;
                 let stale_marks = num()?;
                 let last_strike_at = num()?;
-                let n_areas = num()? as usize;
+                let n_areas = num()?;
+                end_of_header(words, "trust")?;
                 let mut lines = rest.split('\n');
                 let server = match lines.next() {
                     Some(s) if !s.is_empty() => ServerId::new(s),
                     _ => return Err("trust: missing server".into()),
                 };
-                let mut areas = Vec::with_capacity(n_areas);
-                for _ in 0..n_areas {
-                    areas.push(lines.next().ok_or("trust: missing area")?.to_owned());
+                // Counted against the lines present, never reserved from
+                // the header's count.
+                let mut areas: Vec<String> = lines.map(str::to_owned).collect();
+                if (areas.len() as u64) < n_areas {
+                    return Err("trust: missing area".into());
+                }
+                if (areas.len() as u64) > n_areas {
+                    return Err("trust: line past its areas".into());
                 }
                 areas.sort();
                 areas.dedup();
@@ -321,15 +357,35 @@ fn scan_records(bytes: &[u8]) -> (Vec<(usize, &[u8])>, Option<usize>) {
     (out, None)
 }
 
+/// Decoded areas by their text, borrowed from the images one recovery
+/// replays (see [`replay_records`]).
+type AreaMemo<'a> = HashMap<&'a str, InterestArea>;
+
 /// Replays a log image into `catalog`, stopping at the first torn,
 /// corrupt or undecodable record. Returns the records applied and the
 /// byte offset where replay stopped (`None` = the whole image replayed).
-fn replay_records(bytes: &[u8], catalog: &mut Catalog) -> (usize, Option<usize>) {
+///
+/// A log repeats few distinct area texts (`reg_mix`'s 30 000 ghosts
+/// carry 441), so a recovery decodes each one once: `areas` maps an
+/// area line to its decoded area, and every record with that line
+/// shares it. Only an area that decoded enters the map, so an
+/// undecodable record stops replay where it would without the map.
+fn replay_records<'a>(
+    bytes: &'a [u8],
+    catalog: &mut Catalog,
+    areas: &mut AreaMemo<'a>,
+) -> (usize, Option<usize>) {
     let (records, torn_at) = scan_records(bytes);
+    catalog.reserve(records.len());
     for (applied, &(offset, payload)) in records.iter().enumerate() {
         let op = std::str::from_utf8(payload)
             .map_err(|e| e.to_string())
-            .and_then(CatalogOp::decode);
+            .and_then(|text| {
+                CatalogOp::decode(text, |line| match areas.entry(line) {
+                    Entry::Occupied(known) => Ok(known.get().clone()),
+                    Entry::Vacant(new) => Ok(new.insert(decode_area(line)?).clone()),
+                })
+            });
         match op {
             Ok(op) => op.apply(catalog),
             // CRC-clean but undecodable: same truncation rule.
@@ -798,10 +854,11 @@ impl DurableCatalog {
         let snap = self.disk.with(|d| d.snapshot_read())?;
         let wal = self.disk.with(|d| d.wal_read())?;
         let mut catalog = Catalog::new();
+        let mut areas = AreaMemo::new();
         let (snapshot_records, snapshot_stop) = snap
             .as_deref()
-            .map_or((0, None), |s| replay_records(s, &mut catalog));
-        let (wal_records, wal_stop) = replay_records(&wal, &mut catalog);
+            .map_or((0, None), |s| replay_records(s, &mut catalog, &mut areas));
+        let (wal_records, wal_stop) = replay_records(&wal, &mut catalog, &mut areas);
         let report = RecoveryReport {
             snapshot_records,
             wal_records,
@@ -824,7 +881,6 @@ impl DurableCatalog {
 mod tests {
     use super::*;
     use mqp_namespace::urn::encode_area;
-    use mqp_namespace::InterestArea;
 
     fn area(cells: &[&[&str]]) -> InterestArea {
         InterestArea::parse(cells)
@@ -918,7 +974,8 @@ mod tests {
     fn op_codec_roundtrips() {
         for op in sample_ops() {
             let text = op.encode();
-            let back = CatalogOp::decode(&text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            let back =
+                CatalogOp::decode(&text, decode_area).unwrap_or_else(|e| panic!("{text:?}: {e}"));
             assert_eq!(back, op);
         }
     }
@@ -940,8 +997,24 @@ mod tests {
             "trust 1 2 3",
             "trust a 2 3 4 5 6 7 8 0\nS",
             "trust 1 2 3 4 5 6 7 8 2\nS\n+only-one-area",
+            // An area count no record holds: refused, not reserved.
+            "trust 1 2 3 4 5 6 7 8 100000000000000\nS",
+            "trust 1 2 3 4 5 6 7 8 18446744073709551615\nS",
+            // What the encoder never writes: a server that spans lines,
+            // a word past the header's fields, a line past the record.
+            "unreg\nS\nT",
+            "urn 0\nurn:X:y\nS\nT",
+            "unreg\nS\n",
+            "unreg x\nS",
+            "urn 0 9\nurn:X:y\nS",
+            "trust 1 2 3 4 5 6 7 8 0 99\nS",
+            "trust 1 2 3 4 5 6 7 8 0\nS\nx",
+            "stmt x\nbase[Oregon.Portland, Recreation]@s1 = base[Oregon.Portland, Recreation]@s2",
         ] {
-            assert!(CatalogOp::decode(bad).is_err(), "accepted {bad:?}");
+            assert!(
+                CatalogOp::decode(bad, decode_area).is_err(),
+                "accepted {bad:?}"
+            );
         }
     }
 
@@ -1348,6 +1421,35 @@ mod tests {
         assert_eq!(digest(&second), digest(&first));
     }
 
+    #[test]
+    fn entries_with_equal_area_text_share_one_cell_allocation() {
+        const OR_MUSIC: &[&str] = &["Oregon", "Music"];
+        let mut catalog = Catalog::new();
+        for i in 0..4 {
+            reg(&format!("pdx-{i}"), PDX_CDS).apply(&mut catalog);
+            reg(&format!("or-{i}"), OR_MUSIC).apply(&mut catalog);
+        }
+        let mut d = DurableCatalog::new(SharedDisk::new(MemDisk::new()));
+        d.seed(&catalog).unwrap();
+        for i in 0..2 {
+            d.log(&reg(&format!("late-{i}"), PDX_CDS)).unwrap();
+        }
+        d.crash();
+        let (recovered, report) = d.recover().unwrap();
+        assert_eq!((report.snapshot_records, report.wal_records), (8, 2));
+        for cell in [PDX_CDS, OR_MUSIC] {
+            let text = encode_area(&area(&[cell]));
+            let cells: Vec<*const _> = recovered
+                .entries()
+                .iter()
+                .filter(|e| encode_area(&e.area) == text)
+                .map(|e| e.area.cells().as_ptr())
+                .collect();
+            assert_eq!(cells.len(), if cell == PDX_CDS { 6 } else { 4 });
+            assert!(cells.iter().all(|&p| p == cells[0]), "{text}: {cells:?}");
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1382,6 +1484,63 @@ mod tests {
                 }
                 p
             })
+        }
+
+        /// Area texts a replay meets: repeated ones, escaped grammar
+        /// characters, arities 1 to 3, and texts `decode_area` refuses —
+        /// one of them a decodable text with a suffix.
+        fn area_texts() -> Vec<String> {
+            let good = [
+                area(&[PDX_CDS]),
+                area(&[&["Oregon", "Music"]]),
+                area(&[&["USA/MO/St. Louis", "Music/Vinyl (LP)"]]),
+                area(&[&["100%", "*"], &["Oregon", "Music/CDs"]]),
+                area(&[&["Oregon"]]),
+                area(&[&["Oregon", "Music", "New"]]),
+            ];
+            let mut texts: Vec<String> = good.iter().map(encode_area).collect();
+            let first = texts[0].clone();
+            texts.extend([
+                format!("{first}+"),
+                "(Oregon".to_owned(),
+                "(a)+(b,c)".to_owned(),
+                "(%ZZ)".to_owned(),
+            ]);
+            texts
+        }
+
+        /// Decodable area texts lead [`area_texts`].
+        const GOOD_AREAS: usize = 6;
+
+        /// A record payload: a registration of server `s` at `level`
+        /// with area text `a` (decodable only), or, one time in eight,
+        /// the server's unregistration.
+        fn arb_reg() -> impl Strategy<Value = String> {
+            (0usize..5, 0usize..GOOD_AREAS, 0usize..3, 0u8..8).prop_map(|(s, a, level, kind)| {
+                if kind == 0 {
+                    return format!("unreg\ns{s}");
+                }
+                let level = ["base", "index", "meta"][level];
+                format!("reg {level} {} 0\ns{s}\n{}", kind % 2, area_texts()[a])
+            })
+        }
+
+        /// Replays `img` decoding every record alone, as
+        /// [`replay_records`] does with no memo: the catalog, the
+        /// records applied and where replay stopped.
+        fn replay_each_alone(img: &[u8]) -> (Catalog, usize, Option<usize>) {
+            let mut catalog = Catalog::new();
+            let (records, torn_at) = scan_records(img);
+            for (applied, &(offset, payload)) in records.iter().enumerate() {
+                let op = std::str::from_utf8(payload)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| CatalogOp::decode(text, decode_area));
+                match op {
+                    Ok(op) => op.apply(&mut catalog),
+                    Err(_) => return (catalog, applied, Some(offset)),
+                }
+            }
+            (catalog, records.len(), torn_at)
         }
 
         /// CRC-valid records of `payloads`, then `tail` as raw bytes.
@@ -1455,6 +1614,32 @@ mod tests {
                 d.crash();
                 let (catalog, _) = d.recover().unwrap();
                 prop_assert_eq!(digest(&catalog), digest(&replay(&ops)));
+            }
+
+            /// Decoding each distinct area text once gives what decoding
+            /// every record alone gives: the same catalog, the same
+            /// records applied, the same stop offset — also when an
+            /// undecodable area text follows decodable ones.
+            #[test]
+            fn memoized_replay_equals_decoding_each_record_alone(
+                regs in proptest::collection::vec(arb_reg(), 1..40),
+                bad in proptest::option::of((0usize..40, 0usize..5, GOOD_AREAS..10)),
+            ) {
+                let mut payloads: Vec<Vec<u8>> =
+                    regs.into_iter().map(String::into_bytes).collect();
+                if let Some((at, s, a)) = bad {
+                    let at = 1 + at % payloads.len();
+                    let rec = format!("reg base 0 0\ns{s}\n{}", area_texts()[a]);
+                    payloads.insert(at, rec.into_bytes());
+                }
+                let img = image(&payloads, &[]);
+                let (alone, alone_applied, alone_stop) = replay_each_alone(&img);
+                let mut memo = Catalog::new();
+                let (applied, stop) = replay_records(&img, &mut memo, &mut AreaMemo::new());
+                prop_assert_eq!(applied, alone_applied);
+                prop_assert_eq!(stop, alone_stop);
+                prop_assert_eq!(stop.is_some(), bad.is_some());
+                prop_assert_eq!(digest(&memo), digest(&alone));
             }
 
             /// FaultyDisk torn-tail crashes never lose synced records,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mqp_namespace::urn::{decode_area, encode_area};
+use mqp_namespace::urn::{encode_area, UrnError};
 use mqp_namespace::InterestArea;
 use mqp_xml::Name;
 
@@ -192,10 +192,16 @@ impl CatalogEntry {
     }
 
     /// Parses [`CatalogEntry::to_wire`]'s output; without a collection
-    /// the empty last line may be absent, as the WAL writes it. Errors
-    /// name the field that failed: a WAL decode error truncates recovery
-    /// at that record, so the message reaches operator-facing reports.
-    pub fn from_wire(text: &str) -> Result<CatalogEntry, String> {
+    /// the empty last line may be absent, as the WAL writes it. The
+    /// area line goes to `area`: a `reg` frame passes
+    /// [`mqp_namespace::urn::decode_area`], and WAL replay a decoder
+    /// that decodes each distinct area text once. Errors name the field
+    /// that failed: a WAL decode error truncates recovery at that
+    /// record, so the message reaches operator-facing reports.
+    pub fn from_wire<'a>(
+        text: &'a str,
+        area: impl FnOnce(&'a str) -> Result<InterestArea, UrnError>,
+    ) -> Result<CatalogEntry, String> {
         let (head, body) = text.split_once('\n').ok_or("reg: missing server")?;
         let mut words = head.split(' ');
         if words.next() != Some("reg") {
@@ -215,8 +221,8 @@ impl CatalogEntry {
             Some(s) if !s.is_empty() => ServerId::new(s),
             _ => return Err("reg: missing server".into()),
         };
-        let area = decode_area(lines.next().ok_or("reg: missing area")?)
-            .map_err(|e| format!("reg: {e}"))?;
+        let area =
+            area(lines.next().ok_or("reg: missing area")?).map_err(|e| format!("reg: {e}"))?;
         let collection = match (has_collection, lines.next()) {
             (true, Some(c)) => Some(c.to_owned()),
             (true, None) => return Err("reg: missing collection".into()),
@@ -252,6 +258,7 @@ impl From<String> for ServerId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mqp_namespace::urn::decode_area;
 
     #[test]
     fn server_id_url_roundtrip() {
@@ -290,7 +297,7 @@ mod tests {
             CatalogEntry::base("s", area.clone()).with_collection("/data[@id='245']\n[2]"),
             CatalogEntry::base("s", area.clone()).with_collection(""),
         ] {
-            assert_eq!(CatalogEntry::from_wire(&e.to_wire()), Ok(e));
+            assert_eq!(CatalogEntry::from_wire(&e.to_wire(), decode_area), Ok(e));
         }
         let spec = encode_area(&area);
         for bad in [
@@ -304,7 +311,10 @@ mod tests {
             format!("reg super 0 0\ns\n{spec}\n"),
             format!("rereg base 0 0\ns\n{spec}\n"), // another record's tag
         ] {
-            assert!(CatalogEntry::from_wire(&bad).is_err(), "accepted {bad:?}");
+            assert!(
+                CatalogEntry::from_wire(&bad, decode_area).is_err(),
+                "accepted {bad:?}"
+            );
         }
     }
 }

@@ -125,6 +125,14 @@ impl Catalog {
         e.collection = collection;
     }
 
+    /// Makes room for `additional` more entries in the entry list and
+    /// the slot map, as a replay does for the records it is about to
+    /// apply.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+        self.slot.reserve(additional);
+    }
+
     /// Removes all entries for a server (e.g. when it leaves). The
     /// survivors keep their order; their positions shift, so both
     /// indexes are rebuilt in one pass over them.

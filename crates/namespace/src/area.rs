@@ -1,6 +1,7 @@
 //! Interest cells and interest areas (paper §3.1, Figure 5).
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::hierarchy::{CategoryPath, Namespace};
 
@@ -93,9 +94,14 @@ impl fmt::Display for Cell {
 
 /// An *interest area*: a set of interest cells. Data providers describe
 /// their holdings with one; data consumers phrase queries with one.
+///
+/// An area is an immutable value: its canonical cells are computed once,
+/// at construction, and held behind an `Arc`, so a clone is O(1) — a
+/// reference-count bump — and every clone shares one cell allocation
+/// (DESIGN.md §4).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct InterestArea {
-    cells: Vec<Cell>,
+    cells: Arc<[Cell]>,
 }
 
 impl InterestArea {
@@ -106,16 +112,17 @@ impl InterestArea {
 
     /// Area of a single cell.
     pub fn of(cell: Cell) -> Self {
-        InterestArea { cells: vec![cell] }.canonical()
+        InterestArea {
+            cells: Arc::new([cell]),
+        }
     }
 
     /// Area from several cells; canonicalizes (drops cells covered by
     /// sibling cells, dedups, sorts).
     pub fn new(cells: impl IntoIterator<Item = Cell>) -> Self {
         InterestArea {
-            cells: cells.into_iter().collect(),
+            cells: canonical(cells.into_iter().collect()).into(),
         }
-        .canonical()
     }
 
     /// Convenience for tests/examples: builds from string tuples, e.g.
@@ -134,26 +141,11 @@ impl InterestArea {
         self.cells.is_empty()
     }
 
-    /// Canonical form: no cell covered by another cell of the same area,
-    /// no duplicates, sorted. Two areas denoting the same region compare
-    /// equal in canonical form *when cover structure makes them equal as
-    /// cell sets*; full extensional equality would need the hierarchy
-    /// (e.g. a parent equals the union of all its children only if the
-    /// children are exhaustive, which providers cannot know — see §3.2).
-    pub(crate) fn canonical(mut self) -> Self {
-        self.cells.sort();
-        self.cells.dedup();
-        let cells = std::mem::take(&mut self.cells);
-        let mut keep: Vec<Cell> = Vec::with_capacity(cells.len());
-        // After dedup, mutual cover implies equality, so `covers` on
-        // distinct cells is strict domination.
-        for c in &cells {
-            let dominated = cells.iter().any(|other| other != c && other.covers(c));
-            if !dominated {
-                keep.push(c.clone());
-            }
-        }
-        InterestArea { cells: keep }
+    /// The area rebuilt from a copy of its cells: canonicalizing a
+    /// canonical area changes nothing (a property in `proptests.rs`).
+    #[cfg(test)]
+    pub(crate) fn canonical(self) -> Self {
+        InterestArea::new(self.cells.to_vec())
     }
 
     /// Area cover (paper): `a` covers `b` iff every cell of `b` is
@@ -184,7 +176,7 @@ impl InterestArea {
 
     /// The union area (canonicalized).
     pub fn union(&self, other: &InterestArea) -> InterestArea {
-        InterestArea::new(self.cells.iter().chain(&other.cells).cloned())
+        InterestArea::new(self.cells.iter().chain(other.cells.iter()).cloned())
     }
 
     /// Validates every cell against the namespace.
@@ -209,6 +201,31 @@ impl InterestArea {
     pub fn specificity(&self) -> usize {
         self.cells.iter().map(Cell::specificity).max().unwrap_or(0)
     }
+}
+
+/// Canonical form: no cell covered by another cell of the same area,
+/// no duplicates, sorted. Two areas denoting the same region compare
+/// equal in canonical form *when cover structure makes them equal as
+/// cell sets*; full extensional equality would need the hierarchy
+/// (e.g. a parent equals the union of all its children only if the
+/// children are exhaustive, which providers cannot know — see §3.2).
+/// At most one cell is canonical as it stands; otherwise dominated
+/// cells are dropped in place.
+fn canonical(mut cells: Vec<Cell>) -> Vec<Cell> {
+    if cells.len() < 2 {
+        return cells;
+    }
+    cells.sort();
+    cells.dedup();
+    // After dedup, mutual cover implies equality, so `covers` on
+    // distinct cells is strict domination.
+    let dominated: Vec<bool> = cells
+        .iter()
+        .map(|c| cells.iter().any(|other| other != c && other.covers(c)))
+        .collect();
+    let mut dominated = dominated.into_iter();
+    cells.retain(|_| !dominated.next().unwrap_or(false));
+    cells
 }
 
 impl fmt::Display for InterestArea {

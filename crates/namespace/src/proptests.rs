@@ -53,6 +53,11 @@ fn arb_named_area() -> impl Strategy<Value = InterestArea> {
     proptest::collection::vec(cell, 1..5).prop_map(InterestArea::new)
 }
 
+fn hash_of(a: &InterestArea) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(a)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -137,6 +142,17 @@ proptest! {
         prop_assert_eq!(c.clone().canonical(), c.clone());
         // Canonicalization preserves the covered region.
         prop_assert!(c.covers(&a) && a.covers(&c));
+    }
+
+    #[test]
+    fn shared_clone_equals_a_deep_rebuild(a in arb_area()) {
+        let shared = a.clone();
+        let rebuilt = InterestArea::new(a.cells().to_vec());
+        prop_assert_eq!(shared.cells().as_ptr(), a.cells().as_ptr());
+        prop_assert_ne!(rebuilt.cells().as_ptr(), a.cells().as_ptr());
+        prop_assert_eq!(&shared, &rebuilt);
+        prop_assert_eq!(hash_of(&shared), hash_of(&rebuilt));
+        prop_assert!(shared.covers(&rebuilt) && rebuilt.covers(&shared));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use mqp_catalog::{CatalogEntry, ServerId};
 use mqp_core::{QueryId, RuleSet};
 use mqp_lang::{parse_policy, render_policy};
+use mqp_namespace::urn::decode_area;
 use mqp_net::NodeId;
 
 /// Per-query counters that ride every `mqp`/`res` frame, so any peer —
@@ -239,7 +240,7 @@ impl Frame {
                     items: payload.to_owned(),
                 }))
             }
-            "reg" => CatalogEntry::from_wire(text).map(Frame::Register),
+            "reg" => CatalogEntry::from_wire(text, decode_area).map(Frame::Register),
             "ack" => {
                 if tokens.len() < 2 {
                     return Err(format!("truncated ack header {header:?}"));
